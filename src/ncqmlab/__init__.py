@@ -31,6 +31,7 @@ from .errors import (
     SingularStructure,
     StepTooLarge,
     ThetaNonPositive,
+    UnresolvedSpectrum,
     ZeroTheta,
 )
 from .params import NCParams, is_singular, kappa
@@ -43,6 +44,7 @@ __all__ = [
     "NCQMError", "ConfigError", "DomainError",
     "SingularStructure", "NegativeKappa", "ZeroTheta", "ThetaNonPositive",
     "SingularDensity", "CurlMismatch", "NonHermitian", "StepTooLarge",
-    "InsufficientData", "ClusterAmbiguity", "ArityMismatch",
+    "InsufficientData", "ClusterAmbiguity", "UnresolvedSpectrum",
+    "ArityMismatch",
     "InternalMismatch",
 ]

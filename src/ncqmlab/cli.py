@@ -242,6 +242,11 @@ def _run_spectrum(config: ScenarioConfig):
         symmetric_vector_potential
 
     params = config.params()
+    if params.B == 0.0:
+        raise DomainError(
+            "B = 0 has no Landau structure: the spectrum is continuous and "
+            "a truncated basis shows only artefact levels"
+        )
     if params.theta != 0.0:
         rep = symmetric_gauge_rep(params)
     else:
@@ -262,6 +267,8 @@ def _run_spectrum(config: ScenarioConfig):
         "kappa": kappa(params),
         "rep": type(rep).__name__,
         "basis_scale": space.scale,
+        "eigenvalue_error_bound": result.error_bound,
+        "blocks": result.blocks,
     }
     return columns, extra
 
@@ -358,6 +365,8 @@ def _run_peierls(config: ScenarioConfig):
         "prescription": config.prescription,
         "potential": list(config.potential),
         "lam": config.lam,
+        "eigenvalue_error_bound": result.error_bound,
+        "blocks": result.blocks,
     }
     return columns, extra
 

@@ -69,6 +69,14 @@ class ClusterAmbiguity(NCQMError):
     """Eigenvalue clustering could not meet the gap/spread criterion."""
 
 
+class UnresolvedSpectrum(ClusterAmbiguity, DomainError):
+    """The truncated basis is too small to resolve the requested levels.
+
+    A domain-class refusal (raise n_max), still a ``ClusterAmbiguity``
+    for callers that catch the clustering failure.
+    """
+
+
 class ArityMismatch(NCQMError):
     """Polynomial operands have incompatible variable arity."""
 

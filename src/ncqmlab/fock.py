@@ -17,20 +17,27 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    ClusterAmbiguity,
     NonHermitian,
     SingularDensity,
     ThetaNonPositive,
+    UnresolvedSpectrum,
 )
 from .params import NCParams, kappa
 from .polysymbol import PolySymbol
 from .reps import LinearRep, MomentumGaugeRep, VectorPotentialRep
 
 HERMITICITY_TOL = 1e-12
+# Entries at or below this fraction of the largest |H_ij| do not couple
+# basis states into one block; block_eigh drops them and reports their norm.
+BLOCK_COUPLING_TOL = 1e-13
+# Qualified clusters whose means differ by less than this fraction of the
+# mean are drifted copies of one level (see resolve_levels).
+LEVEL_MERGE_RTOL = 1e-4
 
 
 class Prescription(str, Enum):
@@ -340,11 +347,91 @@ def kinetic_hamiltonian(ops: RealizedOps, m: float = 1.0) -> FockOperator:
     return (1.0 / (2.0 * m)) * (ops.P1 @ ops.P1 + ops.P2 @ ops.P2)
 
 
+class BlockEigh(NamedTuple):
+    """Eigen-decomposition of a Hermitian matrix by its coupling blocks."""
+
+    eigenvalues: np.ndarray          # ascending, as np.linalg.eigh
+    eigenvectors: np.ndarray | None  # columns matching eigenvalues
+    error_bound: float               # Frobenius norm of dropped couplings
+    blocks: int
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
+    """(count, labels 0..count-1) of the connected components of the
+    undirected graph on n nodes with edges (rows[i], cols[i]).
+
+    Min-label propagation with pointer jumping: every node takes the
+    smallest label among itself and its neighbours, then the label of
+    that label, until nothing changes; each component ends labelled by
+    its smallest node.  Written out rather than taken from
+    scipy.sparse.csgraph: importing that package adds about 1 MB of
+    resident memory to every process that loads this module.
+    """
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    labels = np.arange(n)
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, rows, labels[cols])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            roots, labels = np.unique(labels, return_inverse=True)
+            return len(roots), labels
+        labels = lowest
+
+
+def block_eigh(matrix: np.ndarray, vectors: bool = True) -> BlockEigh:
+    """Hermitian eigensolve that diagonalizes each coupling block alone.
+
+    Basis states are joined when |H_ij| > BLOCK_COUPLING_TOL * max|H|;
+    the connected components of that graph are the blocks.  Realized
+    Hamiltonians are block-diagonal up to roundoff (shells of equal
+    n1 + n2 on a degeneracy-adapted basis, the parity of n1 + n2 on the
+    unit-scale basis), so this does the work of dense eigh on each block
+    only.  Eigenvalues come back ascending and eigenvectors as full
+    columns, as from np.linalg.eigh.  The dropped entries between blocks
+    form a Hermitian perturbation E, so by Weyl's inequality every
+    eigenvalue differs from that of the full matrix by at most
+    ||E||_2 <= ||E||_F = ``error_bound``.
+    """
+    mags = np.abs(matrix)
+    threshold = BLOCK_COUPLING_TOL * np.max(mags, initial=0.0)
+    n_blocks, labels = _components(*np.nonzero(mags > threshold),
+                                   len(matrix))
+    members = np.split(np.argsort(labels, kind="stable"),
+                       np.cumsum(np.bincount(labels))[:-1])
+    for idx in members:
+        mags[np.ix_(idx, idx)] = 0.0    # what is left is the dropped part
+    error_bound = float(np.linalg.norm(mags))
+    # Free the magnitudes, then allocate the eigenvector matrix before the
+    # per-block arrays: other orders fragment the heap, and peak RSS over
+    # repeated solves grows past that of dense eigh.
+    del mags
+    eigvecs = None
+    if vectors:
+        eigvecs = np.zeros(matrix.shape, dtype=np.result_type(matrix, float))
+    values = []
+    start = 0
+    for idx in members:
+        sub = matrix[np.ix_(idx, idx)]
+        if vectors:
+            w, v = np.linalg.eigh(sub)
+            eigvecs[idx, start:start + len(idx)] = v
+        else:
+            w = np.linalg.eigvalsh(sub)
+        values.append(w)
+        start += len(idx)
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")
+    if vectors:
+        eigvecs = eigvecs[:, order]
+    return BlockEigh(values[order], eigvecs, error_bound, n_blocks)
+
+
 def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
     """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
     if not G.hermitian_flag:
         raise NonHermitian("generator must be Hermitian")
-    evals, vecs = np.linalg.eigh(G.matrix)
+    evals, vecs, _, _ = block_eigh(G.matrix)
     return (vecs * np.exp(1.0j * evals)) @ vecs.conj().T
 
 
@@ -352,13 +439,16 @@ def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
 class Cluster:
     mean: float
     multiplicity: int
-    spread: float
+    spread: float               # highest minus lowest member eigenvalue
+    low: float                  # lowest member eigenvalue
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray     # ascending, lowest k
     clusters: tuple             # Cluster records, ascending, artifacts dropped
+    error_bound: float = 0.0    # Weyl bound on every eigenvalue's error
+    blocks: int = 0             # blocks diagonalized; 0 for closed forms
 
     def cluster_means(self, count: int | None = None) -> np.ndarray:
         means = np.array([c.mean for c in self.clusters])
@@ -389,6 +479,12 @@ def cluster_eigenvalues(evals: np.ndarray, rel_gap: float = 10.0,
     return groups
 
 
+def cluster_of(values: np.ndarray) -> Cluster:
+    """The Cluster record of ascending member eigenvalues."""
+    return Cluster(float(np.mean(values)), len(values),
+                   float(values[-1] - values[0]), float(values[0]))
+
+
 def spectrum(H: FockOperator, k: int,
              pollution_tol: float | None = None) -> SpectrumResult:
     """Lowest-k eigenvalues plus degeneracy clusters of a Hermitian operator.
@@ -398,51 +494,84 @@ def spectrum(H: FockOperator, k: int,
     eigenvectors carrying more than that probability weight on the
     boundary shells are dropped first: products of truncated operators
     corrupt edge states, and at strong fields the corrupted eigenvalues
-    can dive below the physical ground state.
+    can dive below the physical ground state.  The eigensolve is
+    block_eigh; its dropped-coupling bound and block count are reported.
     """
     if not H.hermitian_flag:
         raise NonHermitian("spectrum requires a validated Hermitian operator")
+    solve = block_eigh(H.matrix, vectors=pollution_tol is not None)
+    evals = solve.eigenvalues
     if pollution_tol is not None:
-        evals, vecs = np.linalg.eigh(H.matrix)
         boundary = ~H.space.interior_mask(H.degree)
-        weight = np.sum(np.abs(vecs[boundary, :]) ** 2, axis=0)
+        weight = np.sum(np.abs(solve.eigenvectors[boundary, :]) ** 2, axis=0)
         evals = evals[weight <= pollution_tol]
         if len(evals) == 0:
-            raise ClusterAmbiguity("every eigenvector is boundary-polluted")
-    else:
-        evals = np.linalg.eigh(H.matrix)[0]
+            raise UnresolvedSpectrum(
+                "every eigenvector is boundary-polluted at n_max = "
+                f"{H.space.n_max}; raise n_max"
+            )
     groups = cluster_eigenvalues(evals)
     cutoff_index = (2 * len(evals)) // 3
-    clusters = []
-    for group in groups:
-        if group[-1] >= cutoff_index:
-            continue
-        vals = evals[group]
-        clusters.append(Cluster(float(np.mean(vals)), len(group),
-                                float(vals[-1] - vals[0])))
-    return SpectrumResult(evals[:k].copy(), tuple(clusters))
+    clusters = tuple(cluster_of(evals[group]) for group in groups
+                     if group[-1] < cutoff_index)
+    return SpectrumResult(evals[:k].copy(), clusters, solve.error_bound,
+                          solve.blocks)
 
 
-def dominant_clusters(result: SpectrumResult, count: int) -> tuple:
-    """The lowest `count` high-multiplicity clusters, ascending by mean.
+def resolve_levels(clusters) -> list[list[int]]:
+    """Group clusters into resolved levels, ascending by mean.
 
     Degenerate levels show up as fat clusters of numerically coincident
     copies; truncation leaves singleton stragglers below and between
     levels.  A cluster qualifies when its multiplicity reaches
-    max(2, max_multiplicity / 4); fewer than `count` qualifiers means the
-    spectrum has not resolved that many levels (ClusterAmbiguity).
+    max(2, ceil(max_multiplicity / 4)).  Qualified clusters whose means,
+    taken in ascending order, differ from the previous qualified mean by
+    less than LEVEL_MERGE_RTOL * |mean| are drifted copies of one level
+    and make up that level together.  Each level is returned as the
+    indices of its clusters.
     """
-    if not result.clusters:
-        raise ClusterAmbiguity("no clusters available")
-    top = max(c.multiplicity for c in result.clusters)
+    if not clusters:
+        return []
+    top = max(c.multiplicity for c in clusters)
     threshold = max(2, -(-top // 4))
-    qualified = sorted((c for c in result.clusters
-                        if c.multiplicity >= threshold), key=lambda c: c.mean)
-    if len(qualified) < count:
-        raise ClusterAmbiguity(
-            f"only {len(qualified)} degeneracy clusters resolved, need {count}"
+    qualified = sorted((i for i, c in enumerate(clusters)
+                        if c.multiplicity >= threshold),
+                       key=lambda i: clusters[i].mean)
+    levels: list[list[int]] = []
+    for i in qualified:
+        mean = clusters[i].mean
+        if levels and abs(mean - clusters[levels[-1][-1]].mean) \
+                < LEVEL_MERGE_RTOL * abs(mean):
+            levels[-1].append(i)
+        else:
+            levels.append([i])
+    return levels
+
+
+def _merge_clusters(members) -> Cluster:
+    """One Cluster for a level made of several: multiplicity-weighted
+    mean, summed multiplicity, and the spread of all member eigenvalues."""
+    if len(members) == 1:
+        return members[0]
+    count = sum(c.multiplicity for c in members)
+    low = min(c.low for c in members)
+    high = max(c.low + c.spread for c in members)
+    mean = sum(c.mean * c.multiplicity for c in members) / count
+    return Cluster(float(mean), count, float(high - low), float(low))
+
+
+def dominant_clusters(result: SpectrumResult, count: int) -> tuple:
+    """The lowest `count` resolved levels (see resolve_levels), each as one
+    Cluster; fewer than `count` levels means the basis has not resolved
+    that many (UnresolvedSpectrum)."""
+    levels = resolve_levels(result.clusters)
+    if len(levels) < count:
+        raise UnresolvedSpectrum(
+            f"only {len(levels)} Landau levels resolved, need {count}; "
+            "raise n_max"
         )
-    return tuple(qualified[:count])
+    return tuple(_merge_clusters([result.clusters[i] for i in level])
+                 for level in levels[:count])
 
 
 def suggested_scale(rep) -> float:

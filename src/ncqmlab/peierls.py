@@ -19,20 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusterAmbiguity, DomainError, NonHermitian
+from .errors import (
+    ClusterAmbiguity,
+    DomainError,
+    NonHermitian,
+    UnresolvedSpectrum,
+)
 from .fock import (
-    Cluster,
     FockOperator,
     FockSpace,
     Prescription,
     RealizedOps,
-    SpectrumResult,
-    build_canonical_ops,
+    block_eigh,
     cluster_eigenvalues,
+    cluster_of,
     kinetic_hamiltonian,
     poly_of_commuting,
     quantize_matrix_pair,
     realize_rep,
+    resolve_levels,
     spectrum,
     suggested_scale,
 )
@@ -116,21 +121,14 @@ def landau_projectors(params: NCParams, space: FockSpace,
     H = kinetic_hamiltonian(ops, params.m)
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
-    evals, vecs = np.linalg.eigh(H.matrix)
+    evals, vecs, _, _ = block_eigh(H.matrix)
     groups = cluster_eigenvalues(evals)
-    clusters = tuple(
-        Cluster(float(np.mean(evals[g])), len(g),
-                float(evals[g[-1]] - evals[g[0]]))
-        for g in groups
-    )
-    top = max(c.multiplicity for c in clusters)
-    threshold = max(2, -(-top // 4))
-    qualified = [i for i, c in enumerate(clusters)
-                 if c.multiplicity >= threshold]
-    qualified.sort(key=lambda i: clusters[i].mean)
-    if len(qualified) < N + 1:
-        raise ClusterAmbiguity(
-            f"only {len(qualified)} Landau levels resolved, need {N + 1}"
+    clusters = tuple(cluster_of(evals[g]) for g in groups)
+    levels = resolve_levels(clusters)
+    if len(levels) < N + 1:
+        raise UnresolvedSpectrum(
+            f"only {len(levels)} Landau levels resolved at n_max = "
+            f"{space.n_max}, need {N + 1}; raise n_max"
         )
 
     b = params.e * params.B / params.c
@@ -143,8 +141,8 @@ def landau_projectors(params: NCParams, space: FockSpace,
     energies = []
     bases = []
     guidings = []
-    for idx in qualified[:N + 1]:
-        members = groups[idx]
+    for level in levels[:N + 1]:
+        members = [i for idx in level for i in groups[idx]]
         W = vecs[:, members]
         block = W.conj().T @ G_sq @ W
         gvals, rot = np.linalg.eigh(block)
@@ -160,7 +158,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
         g_int = g_int[order]
         P = FockOperator(Wg @ Wg.conj().T, space, degree=H.degree)
         projectors.append(P)
-        energies.append(clusters[idx].mean)
+        energies.append(float(np.mean(evals[members])))
         bases.append(Wg)
         guidings.append(g_int)
 
@@ -184,7 +182,7 @@ def projector_sinc(H: FockOperator, n: int, E_n: float) -> FockOperator:
     """Apply the sinc-type level selector spectrally: V f(D/E_n) V*."""
     if not H.hermitian_flag:
         raise NonHermitian("projector_sinc requires a Hermitian operator")
-    evals, vecs = np.linalg.eigh(H.matrix)
+    evals, vecs, _, _ = block_eigh(H.matrix)
     f = sinc_profile(evals / E_n, n)
     return FockOperator((vecs * f) @ vecs.conj().T, H.space, degree=H.degree)
 
@@ -285,6 +283,8 @@ class PeierlsResult:
     omega_B: float
     hbar_omega_B: float
     prescription: Prescription
+    error_bound: float      # Weyl bound on the error of each full_E_n
+    blocks: int             # blocks of the two-mode eigensolve
 
     def deviations(self) -> np.ndarray:
         return (self.full_E_n - 0.5 * self.hbar_omega_B) - self.epsilon_n
@@ -361,4 +361,5 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     if not isinstance(prescription, Prescription):
         prescription = Prescription(str(prescription).lower())
     return PeierlsResult(epsilon, full.eigenvalues[:k], omega_B,
-                         params.hbar * omega_B, prescription)
+                         params.hbar * omega_B, prescription,
+                         full.error_bound, full.blocks)

@@ -163,7 +163,7 @@ def star_landau_spectrum(params: NCParams, Bbar: float, k: int):
     lam = lambda_bar(Bbar, params.e, params.theta)
     omega = abs(params.e * lam * Bbar) / params.m
     energies = omega * (np.arange(k) + 0.5)
-    clusters = tuple(Cluster(float(E), 1, 0.0) for E in energies)
+    clusters = tuple(Cluster(float(E), 1, 0.0, float(E)) for E in energies)
     return SpectrumResult(energies, clusters)
 
 
@@ -276,7 +276,7 @@ def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
         Lambda_bar=lambda_bar(bbar, e, theta),
         B_check=B_check, m_check=m_check,
     )
-    clusters = tuple(Cluster(float(E), 1, 0.0) for E in energies)
+    clusters = tuple(Cluster(float(E), 1, 0.0, float(E)) for E in energies)
     return eff, SpectrumResult(energies, clusters)
 
 

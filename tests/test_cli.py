@@ -263,6 +263,27 @@ class TestMainExitCodes:
                      "--k", "2", "--out", str(blocker)])
         assert code == 1
 
+    @pytest.mark.parametrize("theta", ["0.3", "0"])
+    def test_spectrum_refuses_zero_field(self, tmp_path, capsys, theta):
+        # B = 0 is a continuous spectrum: any "levels" would be artefacts
+        code = main(["spectrum", "--theta", theta, "--B", "0",
+                     "--n-max", "8", "--out", str(tmp_path)])
+        assert code == 3
+        assert "no Landau structure" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("argv, where", [
+        (["peierls", "--B", "1e-3", "--n-max", "10"], "n_max = 10"),
+        (["spectrum", "--theta", "0.3", "--B", "1", "--n-max", "12",
+          "--k", "40"], "need 40"),
+    ])
+    def test_unresolved_basis_exits_3(self, tmp_path, capsys, argv, where):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err
+        assert where in err and "raise n_max" in err
+
     def test_trajectory_rejects_direct_field(self, tmp_path, capsys):
         code = main(["trajectory", "--B", "1.0", "--out", str(tmp_path)])
         assert code == 2
@@ -287,6 +308,9 @@ class TestMainRuns:
         assert manifest["config"]["theta"] == 0.3
         assert manifest["kappa"] == pytest.approx(0.7)
         assert set(manifest["versions"]) == {"ncqmlab", "numpy", "python"}
+        # adapted basis: one block per shell of equal n1 + n2
+        assert manifest["blocks"] == 2 * 10 + 1
+        assert 0.0 <= manifest["eigenvalue_error_bound"] <= 1e-12
 
     def test_star_run_json(self, tmp_path):
         code = main([
@@ -342,6 +366,8 @@ class TestMainRuns:
         manifest = json.loads(
             (tmp_path / "peierls_manifest.json").read_text())
         assert manifest["omega_B"] == pytest.approx(50.0)
+        assert manifest["blocks"] == 2
+        assert manifest["eigenvalue_error_bound"] == 0.0
 
     def test_check_algebra_regular(self, tmp_path):
         code = main([

@@ -19,9 +19,11 @@ import pytest
 
 from ncqmlab.errors import (
     ClusterAmbiguity,
+    DomainError,
     NonHermitian,
     SingularDensity,
     ThetaNonPositive,
+    UnresolvedSpectrum,
 )
 from ncqmlab.params import NCParams
 from ncqmlab.polysymbol import PolySymbol, x1, x2
@@ -407,6 +409,33 @@ class TestSpectrumMachinery:
         with pytest.raises(ClusterAmbiguity):
             spectrum(FockOperator(mat, space), 3, pollution_tol=1e-6)
 
+    def test_unresolved_levels_are_domain_refusals(self):
+        space = FockSpace(4)
+        H = FockOperator(np.diag(np.linspace(0.0, 5.0, 25)), space)
+        with pytest.raises(UnresolvedSpectrum, match="raise n_max") as err:
+            dominant_clusters(spectrum(H, 10), 3)
+        assert isinstance(err.value, DomainError)
+        chain = np.diag(np.ones(24), 1) + np.diag(np.ones(24), -1)
+        with pytest.raises(UnresolvedSpectrum, match="n_max = 4"):
+            spectrum(FockOperator(chain, space), 3, pollution_tol=1e-6)
+
+    def test_drifted_copies_count_as_one_level(self):
+        # a pair of drifted ground-level copies 3e-7 above the level
+        # qualifies as a cluster of its own, but is not a second level
+        space = FockSpace(4)  # dim 25
+        levels = np.concatenate([
+            np.full(8, 0.5), np.full(2, 0.5 + 3e-7), np.full(4, 1.5),
+            np.linspace(2.5, 9.0, 11),
+        ])
+        res = spectrum(FockOperator(np.diag(levels), space), 14)
+        assert [c.multiplicity for c in res.clusters[:3]] == [8, 2, 4]
+        ground, first = dominant_clusters(res, 2)
+        assert ground.multiplicity == 10
+        assert ground.mean == pytest.approx(0.5 + 0.2 * 3e-7, abs=1e-15)
+        assert ground.spread == pytest.approx(3e-7, rel=1e-9)
+        assert ground.low == 0.5
+        assert (first.mean, first.multiplicity) == (1.5, 4)
+
 
 class TestLandauPhysics:
     def test_kinetic_spectrum_with_nondefault_couplings(self):
@@ -419,6 +448,31 @@ class TestLandauPhysics:
         omega_B = abs(2.0 * 1.0) / (1.5 * 3.0)
         for n, cluster in enumerate(doms):
             assert cluster.mean == pytest.approx(omega_B * (n + 0.5), rel=1e-9)
+
+    def test_unit_basis_does_not_report_the_ground_level_twice(self):
+        # at n_max = 20 a drifted pair of ground-level copies forms its
+        # own qualifying cluster at this field
+        B = 1.5450825775222456
+        p = NCParams(theta=0.0, B=B)
+        rep = vector_potential_rep(symmetric_vector_potential(B), p)
+        H = kinetic_hamiltonian(realize_rep(rep, FockSpace(20)))
+        doms = dominant_clusters(spectrum(H, 2), 2)
+        np.testing.assert_allclose([c.mean for c in doms],
+                                   B * (np.arange(2) + 0.5), rtol=2e-7)
+
+    def test_spectrum_reports_blocks_and_bound(self):
+        p = NCParams(theta=0.3, B=1.0)
+        rep = symmetric_gauge_rep(p)
+        for scale, blocks in ((suggested_scale(rep), 2 * 10 + 1), (1.0, 2)):
+            H = kinetic_hamiltonian(realize_rep(rep, FockSpace(10,
+                                                               scale=scale)))
+            res = spectrum(H, 3)
+            assert res.blocks == blocks
+            assert res.error_bound <= 1e-13 * np.max(np.abs(H.matrix)) \
+                * H.space.dim
+            dense = np.linalg.eigvalsh(H.matrix)
+            assert np.max(np.abs(res.eigenvalues - dense[:3])) <= \
+                res.error_bound + 1e-12 * np.max(np.abs(dense))
 
     def test_closed_forms(self):
         p = NCParams(theta=0.3, B=2.0)

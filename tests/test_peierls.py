@@ -26,9 +26,15 @@ import json
 import numpy as np
 import pytest
 
-from ncqmlab.errors import ClusterAmbiguity, DomainError, NonHermitian
+from ncqmlab.errors import (
+    ClusterAmbiguity,
+    DomainError,
+    NonHermitian,
+    UnresolvedSpectrum,
+)
 from ncqmlab.fock import (
     FockOperator,
+    FockSpace,
     Prescription,
     build_canonical_ops,
     kinetic_hamiltonian,
@@ -89,6 +95,12 @@ class TestPreconditions:
         params, space, _ = landau_setup
         with pytest.raises(ClusterAmbiguity):
             landau_projectors(params, space, 4)
+
+    def test_unresolved_levels_are_a_domain_refusal(self):
+        # the unit-scale basis splits every level into drifted copies,
+        # so no cluster is fat enough to count as a level
+        with pytest.raises(UnresolvedSpectrum, match="raise n_max"):
+            landau_projectors(NCParams(theta=0.0, B=1.0), FockSpace(12), 1)
 
 
 class TestProjectors:
@@ -393,6 +405,19 @@ class TestPeierlsSpectrum:
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(res.full_E_n, np.full(3, 5.0),
                                    rtol=0, atol=1e-9)
+
+    def test_reports_the_eigensolve_bound(self):
+        res = peierls_spectrum(R2, 0.1, NCParams(theta=0.0, B=50.0), 2,
+                               n_max=12)
+        # the trap couples neighbouring n1 + n2 shells but conserves the
+        # parity of n1 + n2 exactly
+        assert res.blocks == 2
+        assert res.error_bound == 0.0
+
+    def test_weak_field_is_unresolved(self):
+        with pytest.raises(UnresolvedSpectrum, match="n_max = 10"):
+            peierls_spectrum(R2, 0.1, NCParams(theta=0.0, B=1e-3), 2,
+                             n_max=10)
 
     def test_noncommutative_plane_rejected(self):
         with pytest.raises(DomainError):
