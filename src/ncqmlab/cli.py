@@ -35,6 +35,10 @@ COMMANDS = ("spectrum", "star", "sw", "trajectory", "peierls",
             "check-algebra")
 _NUMERIC_FIELDS = ("theta", "B", "e", "m", "hbar", "c", "T", "h", "lam",
                    "curlyB")
+# Largest dense (n_max+1)^2-square complex matrix a command may allocate,
+# in bytes.  Operators are sparse; only peierls still needs a dense one
+# (the eigenvectors of its two-mode Hamiltonian).
+DENSE_MATRIX_LIMIT = 2 ** 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,9 +349,23 @@ def _run_trajectory(config: ScenarioConfig):
     return columns, extra
 
 
+def _require_dense_fits(config: ScenarioConfig) -> None:
+    """Refuse before allocating a dense dim x dim complex matrix that
+    exceeds DENSE_MATRIX_LIMIT bytes."""
+    dim = (config.n_max + 1) ** 2
+    size = 16 * dim * dim
+    if size > DENSE_MATRIX_LIMIT:
+        raise ConfigError(
+            f"{config.command} at n_max = {config.n_max} needs a dense "
+            f"{dim} x {dim} complex matrix of {size} bytes, above "
+            f"DENSE_MATRIX_LIMIT = {DENSE_MATRIX_LIMIT} bytes; lower n_max"
+        )
+
+
 def _run_peierls(config: ScenarioConfig):
     from .peierls import peierls_spectrum
 
+    _require_dense_fits(config)
     params = config.params()
     V = radial_potential(config.potential)
     result = peierls_spectrum(V, config.lam, params, config.k,
@@ -425,7 +443,12 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
-    """Execute one scenario; returns the output paths and diagnostics."""
+    """Execute one scenario; returns the output paths and diagnostics.
+
+    A table with per-check statuses (check-algebra) is written in full,
+    then any row whose status is ``fail`` raises NCQMError (exit 1)
+    naming the failed checks.
+    """
     columns, extra = _RUNNERS[config.command](config)
     os.makedirs(config.out, exist_ok=True)
     stem = config.command.replace("-", "_")
@@ -435,6 +458,12 @@ def run_scenario(config: ScenarioConfig) -> dict:
     _write_manifest(config, extra, manifest_path)
     for warning in extra.get("warnings", ()):
         print(f"warning: {warning}", file=sys.stderr)
+    failed = [check for check, status in zip(columns.get("check", ()),
+                                             columns.get("status", ()))
+              if status == "fail"]
+    if failed:
+        raise NCQMError(f"{config.command} wrote {table_path}; failed "
+                        f"checks: {', '.join(failed)}")
     return {"table": table_path, "manifest": manifest_path, **extra}
 
 

@@ -220,6 +220,21 @@ class FrequencyFit:
     n_crossings: int
 
 
+def _linear_seed(times: np.ndarray, values: np.ndarray,
+                 omega: float) -> np.ndarray:
+    """(a, b, c) of the linear least-squares fit of values by
+    a cos(omega t) + b sin(omega t) + c.
+
+    Seeding the nonlinear fit with it means a signal starting at its mean
+    does not start the fit flat.  Over the five or more periods the fit
+    requires the three columns are near-orthogonal, so the normal
+    equations are well conditioned.
+    """
+    basis = np.column_stack([np.cos(omega * times), np.sin(omega * times),
+                             np.ones_like(times)])
+    return np.linalg.solve(basis.T @ basis, basis.T @ values)
+
+
 def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> FrequencyFit:
     """Fit a single sinusoid, seeding the frequency from zero crossings of
     the centered signal (two crossings per period)."""
@@ -249,7 +264,7 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> FrequencyFit:
     def resid(q):
         return model(q, times) - values
 
-    q0 = np.array([centered[0], 0.0, np.mean(values), omega0])
+    q0 = np.append(_linear_seed(times, values, omega0), omega0)
     sol = least_squares(resid, q0, method="lm", xtol=1e-14, ftol=1e-14)
     a, b, c, w = sol.x
     rms = float(np.sqrt(np.mean(sol.fun ** 2)))

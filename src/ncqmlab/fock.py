@@ -8,6 +8,11 @@ within ``interior_margin * degree`` shells of the cutoff.
 The optional basis length ``scale`` sets X = scale (a + a^dag)/sqrt(2),
 P = (a - a^dag)/(i sqrt(2) scale); canonical commutators are unchanged
 while convergence for strong fields improves when scale ~ sqrt(2/B).
+
+Operators built from the ladders are scipy.sparse CSR arrays: they are
+low-degree polynomials in banded matrices, O(n_max^2) entries each.  Dense
+arrays appear only one block at a time inside block_eigh and as spectral
+outputs (projectors, selectors, unitaries).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     NonHermitian,
@@ -83,25 +89,44 @@ class FockSpace:
 
 
 class FockOperator:
-    """Dense complex operator with its space and polynomial-degree metadata."""
+    """Complex operator on a FockSpace with its polynomial-degree metadata.
 
-    __slots__ = ("matrix", "space", "degree", "_herm")
+    ``stored`` is the operator as built: a CSR array for everything made
+    from the ladders (sums and products of banded matrices stay sparse), a
+    dense ndarray for spectral outputs (projectors, selectors, unitaries).
+    ``matrix`` is always a dense ndarray, made from CSR on first access.
+    """
 
-    def __init__(self, matrix: np.ndarray, space: FockSpace, degree: int = 1):
-        matrix = np.asarray(matrix, dtype=complex)
+    __slots__ = ("stored", "space", "degree", "_herm", "_dense")
+
+    def __init__(self, matrix, space: FockSpace, degree: int = 1):
+        if sp.issparse(matrix):
+            matrix = sp.csr_array(matrix, dtype=complex)
+            dense = None
+        else:
+            matrix = dense = np.asarray(matrix, dtype=complex)
         if matrix.shape != (space.dim, space.dim):
             raise ValueError("matrix shape does not match space dimension")
-        self.matrix = matrix
+        self.stored = matrix
         self.space = space
         self.degree = int(degree)
         self._herm: bool | None = None
+        self._dense: np.ndarray | None = dense
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix (made from CSR once, then kept)."""
+        if self._dense is None:
+            self._dense = self.stored.toarray()
+        return self._dense
 
     @property
     def hermitian_flag(self) -> bool:
         """Validated Hermiticity: max |A - A^dag| entry <= 1e-12 (scaled)."""
         if self._herm is None:
-            defect = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            scale = max(1.0, float(np.max(np.abs(self.matrix))))
+            A = self.stored
+            defect = float(abs(A - A.conj().T).max())
+            scale = max(1.0, float(abs(A).max()))
             self._herm = bool(defect <= HERMITICITY_TOL * scale)
         return self._herm
 
@@ -113,9 +138,9 @@ class FockOperator:
 
     def __add__(self, other):
         if isinstance(other, FockOperator):
-            return self._binary(other, self.matrix + other.matrix,
+            return self._binary(other, self.stored + other.stored,
                                 max(self.degree, other.degree))
-        return FockOperator(self.matrix + other * np.eye(self.space.dim),
+        return FockOperator(self.stored + other * _identity_like(self.stored),
                             self.space, self.degree)
 
     __radd__ = __add__
@@ -129,7 +154,7 @@ class FockOperator:
     def __mul__(self, scalar):
         if isinstance(scalar, FockOperator):
             return self @ scalar
-        return FockOperator(self.matrix * scalar, self.space, self.degree)
+        return FockOperator(self.stored * scalar, self.space, self.degree)
 
     __rmul__ = __mul__
 
@@ -137,19 +162,20 @@ class FockOperator:
         return (-1.0) * self
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return self._binary(other, self.matrix @ other.matrix,
+        return self._binary(other, self.stored @ other.stored,
                             self.degree + other.degree)
 
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.space, self.degree)
+        return FockOperator(self.stored.conj().T, self.space, self.degree)
 
     def commutator(self, other: "FockOperator") -> "FockOperator":
         return self @ other - other @ self
 
-    def restrict(self, degree: int | None = None) -> np.ndarray:
-        """Interior-block submatrix for the given polynomial degree."""
+    def restrict(self, degree: int | None = None):
+        """Interior-block submatrix for the given polynomial degree, CSR
+        or dense as the operator is stored."""
         mask = self.space.interior_mask(self.degree if degree is None else degree)
-        return self.matrix[np.ix_(mask, mask)]
+        return self.stored[np.ix_(mask, mask)]
 
     def interior_residual(self, target: np.ndarray | complex,
                           degree: int | None = None) -> float:
@@ -157,11 +183,18 @@ class FockOperator:
         target * identity."""
         block = self.restrict(degree)
         if np.isscalar(target):
-            ref = np.eye(block.shape[0]) * target
+            ref = target * _identity_like(block)
         else:
             mask = self.space.interior_mask(self.degree if degree is None else degree)
             ref = np.asarray(target)[np.ix_(mask, mask)]
-        return float(np.max(np.abs(block - ref)))
+        return float(abs(block - ref).max())
+
+
+def _identity_like(matrix):
+    """The identity of a square matrix's size, CSR when it is sparse."""
+    if sp.issparse(matrix):
+        return sp.csr_array(sp.identity(matrix.shape[0], dtype=complex))
+    return np.eye(matrix.shape[0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -178,11 +211,13 @@ class RealizedOps:
 
 
 def ladder(space: FockSpace, mode: int) -> FockOperator:
-    """Annihilation operator of the given mode (0 or 1)."""
-    n = space.n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, n)), k=1)
-    eye = np.eye(n)
-    mat = np.kron(a, eye) if mode == 0 else np.kron(eye, a)
+    """Annihilation operator of the given mode (0 or 1), in CSR:
+    a_mode |.., n, ..> = sqrt(n) |.., n - 1, ..>."""
+    n = space.occupations[:, mode]
+    cols = np.flatnonzero(n > 0)
+    rows = cols - (space.n_max + 1 if mode == 0 else 1)
+    mat = sp.csr_array((np.sqrt(n[cols]), (rows, cols)),
+                       shape=(space.dim, space.dim), dtype=complex)
     return FockOperator(mat, space, degree=1)
 
 
@@ -199,40 +234,64 @@ def build_canonical_ops(space: FockSpace) -> RealizedOps:
     return RealizedOps(out[0], out[1], out[2], out[3])
 
 
+def _power_sum(terms, mats):
+    """Sum of coeff * mats[i1]^e1 @ mats[i2]^e2 @ ... over ``terms``, a
+    list of (coeff, word) with each word a sequence of (index, exponent)
+    factors multiplied left to right.
+
+    The one power-list kernel of this module: the powers of each matrix
+    are formed once, up to the highest exponent any word asks of it.
+    CSR matrices give a CSR sum, dense ones a dense sum.
+    """
+    eye = _identity_like(mats[0])
+    top = [0] * len(mats)
+    for _, word in terms:
+        for i, e in word:
+            top[i] = max(top[i], e)
+    powers = []
+    for M, highest in zip(mats, top):
+        pw = [eye, M]
+        while len(pw) <= highest:
+            pw.append(pw[-1] @ M)
+        powers.append(pw)
+    total = 0.0 * eye
+    for coeff, word in terms:
+        prod = eye
+        for i, e in word:
+            if e:
+                prod = powers[i][e] if prod is eye else prod @ powers[i][e]
+        total = total + coeff * prod
+    return total
+
+
 def poly_of_commuting(poly: PolySymbol, A: FockOperator, B: FockOperator,
                       hermitian: bool = True) -> FockOperator:
     """Evaluate an arity-2 polynomial on two commuting operators.
 
-    Powers are cached; with real coefficients and commuting Hermitian
-    arguments the result is Hermitian.
+    With real coefficients and commuting Hermitian arguments the result
+    is Hermitian.
     """
     if poly.arity != 2:
         raise ValueError("expected an arity-2 polynomial")
-    space = A.space
-    dim = space.dim
-    deg = max(1, poly.degree)
-    powA = [np.eye(dim, dtype=complex)]
-    powB = [np.eye(dim, dtype=complex)]
-    for _ in range(deg):
-        powA.append(powA[-1] @ A.matrix)
-        powB.append(powB[-1] @ B.matrix)
-    total = np.zeros((dim, dim), dtype=complex)
-    for (e1, e2), coeff in poly.terms.items():
-        total += coeff * (powA[e1] @ powB[e2])
-    op = FockOperator(total, space, degree=max(poly.degree, 1))
+    terms = [(coeff, ((0, e1), (1, e2)))
+             for (e1, e2), coeff in poly.terms.items()]
+    total = _power_sum(terms, (A.stored, B.stored))
+    op = FockOperator(total, A.space, degree=max(poly.degree, 1))
     if hermitian and not op.hermitian_flag:
         raise NonHermitian("polynomial of commuting operators came out non-Hermitian")
     return op
 
 
 def realize_rep(rep, space: FockSpace) -> RealizedOps:
-    """Realize a representation as matrices on the truncated space."""
+    """Realize a representation as CSR matrices on the truncated space."""
     ops = build_canonical_ops(space)
     if isinstance(rep, LinearRep):
+        canon = [op.stored for op in ops.as_tuple()]
         rows = []
-        canon = ops.as_tuple()
         for i in range(4):
-            mat = sum(rep.matrix[i, j] * canon[j].matrix for j in range(4))
+            mat = rep.matrix[i, 0] * canon[0]
+            for j in range(1, 4):
+                mat = mat + rep.matrix[i, j] * canon[j]
             rows.append(FockOperator(mat, space, degree=1))
         return RealizedOps(rows[0], rows[1], rows[2], rows[3])
     if isinstance(rep, MomentumGaugeRep):
@@ -246,18 +305,6 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
         return RealizedOps(ops.X1, ops.P1 - coupling * a1,
                            ops.X2, ops.P2 - coupling * a2)
     raise TypeError(f"unsupported representation type {type(rep).__name__}")
-
-
-def _weyl_monomial(e1: int, e2: int, pow1: list, pow2: list) -> np.ndarray:
-    """Symmetrized X1^e1 X2^e2 via (1/2^e1) sum_r C(e1,r) X1^r X2^e2 X1^(e1-r).
-
-    Valid because [X1, X2] is central; cross-checked against the direct
-    permutation average in the tests.
-    """
-    total = np.zeros_like(pow1[0])
-    for r in range(e1 + 1):
-        total += math.comb(e1, r) * (pow1[r] @ pow2[e2] @ pow1[e1 - r])
-    return total / (2.0 ** e1)
 
 
 def weyl_average_reference(e1: int, e2: int, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -274,14 +321,18 @@ def weyl_average_reference(e1: int, e2: int, X1: np.ndarray, X2: np.ndarray) -> 
     return total / len(seen)
 
 
-def quantize_matrix_pair(V: PolySymbol, m1: np.ndarray, m2: np.ndarray,
+def quantize_matrix_pair(V: PolySymbol, m1, m2,
                          prescription: Prescription | str = Prescription.WEYL,
-                         theta: float | None = None) -> np.ndarray:
-    """Quantize a real arity-2 polynomial on a pair of matrices with
-    central commutator [m1, m2] = i*theta.
+                         theta: float | None = None):
+    """Quantize a real arity-2 polynomial on a pair of matrices (CSR or
+    dense; the result is the same kind) with central commutator
+    [m1, m2] = i*theta.
 
-    Weyl symmetrizes every monomial; normal and anti-normal order through
-    the mode a = (m1 + i m2)/sqrt(2 theta) and require theta > 0.
+    Weyl symmetrizes every monomial by McCoy's formula
+    X1^e1 X2^e2 -> (1/2^e1) sum_r C(e1, r) X1^r X2^e2 X1^(e1-r), valid
+    because [X1, X2] is central (cross-checked against the permutation
+    average in the tests).  Normal and anti-normal order through the mode
+    a = (m1 + i m2)/sqrt(2 theta) and require theta > 0.
     """
     if V.arity != 2:
         raise ValueError("V must be an arity-2 polynomial")
@@ -289,19 +340,13 @@ def quantize_matrix_pair(V: PolySymbol, m1: np.ndarray, m2: np.ndarray,
         raise ValueError("V must have real coefficients")
     if not isinstance(prescription, Prescription):
         prescription = Prescription(str(prescription).lower())
-    dim = m1.shape[0]
-    deg = max(1, V.degree)
 
     if prescription is Prescription.WEYL:
-        pow1 = [np.eye(dim, dtype=complex)]
-        pow2 = [np.eye(dim, dtype=complex)]
-        for _ in range(deg):
-            pow1.append(pow1[-1] @ m1)
-            pow2.append(pow2[-1] @ m2)
-        total = np.zeros((dim, dim), dtype=complex)
-        for (e1, e2), coeff in V.terms.items():
-            total += coeff * _weyl_monomial(e1, e2, pow1, pow2)
-        return total
+        terms = [(coeff * math.comb(e1, r) / 2.0 ** e1,
+                  ((0, r), (1, e2), (0, e1 - r)))
+                 for (e1, e2), coeff in V.terms.items()
+                 for r in range(e1 + 1)]
+        return _power_sum(terms, (m1, m2))
 
     if theta is None or theta <= 0:
         raise ThetaNonPositive(
@@ -319,26 +364,20 @@ def quantize_matrix_pair(V: PolySymbol, m1: np.ndarray, m2: np.ndarray,
         symbol = symbol + coeff * (sub_x1 ** e1) * (sub_x2 ** e2)
 
     amat = (m1 + 1.0j * m2) / math.sqrt(2.0 * theta)
-    admat = amat.conj().T
-    powa = [np.eye(dim, dtype=complex)]
-    powad = [np.eye(dim, dtype=complex)]
-    for _ in range(max(1, symbol.degree)):
-        powa.append(powa[-1] @ amat)
-        powad.append(powad[-1] @ admat)
-    total = np.zeros((dim, dim), dtype=complex)
-    for (ea, eabar), coeff in symbol.terms.items():
-        if prescription is Prescription.NORMAL:
-            total += coeff * (powad[eabar] @ powa[ea])
-        else:
-            total += coeff * (powa[ea] @ powad[eabar])
-    return total
+    if prescription is Prescription.NORMAL:
+        terms = [(coeff, ((1, eabar), (0, ea)))
+                 for (ea, eabar), coeff in symbol.terms.items()]
+    else:
+        terms = [(coeff, ((0, ea), (1, eabar)))
+                 for (ea, eabar), coeff in symbol.terms.items()]
+    return _power_sum(terms, (amat, amat.conj().T))
 
 
 def quantize_poly(V: PolySymbol, X1: FockOperator, X2: FockOperator,
                   prescription: Prescription | str = Prescription.WEYL,
                   theta: float | None = None) -> FockOperator:
     """Quantize a real arity-2 polynomial V(x1, x2) on rep operators."""
-    total = quantize_matrix_pair(V, X1.matrix, X2.matrix, prescription, theta)
+    total = quantize_matrix_pair(V, X1.stored, X2.stored, prescription, theta)
     return FockOperator(total, X1.space, degree=max(1, V.degree))
 
 
@@ -379,59 +418,62 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
         labels = lowest
 
 
-def block_eigh(matrix: np.ndarray, vectors: bool = True) -> BlockEigh:
+def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     """Hermitian eigensolve that diagonalizes each coupling block alone.
 
-    Basis states are joined when |H_ij| > BLOCK_COUPLING_TOL * max|H|;
-    the connected components of that graph are the blocks.  Realized
+    A dense input is converted to CSR first.  Basis states are joined when
+    a stored |H_ij| exceeds BLOCK_COUPLING_TOL * max|H|; the connected
+    components of that graph are the blocks, found in O(nnz).  Realized
     Hamiltonians are block-diagonal up to roundoff (shells of equal
     n1 + n2 on a degeneracy-adapted basis, the parity of n1 + n2 on the
-    unit-scale basis), so this does the work of dense eigh on each block
-    only.  Eigenvalues come back ascending and eigenvectors as full
-    columns, as from np.linalg.eigh.  The dropped entries between blocks
-    form a Hermitian perturbation E, so by Weyl's inequality every
-    eigenvalue differs from that of the full matrix by at most
-    ||E||_2 <= ||E||_F = ``error_bound``.
+    unit-scale basis), so only one block at a time is made dense and
+    handed to eigh.  Eigenvalues come back ascending and eigenvectors as
+    full columns, as from np.linalg.eigh.  The dropped stored entries
+    between blocks form a Hermitian perturbation E, so by Weyl's
+    inequality every eigenvalue differs from that of the full matrix by
+    at most ||E||_2 <= ||E||_F = ``error_bound``.
     """
-    mags = np.abs(matrix)
+    H = sp.csr_array(matrix)
+    coo = H.tocoo()
+    mags = np.abs(coo.data)
     threshold = BLOCK_COUPLING_TOL * np.max(mags, initial=0.0)
-    n_blocks, labels = _components(*np.nonzero(mags > threshold),
-                                   len(matrix))
-    members = np.split(np.argsort(labels, kind="stable"),
-                       np.cumsum(np.bincount(labels))[:-1])
-    for idx in members:
-        mags[np.ix_(idx, idx)] = 0.0    # what is left is the dropped part
-    error_bound = float(np.linalg.norm(mags))
-    # Free the magnitudes, then allocate the eigenvector matrix before the
-    # per-block arrays: other orders fragment the heap, and peak RSS over
-    # repeated solves grows past that of dense eigh.
-    del mags
-    eigvecs = None
-    if vectors:
-        eigvecs = np.zeros(matrix.shape, dtype=np.result_type(matrix, float))
+    coupled = mags > threshold
+    n_blocks, labels = _components(coo.row[coupled], coo.col[coupled],
+                                   H.shape[0])
+    dropped = labels[coo.row] != labels[coo.col]
+    error_bound = float(np.linalg.norm(mags[dropped]))
+    # Reorder the basis so that every block is a contiguous diagonal slice.
+    order = np.argsort(labels, kind="stable")
+    H = H[order][:, order]
+    stops = np.cumsum(np.bincount(labels))
+    # Allocate the eigenvector matrix before the per-block arrays: the
+    # other order fragments the heap, and peak RSS over repeated solves
+    # grows past that of dense eigh.
+    eigvecs = (np.zeros(H.shape, dtype=np.result_type(H.dtype, float))
+               if vectors else None)
     values = []
     start = 0
-    for idx in members:
-        sub = matrix[np.ix_(idx, idx)]
+    for stop in stops:
+        sub = H[start:stop, start:stop].toarray()
         if vectors:
             w, v = np.linalg.eigh(sub)
-            eigvecs[idx, start:start + len(idx)] = v
+            eigvecs[order[start:stop], start:stop] = v
         else:
             w = np.linalg.eigvalsh(sub)
         values.append(w)
-        start += len(idx)
+        start = stop
     values = np.concatenate(values)
-    order = np.argsort(values, kind="stable")
+    rank = np.argsort(values, kind="stable")
     if vectors:
-        eigvecs = eigvecs[:, order]
-    return BlockEigh(values[order], eigvecs, error_bound, n_blocks)
+        eigvecs = eigvecs[:, rank]
+    return BlockEigh(values[rank], eigvecs, error_bound, n_blocks)
 
 
 def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
     """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
     if not G.hermitian_flag:
         raise NonHermitian("generator must be Hermitian")
-    evals, vecs, _, _ = block_eigh(G.matrix)
+    evals, vecs, _, _ = block_eigh(G.stored)
     return (vecs * np.exp(1.0j * evals)) @ vecs.conj().T
 
 
@@ -499,7 +541,7 @@ def spectrum(H: FockOperator, k: int,
     """
     if not H.hermitian_flag:
         raise NonHermitian("spectrum requires a validated Hermitian operator")
-    solve = block_eigh(H.matrix, vectors=pollution_tol is not None)
+    solve = block_eigh(H.stored, vectors=pollution_tol is not None)
     evals = solve.eigenvalues
     if pollution_tol is not None:
         boundary = ~H.space.interior_mask(H.degree)

@@ -107,7 +107,10 @@ def landau_projectors(params: NCParams, space: FockSpace,
 
     Within each level cluster the basis is rotated to diagonalize the
     guiding-center radius G1^2 + G2^2, whose eigenvalues (hbar/|b|)(2g+1)
-    label orbit centers; b = eB/c.
+    label orbit centers; b = eB/c.  A level whose cluster also holds an
+    eigenvector of the truncated boundary shells (at every odd n_max the
+    lowest level does) shows it as a guiding index off the integers, and
+    is refused with UnresolvedSpectrum.
     """
     _require_commutative_landau(params)
     if N < 0:
@@ -121,7 +124,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
     H = kinetic_hamiltonian(ops, params.m)
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
-    evals, vecs, _, _ = block_eigh(H.matrix)
+    evals, vecs, _, _ = block_eigh(H.stored)
     groups = cluster_eigenvalues(evals)
     clusters = tuple(cluster_of(evals[g]) for g in groups)
     levels = resolve_levels(clusters)
@@ -135,23 +138,28 @@ def landau_projectors(params: NCParams, space: FockSpace,
     inv_b = 1.0 / b
     G1 = ops.X1 + inv_b * ops.P2
     G2 = ops.X2 - inv_b * ops.P1
-    G_sq = (G1 @ G1 + G2 @ G2).matrix
+    G_sq = (G1 @ G1 + G2 @ G2).stored
 
     projectors = []
     energies = []
     bases = []
     guidings = []
-    for level in levels[:N + 1]:
+    for n, level in enumerate(levels[:N + 1]):
         members = [i for idx in level for i in groups[idx]]
         W = vecs[:, members]
-        block = W.conj().T @ G_sq @ W
+        block = W.conj().T @ (G_sq @ W)
         gvals, rot = np.linalg.eigh(block)
         Wg = W @ rot
         g_index = (np.abs(b) * gvals / params.hbar - 1.0) / 2.0
         g_int = np.rint(g_index).astype(int)
-        if np.max(np.abs(g_index - g_int)) > 1e-6:
-            raise ClusterAmbiguity(
-                "guiding-center indices failed to quantize within the level"
+        off = np.abs(g_index - g_int) > 1e-6
+        if np.any(off):
+            raise UnresolvedSpectrum(
+                f"level {n} at n_max = {space.n_max} holds a state whose "
+                f"guiding-center index reads {g_index[off][0]:.4g}, not an "
+                "integer: a state of the truncated boundary shells that "
+                "shares the level energy, not a Landau state; the basis "
+                "does not resolve this level cleanly, choose another n_max"
             )
         order = np.argsort(g_int)
         Wg = Wg[:, order]
@@ -182,17 +190,9 @@ def projector_sinc(H: FockOperator, n: int, E_n: float) -> FockOperator:
     """Apply the sinc-type level selector spectrally: V f(D/E_n) V*."""
     if not H.hermitian_flag:
         raise NonHermitian("projector_sinc requires a Hermitian operator")
-    evals, vecs, _, _ = block_eigh(H.matrix)
+    evals, vecs, _, _ = block_eigh(H.stored)
     f = sinc_profile(evals / E_n, n)
     return FockOperator((vecs * f) @ vecs.conj().T, H.space, degree=H.degree)
-
-
-def _interior_blocks(ps: ProjectorSet, N: int, C: np.ndarray,
-                     g_cut: int) -> list:
-    """W_n* C W_m on the guiding-interior columns, for n, m <= N."""
-    cols = [ps.interior_columns(n, g_cut) for n in range(N + 1)]
-    return [[cols[n].conj().T @ C @ cols[m] for m in range(N + 1)]
-            for n in range(N + 1)]
 
 
 def _fit_and_residual(blocks: list, N: int, diag_targets: list) -> tuple:
@@ -227,27 +227,36 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
     The cross law's Pi_{N-1} term restores the canonical commutator on
     the levels below N; trace balance forces a compensating guiding-edge
     contribution, which is why the fits are taken at small g only.
-    The report is JSON-serializable.
+
+    The work is done in the level basis: with the level bases stacked
+    into W (so Pi_N = W W^dag and W^dag W = 1), W_n^dag [Pi A Pi, Pi B Pi]
+    W_m is the (n, m) row/column selection of [W^dag A W, W^dag B W], a
+    commutator of rank(Pi_N)-square compressions.  The report is
+    JSON-serializable.
     """
     if N > ps.N:
         raise ValueError(f"N = {N} exceeds the ProjectorSet range {ps.N}")
     hbar = params.hbar
-    b = params.e * params.B / params.c
-    X1, X2 = X
-    P1, P2 = P
-    Pi = ps.projectors[0]
-    for P_level in ps.projectors[1:N + 1]:
-        Pi = Pi + P_level
-    Xt = [Pi @ op @ Pi for op in (X1, X2)]
-    Pt = [Pi @ op @ Pi for op in (P1, P2)]
+    W = np.hstack(ps.bases[:N + 1])
     g_cut = min(int(ps.guiding_indices[n][-1]) for n in range(N + 1)) // 2
+    starts = np.cumsum([0] + [basis.shape[1] for basis in ps.bases[:N]])
+    interior = [start + np.flatnonzero(g <= g_cut)
+                for start, g in zip(starts, ps.guiding_indices[:N + 1])]
+
+    def compress(op):
+        return W.conj().T @ (op.stored @ W)
+
+    Xt = [compress(op) for op in X]
+    Pt = [compress(op) for op in P]
 
     report = {"N": N, "g_cut": g_cut}
     overall = 0.0
 
-    def record(tag, C, predicted, lower_target):
+    def record(tag, A, B, predicted, lower_target):
         nonlocal overall
-        blocks = _interior_blocks(ps, N, C.matrix, g_cut)
+        C = A @ B - B @ A
+        blocks = [[C[np.ix_(rows, cols)] for cols in interior]
+                  for rows in interior]
         targets = [lower_target] * N + [predicted]
         fitted, lower, residual = _fit_and_residual(blocks, N, targets)
         report[f"coefficient_{tag}"] = fitted.imag
@@ -257,9 +266,9 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
             report[f"coefficient_{tag}_lower"] = lower.imag
         overall = max(overall, residual)
 
-    record("X1X2", Xt[0].commutator(Xt[1]),
+    record("X1X2", Xt[0], Xt[1],
            -1j * (hbar * params.c / (params.e * params.B)) * (N + 1), 0.0)
-    record("P1P2", Pt[0].commutator(Pt[1]),
+    record("P1P2", Pt[0], Pt[1],
            -1j * (hbar * params.e * params.B / (4.0 * params.c)) * (N + 1),
            0.0)
     cross_coeff = 1j * hbar * (1.0 - 0.5 * (N + 1))
@@ -268,7 +277,7 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
             tag = f"X{i + 1}P{j + 1}"
             predicted = cross_coeff if i == j else 0.0j
             lower = 1j * hbar if i == j else 0.0j
-            record(tag, Xt[i].commutator(Pt[j]), predicted, lower)
+            record(tag, Xt[i], Pt[j], predicted, lower)
     report["residual_norm"] = overall
     return report
 

@@ -284,6 +284,30 @@ class TestMainExitCodes:
         assert "domain error" in err
         assert where in err and "raise n_max" in err
 
+    def test_dense_matrix_over_the_limit_is_refused(self, tmp_path, capsys):
+        # peierls diagonalizes with eigenvectors: 16 (n_max+1)^4 bytes
+        code = main(["peierls", "--n-max", "120", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3429742096 bytes" in err and "DENSE_MATRIX_LIMIT" in err
+        assert not (tmp_path / "peierls.csv").exists()
+
+    def test_failed_check_exits_1_after_writing(self, tmp_path, capsys,
+                                                monkeypatch):
+        import ncqmlab.reps
+        monkeypatch.setattr(ncqmlab.reps, "table_residual",
+                            lambda rep: 1e-3)
+        code = main(["check-algebra", "--theta", "0.3", "--B", "1.0",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "landau_rep_residual" in err
+        assert "symmetric_rep_residual" in err
+        assert "jacobi_standard" not in err
+        table = (tmp_path / "check_algebra.csv").read_text()
+        assert "landau_rep_residual,0.001,fail" in table
+        assert (tmp_path / "check_algebra_manifest.json").exists()
+
     def test_trajectory_rejects_direct_field(self, tmp_path, capsys):
         code = main(["trajectory", "--B", "1.0", "--out", str(tmp_path)])
         assert code == 2
@@ -311,6 +335,20 @@ class TestMainRuns:
         # adapted basis: one block per shell of equal n1 + n2
         assert manifest["blocks"] == 2 * 10 + 1
         assert 0.0 <= manifest["eigenvalue_error_bound"] <= 1e-12
+
+    def test_spectrum_at_n_max_120(self, tmp_path):
+        # dim 14641: sparse operators, one dense block per shell
+        code = main(["spectrum", "--B", "1.5", "--m", "2.0", "--n-max",
+                     "120", "--k", "3", "--format", "json",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        table = json.loads((tmp_path / "spectrum.json").read_text())
+        np.testing.assert_allclose(table["E_n"],
+                                   (1.5 / 2.0) * (np.arange(3) + 0.5),
+                                   rtol=1e-9)
+        manifest = json.loads(
+            (tmp_path / "spectrum_manifest.json").read_text())
+        assert manifest["blocks"] == 2 * 120 + 1
 
     def test_star_run_json(self, tmp_path):
         code = main([

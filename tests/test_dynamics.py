@@ -255,6 +255,18 @@ class TestFrequencyFit:
         assert fit.amplitude == pytest.approx(1.3, abs=1e-9)
         assert fit.offset == pytest.approx(-0.2, abs=1e-9)
 
+    def test_signal_starting_at_its_mean(self):
+        # v1 starts at its mean, so a fit seeded with amplitude
+        # (v1(0) - mean, 0) starts flat; the linear seed does not
+        traj = minimal_coupling_trajectory(
+            NCParams(theta=0.37205200595938115), "landau",
+            4.506356472553741,
+            (0.7050217316665073, -0.2421813224372562,
+             -0.03440568847825154, 0.3182872532694735), 10.0, 1e-3)
+        assert dominant_frequency(traj) == pytest.approx(traj.omega,
+                                                         rel=1e-6)
+        assert traj.omega == 4.506356472553741
+
     def test_constant_signal_rejected(self):
         t = np.linspace(0.0, 10.0, 101)
         with pytest.raises(InsufficientData):

@@ -27,7 +27,6 @@ from ncqmlab.errors import (
 )
 from ncqmlab.params import NCParams
 from ncqmlab.polysymbol import PolySymbol, x1, x2
-from ncqmlab import fock
 from ncqmlab.fock import (
     Cluster,
     FockOperator,
@@ -221,15 +220,10 @@ class TestWeylSymmetrization:
         space = FockSpace(12)  # degree-6 monomials need interior room
         ops = realize_rep(symmetric_gauge_rep(p), space)
         M1, M2 = ops.X1.matrix, ops.X2.matrix
-        dim = space.dim
-        pow1 = [np.eye(dim, dtype=complex)]
-        pow2 = [np.eye(dim, dtype=complex)]
-        for _ in range(3):
-            pow1.append(pow1[-1] @ M1)
-            pow2.append(pow2[-1] @ M2)
         for e1 in range(4):
             for e2 in range(4):
-                lhs = fock._weyl_monomial(e1, e2, pow1, pow2)
+                monomial = PolySymbol(2, {(e1, e2): 1.0})
+                lhs = quantize_poly(monomial, ops.X1, ops.X2).matrix
                 rhs = weyl_average_reference(e1, e2, M1, M2)
                 # the two symmetrized forms agree as operators; on the
                 # truncated space they differ only in the corrupted

@@ -96,6 +96,17 @@ class TestPreconditions:
         with pytest.raises(ClusterAmbiguity):
             landau_projectors(params, space, 4)
 
+    @pytest.mark.parametrize("n_max", [9, 13])
+    def test_odd_truncation_is_a_domain_refusal(self, n_max):
+        # at odd n_max a boundary-shell eigenvector shares the lowest
+        # level's energy; its guiding index is off the integers
+        params = NCParams(theta=0.0, B=1.0)
+        with pytest.raises(UnresolvedSpectrum,
+                           match=f"level 0 at n_max = {n_max} holds a "
+                                 "state whose guiding-center index") as err:
+            landau_projectors(params, adapted_space(params, n_max), 1)
+        assert isinstance(err.value, DomainError)
+
     def test_unresolved_levels_are_a_domain_refusal(self):
         # the unit-scale basis splits every level into drifted copies,
         # so no cluster is fat enough to count as a level

@@ -1,0 +1,351 @@
+"""Property tests of the CSR operator backend against dense oracles.
+
+Oracles
+-------
+* The dense functions below are the construction the CSR backend replaced:
+  ladders from ``np.kron`` of one-mode matrices, dense power lists for
+  polynomials of commuting operators and for the three quantization
+  prescriptions, dense products for the kinetic Hamiltonian.  The sparse
+  and dense routes do the same arithmetic in a different summation order,
+  so they must agree within 1e-12 * max(1, max|entry|).
+* The level-basis truncated commutators are checked against the dense
+  products Pi @ op @ Pi of the full projector, fitted on the same
+  guiding-interior columns.
+* ``block_eigh`` on the CSR operator must give the eigenvalues, block
+  count and dropped-coupling bound of the same operator handed over dense.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncqmlab.fock import (
+    FockOperator,
+    FockSpace,
+    Prescription,
+    block_eigh,
+    build_canonical_ops,
+    kinetic_hamiltonian,
+    ladder,
+    poly_of_commuting,
+    quantize_matrix_pair,
+    realize_rep,
+)
+from ncqmlab.params import NCParams
+from ncqmlab.peierls import adapted_space, landau_projectors, \
+    truncated_commutators
+from ncqmlab.polysymbol import PolySymbol
+from ncqmlab.reps import (
+    LinearRep,
+    MomentumGaugeRep,
+    momentum_gauge_rep,
+    vector_potential_rep,
+)
+
+RTOL = 1e-12
+
+
+# --- the dense oracles --------------------------------------------------
+
+def dense_canonical(space: FockSpace) -> list:
+    """[X1, P1, X2, P2] from np.kron ladders."""
+    n = space.n_max + 1
+    a1 = np.diag(np.sqrt(np.arange(1, n)), k=1)
+    eye = np.eye(n)
+    s = space.scale
+    out = []
+    for a in (np.kron(a1, eye), np.kron(eye, a1)):
+        ad = a.conj().T
+        out += [(s / math.sqrt(2.0)) * (a + ad),
+                (1.0 / (s * math.sqrt(2.0))) * (-1.0j) * (a - ad)]
+    return out
+
+
+def dense_poly_of_commuting(poly: PolySymbol, A: np.ndarray,
+                            B: np.ndarray) -> np.ndarray:
+    dim = A.shape[0]
+    powA = [np.eye(dim, dtype=complex)]
+    powB = [np.eye(dim, dtype=complex)]
+    for _ in range(max(1, poly.degree)):
+        powA.append(powA[-1] @ A)
+        powB.append(powB[-1] @ B)
+    total = np.zeros((dim, dim), dtype=complex)
+    for (e1, e2), coeff in poly.terms.items():
+        total += coeff * (powA[e1] @ powB[e2])
+    return total
+
+
+def dense_quantize(V: PolySymbol, m1: np.ndarray, m2: np.ndarray,
+                   prescription: Prescription, theta: float) -> np.ndarray:
+    dim = m1.shape[0]
+    deg = max(1, V.degree)
+    eye = np.eye(dim, dtype=complex)
+    if prescription is Prescription.WEYL:
+        pow1, pow2 = [eye], [eye]
+        for _ in range(deg):
+            pow1.append(pow1[-1] @ m1)
+            pow2.append(pow2[-1] @ m2)
+        total = np.zeros((dim, dim), dtype=complex)
+        for (e1, e2), coeff in V.terms.items():
+            mono = sum(math.comb(e1, r) * (pow1[r] @ pow2[e2] @ pow1[e1 - r])
+                       for r in range(e1 + 1))
+            total += coeff * mono / 2.0 ** e1
+        return total
+    root = math.sqrt(theta / 2.0)
+    a_sym, abar_sym = PolySymbol.variable(2, 0), PolySymbol.variable(2, 1)
+    symbol = PolySymbol.zero(2)
+    for (e1, e2), coeff in V.terms.items():
+        symbol = symbol + coeff * (root * (a_sym + abar_sym)) ** e1 \
+            * (1.0j * root * (abar_sym - a_sym)) ** e2
+    amat = (m1 + 1.0j * m2) / math.sqrt(2.0 * theta)
+    powa, powad = [eye], [eye]
+    for _ in range(max(1, symbol.degree)):
+        powa.append(powa[-1] @ amat)
+        powad.append(powad[-1] @ amat.conj().T)
+    total = np.zeros((dim, dim), dtype=complex)
+    for (ea, eabar), coeff in symbol.terms.items():
+        if prescription is Prescription.NORMAL:
+            total += coeff * (powad[eabar] @ powa[ea])
+        else:
+            total += coeff * (powa[ea] @ powad[eabar])
+    return total
+
+
+def dense_realize(rep, space: FockSpace) -> list:
+    X1, P1, X2, P2 = dense_canonical(space)
+    if isinstance(rep, LinearRep):
+        canon = (X1, P1, X2, P2)
+        return [sum(rep.matrix[i, j] * canon[j] for j in range(4))
+                for i in range(4)]
+    if isinstance(rep, MomentumGaugeRep):
+        return [X1 - dense_poly_of_commuting(rep.Atilde[0], P1, P2), P1,
+                X2 - dense_poly_of_commuting(rep.Atilde[1], P1, P2), P2]
+    coupling = rep.params.e / rep.params.c
+    return [X1, P1 - coupling * dense_poly_of_commuting(rep.A[0], X1, X2),
+            X2, P2 - coupling * dense_poly_of_commuting(rep.A[1], X1, X2)]
+
+
+def dense_kinetic(ops: list, m: float) -> np.ndarray:
+    P1, P2 = ops[1], ops[3]
+    return (1.0 / (2.0 * m)) * (P1 @ P1 + P2 @ P2)
+
+
+def assert_close(sparse_op, dense: np.ndarray) -> None:
+    """CSR result against the dense oracle within 1e-12 * max(1, |.|_max)."""
+    matrix = sparse_op.stored if isinstance(sparse_op, FockOperator) \
+        else sparse_op
+    assert sp.issparse(matrix)
+    tol = RTOL * max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(matrix.toarray() - dense)) <= tol
+
+
+# --- strategies ----------------------------------------------------------
+
+coefficients = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polynomials(draw, max_degree: int = 4):
+    """A random real arity-2 polynomial of degree <= max_degree."""
+    monomials = [(e1, d - e1) for d in range(max_degree + 1)
+                 for e1 in range(d + 1)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1,
+                           max_size=6, unique=True))
+    return PolySymbol(2, {expo: draw(coefficients) for expo in chosen})
+
+
+@st.composite
+def spaces(draw):
+    return FockSpace(draw(st.integers(4, 16)),
+                     scale=draw(st.floats(0.5, 2.0)))
+
+
+@st.composite
+def representations(draw):
+    """One of the three representation kinds with random coefficients."""
+    theta = draw(st.floats(0.05, 0.8))
+    B = draw(st.floats(0.2, 2.0))
+    params = NCParams(theta=theta, B=B)
+    kind = draw(st.sampled_from(["linear", "momentum", "vector"]))
+    if kind == "linear":
+        matrix = np.array(draw(st.lists(coefficients, min_size=16,
+                                        max_size=16))).reshape(4, 4)
+        return LinearRep(matrix, "random", params)
+    if kind == "momentum":
+        # symmetric gauge plus a gradient keeps curl(Atilde) = theta
+        alpha = draw(polynomials(max_degree=5))
+        p1v, p2v = PolySymbol.variable(2, 0), PolySymbol.variable(2, 1)
+        return momentum_gauge_rep((0.5 * theta * p2v + alpha.diff(0),
+                                   -0.5 * theta * p1v + alpha.diff(1)),
+                                  theta)
+    A = (draw(polynomials()), draw(polynomials()))
+    return vector_potential_rep(A, NCParams(theta=0.0, B=B,
+                                            e=draw(st.floats(0.5, 2.0))))
+
+
+# --- operator builds -------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(spaces(), st.integers(0, 1))
+def test_ladder_matches_kron(space, mode):
+    n = space.n_max + 1
+    a = np.diag(np.sqrt(np.arange(1, n)), k=1)
+    eye = np.eye(n)
+    assert_close(ladder(space, mode),
+                 np.kron(a, eye) if mode == 0 else np.kron(eye, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(representations(), spaces(), st.floats(0.5, 2.0))
+def test_realize_rep_and_kinetic_hamiltonian(rep, space, m):
+    ops = realize_rep(rep, space)
+    dense = dense_realize(rep, space)
+    for op, oracle in zip(ops.as_tuple(), dense):
+        assert_close(op, oracle)
+    assert_close(kinetic_hamiltonian(ops, m), dense_kinetic(dense, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(), spaces(), st.booleans())
+def test_poly_of_commuting(poly, space, momenta):
+    ops = build_canonical_ops(space)
+    A, B = (ops.P1, ops.P2) if momenta else (ops.X1, ops.X2)
+    op = poly_of_commuting(poly, A, B)
+    assert_close(op, dense_poly_of_commuting(poly, A.matrix, B.matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), st.sampled_from(list(Prescription)),
+       st.floats(0.05, 0.8), st.floats(0.2, 2.0), st.integers(4, 12))
+def test_quantize_matrix_pair(V, prescription, theta, B, n_max):
+    rep = LinearRep(np.array([[1.0, 0.0, 0.0, -theta / 2.0],
+                              [0.0, 1.0, B / 2.0, 0.0],
+                              [0.0, theta / 2.0, 1.0, 0.0],
+                              [-B / 2.0, 0.0, 0.0, 1.0]]),
+                    "central pair", NCParams(theta=theta, B=B))
+    ops = realize_rep(rep, FockSpace(n_max))
+    m1, m2 = ops.X1.stored, ops.X2.stored
+    quantized = quantize_matrix_pair(V, m1, m2, prescription, theta=theta)
+    assert_close(quantized, dense_quantize(V, m1.toarray(), m2.toarray(),
+                                           prescription, theta))
+    # dense inputs (the one-mode effective system) take the same kernel
+    dense = quantize_matrix_pair(V, m1.toarray(), m2.toarray(),
+                                 prescription, theta=theta)
+    assert isinstance(dense, np.ndarray)
+    np.testing.assert_allclose(dense, quantized.toarray(), rtol=0,
+                               atol=RTOL * max(1.0, np.max(np.abs(dense))))
+
+
+# --- the block solve ------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(representations(), spaces(), polynomials(max_degree=2))
+def test_block_eigh_on_csr_matches_dense_input(rep, space, trap):
+    ops = realize_rep(rep, space)
+    H = kinetic_hamiltonian(ops) + 0.1 * poly_of_commuting(
+        trap, ops.X1, ops.X2, hermitian=False)
+    H = 0.5 * (H + H.dagger())
+    for vectors in (False, True):
+        sparse = block_eigh(H.stored, vectors)
+        dense = block_eigh(H.matrix, vectors)
+        np.testing.assert_array_equal(sparse.eigenvalues, dense.eigenvalues)
+        assert sparse.blocks == dense.blocks
+        assert sparse.error_bound == pytest.approx(dense.error_bound,
+                                                   rel=RTOL, abs=0.0)
+        if vectors:
+            np.testing.assert_array_equal(sparse.eigenvectors,
+                                          dense.eigenvectors)
+    exact = np.linalg.eigvalsh(H.matrix)
+    assert np.max(np.abs(sparse.eigenvalues - exact)) <= \
+        sparse.error_bound + RTOL * max(1.0, np.max(np.abs(exact)))
+
+
+# --- truncated commutators in the level basis -----------------------------
+
+def dense_truncated_report(ps, N: int, X, P, params: NCParams) -> dict:
+    """The report from dense Pi @ op @ Pi products on the full space."""
+    Pi = sum(ps.projectors[n].matrix for n in range(N + 1))
+    Xt = [Pi @ op.matrix @ Pi for op in X]
+    Pt = [Pi @ op.matrix @ Pi for op in P]
+    g_cut = min(int(ps.guiding_indices[n][-1]) for n in range(N + 1)) // 2
+    cols = [ps.interior_columns(n, g_cut) for n in range(N + 1)]
+    hbar = params.hbar
+    report = {"N": N, "g_cut": g_cut}
+    overall = 0.0
+
+    def record(tag, A, B, predicted, lower_target):
+        nonlocal overall
+        C = A @ B - B @ A
+        blocks = [[cols[n].conj().T @ C @ cols[m] for m in range(N + 1)]
+                  for n in range(N + 1)]
+        targets = [lower_target] * N + [predicted]
+        residual = max(
+            float(np.max(np.abs(blocks[n][m] - (
+                targets[n] * np.eye(blocks[n][m].shape[0]) if n == m
+                else 0.0))))
+            for n in range(N + 1) for m in range(N + 1))
+        report[f"coefficient_{tag}"] = np.mean(np.diag(blocks[N][N])).imag
+        report[f"predicted_{tag}"] = predicted.imag
+        report[f"residual_{tag}"] = residual
+        if N > 0:
+            report[f"coefficient_{tag}_lower"] = np.mean(
+                [np.mean(np.diag(blocks[n][n])) for n in range(N)]).imag
+        overall = max(overall, residual)
+
+    record("X1X2", Xt[0], Xt[1],
+           -1j * (hbar * params.c / (params.e * params.B)) * (N + 1), 0.0)
+    record("P1P2", Pt[0], Pt[1],
+           -1j * (hbar * params.e * params.B / (4.0 * params.c)) * (N + 1),
+           0.0)
+    for i in range(2):
+        for j in range(2):
+            record(f"X{i + 1}P{j + 1}", Xt[i], Pt[j],
+                   1j * hbar * (1.0 - 0.5 * (N + 1)) if i == j else 0.0j,
+                   1j * hbar if i == j else 0.0j)
+    report["residual_norm"] = overall
+    return report
+
+
+@pytest.fixture(scope="module", params=[12, 16])
+def projector_set(request):
+    params = NCParams(theta=0.0, B=1.3)
+    return params, landau_projectors(params,
+                                     adapted_space(params, request.param), 2)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+@pytest.mark.parametrize("kinetic", [False, True])
+def test_truncated_commutators_match_dense_products(projector_set, N,
+                                                    kinetic):
+    params, ps = projector_set
+    ops = ps.ops if kinetic else build_canonical_ops(ps.space)
+    X, P = (ops.X1, ops.X2), (ops.P1, ops.P2)
+    report = truncated_commutators(ps, N, X, P, params)
+    oracle = dense_truncated_report(ps, N, X, P, params)
+    assert report.keys() == oracle.keys()
+    for key, value in oracle.items():
+        assert report[key] == pytest.approx(
+            value, rel=0.0, abs=RTOL * max(1.0, abs(value))), key
+
+
+# --- the operator record ------------------------------------------------
+
+def test_ladder_built_operators_stay_sparse():
+    space = FockSpace(8)
+    ops = build_canonical_ops(space)
+    H = kinetic_hamiltonian(ops) + 0.5 * (ops.X1 @ ops.X1) - 1.0
+    assert sp.issparse(H.stored) and H.stored.format == "csr"
+    assert H.hermitian_flag
+    assert isinstance(H.matrix, np.ndarray)
+    assert H.matrix is H.matrix     # made dense once, then kept
+    np.testing.assert_array_equal(H.restrict(2).toarray(),
+                                  H.matrix[np.ix_(space.interior_mask(2),
+                                                  space.interior_mask(2))])
+    # a dense operator (a spectral output) keeps its array
+    dense = FockOperator(np.eye(space.dim), space)
+    assert isinstance(dense.stored, np.ndarray)
+    assert dense.matrix is dense.stored
