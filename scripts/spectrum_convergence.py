@@ -14,6 +14,7 @@ Usage: python3 scripts/spectrum_convergence.py --out results/
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -28,17 +29,13 @@ from ncqmlab.fock import (
     suggested_scale,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.reps import (
-    symmetric_gauge_rep,
-    symmetric_vector_potential,
-    vector_potential_rep,
-)
+from ncqmlab.peierls import landau_rep
+from ncqmlab.reps import symmetric_gauge_rep
 
 
 def magnetic_rep(params: NCParams):
     if params.theta == 0.0:
-        return vector_potential_rep(
-            symmetric_vector_potential(params.B), params)
+        return landau_rep(params)
     return symmetric_gauge_rep(params)
 
 
@@ -84,7 +81,6 @@ def main(argv=None) -> int:
                   f"E0_adapted={means[0]:.12f} "
                   f"unit error={abs(E0_unit - exact0):.3e}")
 
-    import os
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"spectrum_convergence.{args.format}")
     emit_table(rows, args.format, path)

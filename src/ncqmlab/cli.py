@@ -24,145 +24,137 @@ from .errors import ConfigError, DomainError, NCQMError
 from .params import NCParams, kappa, is_singular
 from .polysymbol import PolySymbol, x1, x2
 
-DEFAULTS = {
-    "theta": 0.0, "B": 1.0, "e": 1.0, "m": 1.0, "hbar": 1.0, "c": 1.0,
-    "n_max": 30, "k": 5, "gauge": "symmetric", "T": 30.0, "h": 1e-3,
-    "N": 1, "potential": (1.0,), "lam": 0.1, "curlyB": 1.0,
-    "prescription": "antinormal", "seed": 0,
-    "format": "csv", "out": ".", "xi0": (1.0, 0.0, 0.0, 0.0),
-}
-COMMANDS = ("spectrum", "star", "sw", "trajectory", "peierls",
-            "check-algebra")
-_NUMERIC_FIELDS = ("theta", "B", "e", "m", "hbar", "c", "T", "h", "lam",
-                   "curlyB")
 # Largest dense (n_max+1)^2-square complex matrix a command may allocate,
 # in bytes.  Operators are sparse; only peierls still needs a dense one
 # (the eigenvectors of its two-mode Hamiltonian).
 DENSE_MATRIX_LIMIT = 2 ** 30
 
 
+def _key(default, help_text, **meta):
+    """One config key: its default and help, plus optional metadata that
+    drives validation (minimum, choices, items naming a list's entries,
+    length) and the parser (flag=False keeps a key config-file-only)."""
+    return dataclasses.field(default=default,
+                             metadata={"help": help_text, **meta})
+
+
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
+    """The config table: every key with its default.  validate_config
+    reports problems in field order."""
+
     command: str
-    theta: float
-    B: float
-    e: float
-    m: float
-    hbar: float
-    c: float
-    n_max: int
-    k: int
-    gauge: str
-    T: float
-    h: float
-    N: int
-    potential: tuple
-    lam: float
-    curlyB: float
-    prescription: str
-    seed: int
-    format: str
-    out: str
-    xi0: tuple
+    theta: float = _key(0.0, "noncommutativity theta")
+    B: float = _key(1.0, "magnetic field B of the phase-space structure")
+    e: float = _key(1.0, "charge")
+    m: float = _key(1.0, "mass")
+    hbar: float = _key(1.0, "Planck constant", flag=False)
+    c: float = _key(1.0, "speed of light", flag=False)
+    T: float = _key(30.0, "trajectory duration")
+    h: float = _key(1e-3, "trajectory step")
+    lam: float = _key(0.1, "potential strength for peierls")
+    curlyB: float = _key(1.0, "field of the vector potential (sw, trajectory)")
+    n_max: int = _key(30, "per-mode occupation cutoff", minimum=4)
+    k: int = _key(5, "number of levels", minimum=1)
+    seed: int = _key(0, "random seed of check-algebra's sample points",
+                     minimum=0)
+    gauge: str = _key("symmetric", "trajectory gauge",
+                      choices=("symmetric", "landau"))
+    prescription: str = _key("antinormal", "peierls ordering prescription",
+                             choices=("weyl", "normal", "antinormal"))
+    format: str = _key("csv", "table format", choices=("csv", "json"))
+    potential: tuple = _key((1.0,), "radial coefficients c1,c2,... for "
+                            "V = sum c_k r^(2k)", items="coefficients")
+    xi0: tuple = _key((1.0, 0.0, 0.0, 0.0), "initial state x1,x2,p1,p2",
+                      items="components", length=4)
+    out: str = _key(".", "output directory")
 
     def params(self) -> NCParams:
         return NCParams(theta=self.theta, B=self.B, e=self.e, m=self.m,
                         hbar=self.hbar, c=self.c)
 
 
+KEYS = tuple(key for key in dataclasses.fields(ScenarioConfig)
+             if key.name != "command")
+_NUMBER_NAMES = ("zero", "one", "two", "three", "four")
+
+
+def _validate_key(key: dataclasses.Field, value, errors: list):
+    """The value of one key coerced to its type, appending any problem to
+    ``errors`` (the default stands in for a value that cannot be read)."""
+    name, meta, kind = key.name, key.metadata, type(key.default)
+    if kind is float:
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            errors.append(f"{name} must be a number; got {value!r}")
+            return 0.0
+        if not np.isfinite(value):
+            errors.append(f"{name} must be finite; got {value!r}")
+        return value
+    if kind is int:
+        minimum = meta.get("minimum")
+        if not isinstance(value, int) or isinstance(value, bool):
+            try:
+                whole = int(float(value))
+            except (TypeError, ValueError, OverflowError):
+                whole = None
+            if whole is None or whole != float(value):
+                errors.append(f"{name} must be an integer; got {value!r}")
+                return minimum
+            value = whole
+        if value < minimum:
+            errors.append(f"{name} must be >= {minimum}; got {value}")
+        return value
+    if kind is tuple:
+        try:
+            items = tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            errors.append(f"{name} must be a list of numbers; got {value!r}")
+            items = key.default
+        length = meta.get("length")
+        if length is not None and len(items) != length:
+            errors.append(f"{name} must have exactly "
+                          f"{_NUMBER_NAMES[length]} {meta['items']}")
+        if not all(np.isfinite(v) for v in items):
+            errors.append(f"{name} {meta['items']} must be finite")
+        return items
+    choices = meta.get("choices")
+    if choices:
+        value = str(value).lower()
+        if value not in choices:
+            errors.append(f"{name} must be {', '.join(choices[:-1])} or "
+                          f"{choices[-1]}; got {value!r}")
+        return value
+    return str(value)
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Strict schema validation of a raw config mapping.
 
-    Unknown keys are rejected; every numeric field must be finite.
-    Defaults: hbar = c = e = m = 1, n_max = 30, h = 1e-3.
+    Unknown keys are rejected; every numeric field must be finite.  Keys
+    left out take their ScenarioConfig defaults.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(DEFAULTS) | {"command"}
-    errors = []
-    unknown = sorted(set(raw) - known)
-    for key in unknown:
-        errors.append(f"unknown key: {key!r}")
+    errors = [f"unknown key: {key!r}"
+              for key in sorted(set(raw) - {"command"}
+                                - {key.name for key in KEYS})]
     command = raw.get("command")
     if command not in COMMANDS:
         errors.append(
             f"command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    merged = dict(DEFAULTS)
-    for key in set(raw) & set(DEFAULTS):
-        merged[key] = raw[key]
-
-    def as_float(key):
-        try:
-            value = float(merged[key])
-        except (TypeError, ValueError):
-            errors.append(f"{key} must be a number; got {merged[key]!r}")
-            return 0.0
-        if not np.isfinite(value):
-            errors.append(f"{key} must be finite; got {value!r}")
-        return value
-
-    def as_int(key, minimum):
-        value = merged[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            try:
-                as_f = float(value)
-            except (TypeError, ValueError):
-                errors.append(f"{key} must be an integer; got {value!r}")
-                return minimum
-            if as_f != int(as_f):
-                errors.append(f"{key} must be an integer; got {value!r}")
-                return minimum
-            value = int(as_f)
-        if value < minimum:
-            errors.append(f"{key} must be >= {minimum}; got {value}")
-        return value
-
-    numbers = {key: as_float(key) for key in _NUMERIC_FIELDS}
-    n_max = as_int("n_max", 4)
-    k = as_int("k", 1)
-    N = as_int("N", 0)
-    seed = as_int("seed", 0)
-    gauge = str(merged["gauge"]).lower()
-    if gauge not in ("symmetric", "landau"):
-        errors.append(f"gauge must be symmetric or landau; got {gauge!r}")
-    prescription = str(merged["prescription"]).lower()
-    if prescription not in ("weyl", "normal", "antinormal"):
-        errors.append(
-            "prescription must be weyl, normal or antinormal; got "
-            f"{prescription!r}"
-        )
-    fmt = str(merged["format"]).lower()
-    if fmt not in ("csv", "json"):
-        errors.append(f"format must be csv or json; got {fmt!r}")
-    try:
-        potential = tuple(float(v) for v in merged["potential"])
-    except (TypeError, ValueError):
-        errors.append(f"potential must be a list of numbers; "
-                      f"got {merged['potential']!r}")
-        potential = (1.0,)
-    if not all(np.isfinite(v) for v in potential):
-        errors.append("potential coefficients must be finite")
-    try:
-        xi0 = tuple(float(v) for v in merged["xi0"])
-    except (TypeError, ValueError):
-        errors.append(f"xi0 must be a list of numbers; got {merged['xi0']!r}")
-        xi0 = (1.0, 0.0, 0.0, 0.0)
-    if len(xi0) != 4:
-        errors.append("xi0 must have exactly four components")
-    if not all(np.isfinite(v) for v in xi0):
-        errors.append("xi0 components must be finite")
-    if numbers["h"] <= 0:
+    values = {key.name: _validate_key(key, raw.get(key.name, key.default),
+                                      errors)
+              for key in KEYS}
+    if values["h"] <= 0:
         errors.append("h must be positive")
-    if numbers["T"] < numbers["h"]:
+    if values["T"] < values["h"]:
         errors.append("T must be at least one step h")
     if errors:
         raise ConfigError("; ".join(errors))
-    return ScenarioConfig(
-        command=command, n_max=n_max, k=k, N=N, seed=seed, gauge=gauge,
-        prescription=prescription, format=fmt, out=str(merged["out"]),
-        potential=potential, xi0=xi0, **numbers,
-    )
+    return ScenarioConfig(command=command, **values)
 
 
 def radial_potential(coefficients) -> PolySymbol:
@@ -196,9 +188,7 @@ def _jsonify(value):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (np.ndarray, list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {key: _jsonify(val) for key, val in value.items()}
@@ -240,22 +230,35 @@ def _write_manifest(config: ScenarioConfig, extra: dict, path: str) -> str:
 
 # --- command implementations -------------------------------------------
 
+def _require_coupling(params: NCParams, field: float, name: str,
+                      artefact: str) -> None:
+    """Refuse a zero coupling e * field: a free particle has a continuous
+    spectrum, so no route may print Landau levels for it."""
+    if params.e == 0.0 or field == 0.0:
+        raise DomainError(
+            f"{name if field == 0.0 else 'e'} = 0 has no Landau structure: "
+            f"the spectrum is continuous and {artefact}"
+        )
+
+
 def _run_spectrum(config: ScenarioConfig):
     from . import fock
-    from .reps import symmetric_gauge_rep, vector_potential_rep, \
-        symmetric_vector_potential
+    from .peierls import landau_rep
+    from .reps import symmetric_gauge_rep
 
     params = config.params()
-    if params.B == 0.0:
+    _require_coupling(params, params.B, "B",
+                      "a truncated basis shows only artefact levels")
+    if params.theta == 0.0:
+        rep = landau_rep(params)
+    elif params.e != params.c:
         raise DomainError(
-            "B = 0 has no Landau structure: the spectrum is continuous and "
-            "a truncated basis shows only artefact levels"
+            "spectrum at theta != 0 uses the symmetric-gauge "
+            "representation, which realizes [P1, P2] = i B in units "
+            f"e = c = 1; got e = {params.e!r}, c = {params.c!r}"
         )
-    if params.theta != 0.0:
-        rep = symmetric_gauge_rep(params)
     else:
-        rep = vector_potential_rep(
-            symmetric_vector_potential(params.B), params)
+        rep = symmetric_gauge_rep(params)
     space = fock.FockSpace(config.n_max, scale=fock.suggested_scale(rep))
     ops = fock.realize_rep(rep, space)
     H = fock.kinetic_hamiltonian(ops, params.m)
@@ -282,6 +285,7 @@ def _run_star(config: ScenarioConfig):
         star_commutation_table, symmetric_star_gauge
 
     params = config.params()
+    _require_coupling(params, params.B, "B", "has no levels to print")
     eff = bbar_of_B(params.B, params)
     result = star_landau_spectrum(params, eff.Bbar, config.k)
     table = star_commutation_table(symmetric_star_gauge(eff.Bbar),
@@ -307,6 +311,8 @@ def _run_sw(config: ScenarioConfig):
     from .star import sw_constant_field
 
     params = config.params()
+    _require_coupling(params, config.curlyB, "curlyB",
+                      "has no levels to print")
     eff, result = sw_constant_field(config.curlyB, params, config.k)
     columns = {
         "n": list(range(config.k)),
@@ -440,6 +446,7 @@ _RUNNERS = {
     "peierls": _run_peierls,
     "check-algebra": _run_check_algebra,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
@@ -468,6 +475,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per runner, each with a flag for every flagged key
+    of the config table (n_max as --n-max) plus --config."""
     parser = argparse.ArgumentParser(
         prog="ncqmlab",
         description="noncommutative quantum mechanics laboratory",
@@ -475,31 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--theta", type=float, default=None)
-        cmd.add_argument("--B", type=float, default=None)
-        cmd.add_argument("--e", type=float, default=None)
-        cmd.add_argument("--m", type=float, default=None)
-        cmd.add_argument("--n-max", dest="n_max", type=int, default=None)
-        cmd.add_argument("--k", type=int, default=None)
-        cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--config", type=str, default=None)
-        cmd.add_argument("--gauge", choices=("symmetric", "landau"),
-                         default=None)
-        cmd.add_argument("--curlyB", type=float, default=None)
-        cmd.add_argument("--T", type=float, default=None)
-        cmd.add_argument("--h", type=float, default=None)
-        cmd.add_argument("--N", type=int, default=None)
-        cmd.add_argument("--lam", type=float, default=None)
-        cmd.add_argument("--potential", type=str, default=None,
-                         help="radial coefficients c1,c2,... for "
-                              "V = sum c_k r^(2k)")
-        cmd.add_argument("--prescription",
-                         choices=("weyl", "normal", "antinormal"),
-                         default=None)
-        cmd.add_argument("--xi0", type=str, default=None,
-                         help="initial state x1,x2,p1,p2")
+        cmd.add_argument("--config", type=str, default=None,
+                         help="JSON file of config keys; flags win")
+        for key in KEYS:
+            if not key.metadata.get("flag", True):
+                continue
+            kind = type(key.default)
+            cmd.add_argument(
+                "--" + key.name.replace("_", "-"),
+                type=kind if kind in (int, float) else str,
+                choices=key.metadata.get("choices"), default=None,
+                help=f"{key.metadata['help']} (default {key.default!r})")
     return parser
 
 
@@ -531,16 +526,11 @@ def merge_cli(args: argparse.Namespace) -> ScenarioConfig:
     if args.config:
         raw.update(_load_config_file(args.config))
     raw["command"] = args.command
-    for key in ("theta", "B", "e", "m", "n_max", "k", "out", "format",
-                "seed", "gauge", "curlyB", "T", "h", "N", "lam",
-                "prescription"):
-        value = getattr(args, key)
+    for key in KEYS:
+        value = getattr(args, key.name, None)
         if value is not None:
-            raw[key] = value
-    if args.potential is not None:
-        raw["potential"] = _parse_list(args.potential, "potential")
-    if args.xi0 is not None:
-        raw["xi0"] = _parse_list(args.xi0, "xi0")
+            raw[key.name] = (_parse_list(value, key.name)
+                             if type(key.default) is tuple else value)
     return validate_config(raw)
 
 

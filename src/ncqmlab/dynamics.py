@@ -13,7 +13,8 @@ from scipy.optimize import least_squares
 
 from .errors import ArityMismatch, InsufficientData, StepTooLarge
 from .params import NCParams
-from .polysymbol import PolySymbol, x1, x2
+from .polysymbol import PolySymbol, p1, p2
+from .reps import landau_vector_potential, symmetric_vector_potential
 from .structures import PoissonStructure, StructureKind, symplectic_matrix
 
 
@@ -165,8 +166,8 @@ def gauge_potential(gauge: Gauge, curlyB: float) -> tuple:
     if not isinstance(gauge, Gauge):
         gauge = Gauge(str(gauge).lower())
     if gauge is Gauge.SYMMETRIC:
-        return (-0.5 * curlyB * x2(), 0.5 * curlyB * x1())
-    return (PolySymbol.zero(2), curlyB * x1())
+        return symmetric_vector_potential(curlyB)
+    return landau_vector_potential(curlyB)
 
 
 def effective_field_strength(gauge: Gauge, curlyB: float, theta: float,
@@ -198,7 +199,6 @@ def minimal_coupling_trajectory(params: NCParams, gauge: Gauge,
         )
     coupling = params.e / params.c
     A1, A2 = (a.embed(4, (0, 1)) for a in gauge_potential(gauge, curlyB))
-    from .polysymbol import p1, p2
     pi1 = p1() - coupling * A1
     pi2 = p2() - coupling * A2
     H = (0.5 / params.m) * (pi1 * pi1 + pi2 * pi2)

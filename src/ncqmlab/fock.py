@@ -44,6 +44,10 @@ BLOCK_COUPLING_TOL = 1e-13
 # Qualified clusters whose means differ by less than this fraction of the
 # mean are drifted copies of one level (see resolve_levels).
 LEVEL_MERGE_RTOL = 1e-4
+# The gap rule of cluster_eigenvalues (see its docstring).
+CLUSTER_REL_GAP = 10.0
+CLUSTER_ATOL = 1e-9
+CLUSTER_RTOL = 1e-9
 
 
 class Prescription(str, Enum):
@@ -492,27 +496,22 @@ class SpectrumResult:
     error_bound: float = 0.0    # Weyl bound on every eigenvalue's error
     blocks: int = 0             # blocks diagonalized; 0 for closed forms
 
-    def cluster_means(self, count: int | None = None) -> np.ndarray:
-        means = np.array([c.mean for c in self.clusters])
-        return means if count is None else means[:count]
 
-
-def cluster_eigenvalues(evals: np.ndarray, rel_gap: float = 10.0,
-                        atol: float = 1e-9, rtol: float = 1e-9) -> list[list[int]]:
+def cluster_eigenvalues(evals: np.ndarray) -> list[list[int]]:
     """Greedy gap clustering of ascending eigenvalues.
 
     A new cluster starts when the gap to the next value exceeds
-    max(rel_gap * current spread, atol + rtol * |value|); the floor keeps
-    numerically-degenerate copies together while splitting drifted
-    truncation copies away.
+    max(CLUSTER_REL_GAP * current spread, CLUSTER_ATOL + CLUSTER_RTOL *
+    |value|); the floor keeps numerically-degenerate copies together
+    while splitting drifted truncation copies away.
     """
     groups: list[list[int]] = []
     current = [0]
     for i in range(1, len(evals)):
         gap = evals[i] - evals[i - 1]
         spread = evals[current[-1]] - evals[current[0]]
-        floor = atol + rtol * abs(evals[i])
-        if gap > max(rel_gap * spread, floor):
+        floor = CLUSTER_ATOL + CLUSTER_RTOL * abs(evals[i])
+        if gap > max(CLUSTER_REL_GAP * spread, floor):
             groups.append(current)
             current = [i]
         else:

@@ -45,6 +45,10 @@ from .params import NCParams
 from .polysymbol import PolySymbol
 from .reps import symmetric_vector_potential, vector_potential_rep
 
+# peierls_spectrum drops eigenvectors with more than this probability
+# weight on the boundary shells before reading off full_E_n.
+POLLUTION_TOL = 1e-6
+
 
 def _require_commutative_landau(params: NCParams) -> None:
     if params.theta != 0.0:
@@ -52,8 +56,9 @@ def _require_commutative_landau(params: NCParams) -> None:
             "Landau truncation is defined on the commutative plane "
             f"(theta = 0); got theta = {params.theta}"
         )
-    if params.B == 0.0:
-        raise DomainError("B = 0 has no Landau structure to truncate")
+    if params.e == 0.0 or params.B == 0.0:
+        raise DomainError(f"{'B' if params.B == 0.0 else 'e'} = 0 has no "
+                          "Landau structure to truncate")
 
 
 def landau_rep(params: NCParams):
@@ -62,13 +67,10 @@ def landau_rep(params: NCParams):
     return vector_potential_rep(symmetric_vector_potential(params.B), params)
 
 
-def adapted_space(params: NCParams, n_max: int,
-                  interior_margin: int = 2) -> FockSpace:
+def adapted_space(params: NCParams, n_max: int) -> FockSpace:
     """A FockSpace whose oscillator length matches the Landau problem,
     making level degeneracy exact at finite truncation."""
-    rep = landau_rep(params)
-    return FockSpace(n_max, interior_margin=interior_margin,
-                     scale=suggested_scale(rep))
+    return FockSpace(n_max, scale=suggested_scale(landau_rep(params)))
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,13 @@ class ProjectorSet:
     space: FockSpace
     ops: RealizedOps
 
-    def interior_g_cut(self) -> int:
-        """Half the smallest per-level maximum guiding index: columns with
-        g at or below this are far from the truncation boundary."""
-        return int(min(int(g[-1]) for g in self.guiding_indices)) // 2
+    def interior_g_cut(self, N: int | None = None) -> int:
+        """Half the smallest maximum guiding index of levels 0..N (all
+        levels by default): columns with g at or below this are far from
+        the truncation boundary."""
+        levels = (self.guiding_indices if N is None
+                  else self.guiding_indices[:N + 1])
+        return min(int(g[-1]) for g in levels) // 2
 
     def interior_columns(self, n: int, g_cut: int | None = None) -> np.ndarray:
         if g_cut is None:
@@ -238,7 +243,7 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
         raise ValueError(f"N = {N} exceeds the ProjectorSet range {ps.N}")
     hbar = params.hbar
     W = np.hstack(ps.bases[:N + 1])
-    g_cut = min(int(ps.guiding_indices[n][-1]) for n in range(N + 1)) // 2
+    g_cut = ps.interior_g_cut(N)
     starts = np.cumsum([0] + [basis.shape[1] for basis in ps.bases[:N]])
     interior = [start + np.flatnonzero(g <= g_cut)
                 for start, g in zip(starts, ps.guiding_indices[:N + 1])]
@@ -349,8 +354,7 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
 
 def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
                      n_max: int = 30,
-                     prescription=Prescription.ANTINORMAL,
-                     pollution_tol: float = 1e-6) -> PeierlsResult:
+                     prescription=Prescription.ANTINORMAL) -> PeierlsResult:
     """Peierls approximation against the exact truncated-space spectrum.
 
     epsilon_n comes from the one-mode effective system; full_E_n is the
@@ -365,7 +369,7 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     H = kinetic_hamiltonian(ops, params.m)
     if lam != 0.0:
         H = H + lam * poly_of_commuting(V, ops.X1, ops.X2)
-    full = spectrum(H, k, pollution_tol=pollution_tol)
+    full = spectrum(H, k, pollution_tol=POLLUTION_TOL)
     omega_B = abs(params.e * params.B) / (params.m * params.c)
     if not isinstance(prescription, Prescription):
         prescription = Prescription(str(prescription).lower())

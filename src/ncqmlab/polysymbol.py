@@ -210,21 +210,6 @@ class PolySymbol:
             terms[tuple(new)] = coeff
         return PolySymbol(arity, terms)
 
-    def real_part(self) -> "PolySymbol":
-        return PolySymbol(self.arity, {e: c.real for e, c in self.terms.items()})
-
-    def imag_part(self) -> "PolySymbol":
-        return PolySymbol(self.arity, {e: c.imag for e, c in self.terms.items()})
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (coefficients, exponent matrix) for vectorized evaluation."""
-        if not self.terms:
-            return np.zeros(0, dtype=complex), np.zeros((0, self.arity), dtype=int)
-        items = sorted(self.terms.items())
-        expo = np.array([e for e, _ in items], dtype=int)
-        coeffs = np.array([c for _, c in items], dtype=complex)
-        return coeffs, expo
-
     # -- dunder plumbing ------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -20,7 +20,7 @@ from scipy.linalg import schur
 
 from .errors import CurlMismatch, NegativeKappa, SingularStructure, ZeroTheta
 from .params import NCParams, kappa
-from .polysymbol import PolySymbol
+from .polysymbol import PolySymbol, x1, x2
 
 
 class Branch(str, Enum):
@@ -69,10 +69,6 @@ class LinearRep:
     @property
     def invertible(self) -> bool:
         return abs(self.det) > 1e-12
-
-
-def identity_rep(params: NCParams | None = None) -> LinearRep:
-    return LinearRep(np.eye(4), "identity", params or NCParams())
 
 
 def landau_gauge_rep(params: NCParams) -> LinearRep:
@@ -257,15 +253,12 @@ def vector_potential_rep(A, params: NCParams) -> VectorPotentialRep:
 
 def symmetric_vector_potential(curlyB: float) -> tuple[PolySymbol, PolySymbol]:
     """A = (-B x2 / 2, B x1 / 2)."""
-    x1v = PolySymbol.variable(2, 0)
-    x2v = PolySymbol.variable(2, 1)
-    return (-0.5 * curlyB * x2v, 0.5 * curlyB * x1v)
+    return (-0.5 * curlyB * x2(), 0.5 * curlyB * x1())
 
 
 def landau_vector_potential(curlyB: float) -> tuple[PolySymbol, PolySymbol]:
     """A = (0, B x1)."""
-    x1v = PolySymbol.variable(2, 0)
-    return (PolySymbol.zero(2), curlyB * x1v)
+    return (PolySymbol.zero(2), curlyB * x1())
 
 
 def canonicalizing_transform(table: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, DomainError, InternalMismatch
+from .fock import Cluster, SpectrumResult
 from .params import NCParams
 from .polysymbol import PolySymbol, x1, x2
+from .reps import symmetric_vector_potential
 
 
 def _check_pair(f: PolySymbol, g: PolySymbol) -> None:
@@ -103,7 +105,7 @@ class GaugePotential:
 
 def symmetric_star_gauge(Bbar: float) -> GaugePotential:
     """The symmetric configuration (-Bbar x2/2, Bbar x1/2)."""
-    return GaugePotential((-0.5 * Bbar * x2(), 0.5 * Bbar * x1()))
+    return GaugePotential(symmetric_vector_potential(Bbar))
 
 
 def field_strength(A: GaugePotential, theta: float) -> PolySymbol:
@@ -158,8 +160,6 @@ def bbar_of_B(B: float, params: NCParams) -> EffectiveLandauParams:
 def star_landau_spectrum(params: NCParams, Bbar: float, k: int):
     """Landau levels of the disentangled problem: E_n = (|e* Bbar|/m*)(n+1/2)
     = (|e Lambda_bar Bbar|/m)(n+1/2)."""
-    from .fock import Cluster, SpectrumResult   # local: avoid import cycle
-
     lam = lambda_bar(Bbar, params.e, params.theta)
     omega = abs(params.e * lam * Bbar) / params.m
     energies = omega * (np.arange(k) + 0.5)
@@ -193,11 +193,6 @@ def _sw_bilinear(U: tuple, V: tuple, e: float, theta: float) -> tuple:
     return tuple(out)
 
 
-def _sw_shift(A: GaugePotential, theta: float) -> tuple:
-    """First-order coordinate-change part: -(e/2) theta^{kl} A_k (d_l A_i + F_li)."""
-    return _sw_bilinear(A.A, A.A, A.e, theta)
-
-
 def sw_first_order(A: GaugePotential, lam: PolySymbol, psi: PolySymbol,
                    theta: float) -> dict:
     """First-order Seiberg-Witten map with its defining-property residual.
@@ -210,7 +205,8 @@ def sw_first_order(A: GaugePotential, lam: PolySymbol, psi: PolySymbol,
     A1, A2 = A.A
     F12 = A2.diff(0) - A1.diff(1)
 
-    shift = _sw_shift(A, theta)
+    # first-order coordinate-change part: -(e/2) theta^{kl} A_k (d_l A_i + F_li)
+    shift = _sw_bilinear(A.A, A.A, e, theta)
     A_check = (A1 + shift[0], A2 + shift[1])
     lam_1 = (-0.5 * e * theta) * _theta_cross(A1, A2, lam)
     lam_check = lam + lam_1
@@ -249,8 +245,6 @@ def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
     in the cancellation-free form 2B / (sqrt(1-u)(1 + sqrt(1-u))); the
     spectrum E_n = (|e B|/m)(n+1/2) is theta-independent.
     """
-    from .fock import Cluster, SpectrumResult
-
     e, theta, m = params.e, params.theta, params.m
     u = e * theta * curlyB
     if 1.0 - u <= 0:

@@ -17,8 +17,6 @@ from .errors import ArityMismatch, SingularStructure
 from .params import NCParams, kappa
 from .polysymbol import PolySymbol
 
-XI_NAMES = ("x1", "x2", "p1", "p2")
-
 # Permutation between this ordering and the representation-row ordering
 # (X1, P1, X2, P2): REP_TO_XI[row] is the xi-index of representation row `row`.
 REP_TO_XI = (0, 2, 1, 3)
@@ -111,15 +109,10 @@ def symplectic_matrix(params: NCParams, variant: StructureKind | str) -> Poisson
     """
     if not isinstance(variant, StructureKind):
         variant = StructureKind(str(variant).lower())
-    entries = _standard_entries(params.theta, _const4(params.B))
-    if variant is StructureKind.STANDARD:
-        return PoissonStructure(StructureKind.STANDARD, entries)
-    if variant is StructureKind.EXOTIC:
-        k = kappa(params)
-        if abs(k) <= 1e-14 * (1.0 + abs(params.B * params.theta)):
-            raise SingularStructure("exotic structure undefined at kappa = 0")
-        return PoissonStructure(StructureKind.EXOTIC, entries, _const4(k))
-    raise ValueError("variant must be standard or exotic")
+    if variant is StructureKind.EXOTIC and abs(kappa(params)) <= 1e-14 * (
+            1.0 + abs(params.B * params.theta)):
+        raise SingularStructure("exotic structure undefined at kappa = 0")
+    return symplectic_matrix_field(params.theta, _const4(params.B), variant)
 
 
 def symplectic_matrix_field(

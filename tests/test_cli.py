@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from ncqmlab.cli import (
+    COMMANDS,
+    KEYS,
     build_parser,
     emit_table,
     main,
@@ -79,12 +81,14 @@ class TestValidateConfig:
             validate_config({"command": "spectrum", "n_max": 2})
         with pytest.raises(ConfigError, match="k must be >= 1"):
             validate_config({"command": "spectrum", "k": 0})
-        with pytest.raises(ConfigError, match="N must be >= 0"):
+        with pytest.raises(ConfigError, match="unknown key: 'N'"):
             validate_config({"command": "peierls", "N": -1})
 
     def test_fractional_integer_rejected(self):
-        with pytest.raises(ConfigError, match="n_max must be an integer"):
-            validate_config({"command": "spectrum", "n_max": 10.5})
+        # int() of inf or nan raises; they must still read as config errors
+        for value in (10.5, math.inf, math.nan, "ten"):
+            with pytest.raises(ConfigError, match="n_max must be an integer"):
+                validate_config({"command": "spectrum", "n_max": value})
 
     def test_whole_float_accepted_as_integer(self):
         config = validate_config({"command": "spectrum", "n_max": 12.0})
@@ -263,14 +267,32 @@ class TestMainExitCodes:
                      "--k", "2", "--out", str(blocker)])
         assert code == 1
 
-    @pytest.mark.parametrize("theta", ["0.3", "0"])
-    def test_spectrum_refuses_zero_field(self, tmp_path, capsys, theta):
-        # B = 0 is a continuous spectrum: any "levels" would be artefacts
-        code = main(["spectrum", "--theta", theta, "--B", "0",
-                     "--n-max", "8", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["spectrum", "--theta", "0.3", "--B", "0",
+                      "--n-max", "8"], id="0.3"),
+        pytest.param(["spectrum", "--theta", "0", "--B", "0",
+                      "--n-max", "8"], id="0"),
+        pytest.param(["spectrum", "--theta", "0", "--B", "1", "--e", "0"],
+                     id="spectrum-e0"),
+        pytest.param(["peierls", "--B", "20", "--e", "0", "--n-max", "12"],
+                     id="peierls-e0"),
+        pytest.param(["star", "--B", "0"], id="star-B0"),
+        pytest.param(["sw", "--curlyB", "0"], id="sw-curlyB0"),
+    ])
+    def test_spectrum_refuses_zero_field(self, tmp_path, capsys, argv):
+        # e B = 0 is a continuous spectrum: any "levels" would be artefacts
+        code = main(argv + ["--out", str(tmp_path)])
         assert code == 3
         assert "no Landau structure" in capsys.readouterr().err
-        assert not (tmp_path / "spectrum.csv").exists()
+        assert not list(tmp_path.iterdir())
+
+    def test_spectrum_refuses_charge_off_the_rep_units(self, tmp_path, capsys):
+        # the symmetric-gauge rep realizes [P1, P2] = i B whatever e and c
+        code = main(["spectrum", "--theta", "0.2", "--B", "1", "--e", "2",
+                     "--n-max", "12", "--k", "3", "--out", str(tmp_path)])
+        assert code == 3
+        assert "e = c = 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, where", [
         (["peierls", "--B", "1e-3", "--n-max", "10"], "n_max = 10"),
@@ -436,3 +458,62 @@ class TestMainRuns:
         main(args + ["--out", str(tmp_path / "two")])
         assert (tmp_path / "one" / "spectrum.csv").read_bytes() == \
             (tmp_path / "two" / "spectrum.csv").read_bytes()
+
+
+class TestConfigTable:
+    # one non-default value per config key; hbar and c travel in a file
+    NON_DEFAULT = {
+        "theta": 0.3, "B": 1.5, "e": 2.0, "m": 0.5, "hbar": 2.0, "c": 3.0,
+        "T": 20.0, "h": 0.002, "lam": 0.2, "curlyB": 2.0, "n_max": 12,
+        "k": 3, "seed": 7, "gauge": "landau", "prescription": "weyl",
+        "format": "json", "potential": [0.5, 0.25],
+        "xi0": [0.0, 1.0, 0.0, 0.5],
+    }
+    CONFIG_ONLY = ("hbar", "c")
+
+    @staticmethod
+    def flag(key: str, value) -> list:
+        text = (",".join(map(str, value)) if isinstance(value, list)
+                else str(value))
+        return ["--" + key.replace("_", "-"), text]
+
+    def test_flags_are_the_flagged_keys(self):
+        assert set(self.NON_DEFAULT) | {"out"} == {key.name for key in KEYS}
+        parser = build_parser()
+        for command in COMMANDS:
+            for key, value in {**self.NON_DEFAULT, "out": "x"}.items():
+                argv = [command] + self.flag(key, value)
+                if key in self.CONFIG_ONLY:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(argv)
+                else:
+                    assert getattr(parser.parse_args(argv), key) is not None
+
+    def test_every_key_round_trips_into_the_manifest(self, tmp_path):
+        for key in KEYS:
+            assert self.NON_DEFAULT.get(key.name) != key.default, key.name
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {key: self.NON_DEFAULT[key] for key in self.CONFIG_ONLY}))
+        argv = ["check-algebra", "--config", str(config_path),
+                "--out", str(tmp_path / "out")]
+        for key, value in self.NON_DEFAULT.items():
+            if key not in self.CONFIG_ONLY:
+                argv += self.flag(key, value)
+        assert main(argv) == 0
+        manifest = json.loads(
+            (tmp_path / "out" / "check_algebra_manifest.json").read_text())
+        assert manifest["config"] == {
+            **self.NON_DEFAULT, "command": "check-algebra",
+            "out": str(tmp_path / "out")}
+
+    def test_removed_option_n_is_unknown(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["peierls", "--N", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"N": 1}))
+        code = main(["peierls", "--config", str(config_path),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown key: 'N'" in capsys.readouterr().err
