@@ -5,7 +5,7 @@ The lowest-Landau-level effective spectrum epsilon_n of a trapping
 potential is compared against the exact spectrum of the full magnetic
 Hamiltonian as the field grows.  For a quadratic trap the exact levels
 are available in closed form, so the table shows three things at once:
-the effective eigenvalues, the deviation (E_n - hbar*omega_B/2)
+the effective eigenvalues, the deviation (E_n - omega_B/2)
 - epsilon_n, and its relative size, which shrinks as 1/B^2 and makes
 the strong-field validity of the substitution quantitative.
 

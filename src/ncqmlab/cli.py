@@ -33,7 +33,7 @@ DENSE_MATRIX_LIMIT = 2 ** 30
 def _key(default, help_text, **meta):
     """One config key: its default and help, plus optional metadata that
     drives validation (minimum, choices, items naming a list's entries,
-    length) and the parser (flag=False keeps a key config-file-only)."""
+    length)."""
     return dataclasses.field(default=default,
                              metadata={"help": help_text, **meta})
 
@@ -41,15 +41,14 @@ def _key(default, help_text, **meta):
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """The config table: every key with its default.  validate_config
-    reports problems in field order."""
+    reports problems in field order.  Units put hbar = c = 1, so the
+    charge e is the one coupling (see params)."""
 
     command: str
     theta: float = _key(0.0, "noncommutativity theta")
     B: float = _key(1.0, "magnetic field B of the phase-space structure")
     e: float = _key(1.0, "charge")
     m: float = _key(1.0, "mass")
-    hbar: float = _key(1.0, "Planck constant", flag=False)
-    c: float = _key(1.0, "speed of light", flag=False)
     T: float = _key(30.0, "trajectory duration")
     h: float = _key(1e-3, "trajectory step")
     lam: float = _key(0.1, "potential strength for peierls")
@@ -70,8 +69,7 @@ class ScenarioConfig:
     out: str = _key(".", "output directory")
 
     def params(self) -> NCParams:
-        return NCParams(theta=self.theta, B=self.B, e=self.e, m=self.m,
-                        hbar=self.hbar, c=self.c)
+        return NCParams(theta=self.theta, B=self.B, e=self.e, m=self.m)
 
 
 KEYS = tuple(key for key in dataclasses.fields(ScenarioConfig)
@@ -251,11 +249,11 @@ def _run_spectrum(config: ScenarioConfig):
                       "a truncated basis shows only artefact levels")
     if params.theta == 0.0:
         rep = landau_rep(params)
-    elif params.e != params.c:
+    elif params.e != 1.0:
         raise DomainError(
             "spectrum at theta != 0 uses the symmetric-gauge "
             "representation, which realizes [P1, P2] = i B in units "
-            f"e = c = 1; got e = {params.e!r}, c = {params.c!r}"
+            f"e = 1; got e = {params.e!r}"
         )
     else:
         rep = symmetric_gauge_rep(params)
@@ -288,7 +286,7 @@ def _run_star(config: ScenarioConfig):
     _require_coupling(params, params.B, "B", "has no levels to print")
     eff = bbar_of_B(params.B, params)
     result = star_landau_spectrum(params, eff.Bbar, config.k)
-    table = star_commutation_table(symmetric_star_gauge(eff.Bbar),
+    table = star_commutation_table(symmetric_star_gauge(eff.Bbar, params.e),
                                    params.theta)
     columns = {
         "n": list(range(config.k)),
@@ -385,7 +383,6 @@ def _run_peierls(config: ScenarioConfig):
     }
     extra = {
         "omega_B": result.omega_B,
-        "hbar_omega_B": result.hbar_omega_B,
         "prescription": config.prescription,
         "potential": list(config.potential),
         "lam": config.lam,
@@ -475,8 +472,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per runner, each with a flag for every flagged key
-    of the config table (n_max as --n-max) plus --config."""
+    """One subcommand per runner, each with a flag for every key of the
+    config table (n_max as --n-max) plus --config."""
     parser = argparse.ArgumentParser(
         prog="ncqmlab",
         description="noncommutative quantum mechanics laboratory",
@@ -487,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=str, default=None,
                          help="JSON file of config keys; flags win")
         for key in KEYS:
-            if not key.metadata.get("flag", True):
-                continue
             kind = type(key.default)
             cmd.add_argument(
                 "--" + key.name.replace("_", "-"),

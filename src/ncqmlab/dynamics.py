@@ -163,9 +163,7 @@ def eom_residual(traj: Trajectory, params: NCParams,
 
 def gauge_potential(gauge: Gauge, curlyB: float) -> tuple:
     """The two standard vector potentials with curl = curlyB."""
-    if not isinstance(gauge, Gauge):
-        gauge = Gauge(str(gauge).lower())
-    if gauge is Gauge.SYMMETRIC:
+    if Gauge(gauge) is Gauge.SYMMETRIC:
         return symmetric_vector_potential(curlyB)
     return landau_vector_potential(curlyB)
 
@@ -175,10 +173,8 @@ def effective_field_strength(gauge: Gauge, curlyB: float, theta: float,
     """The gauge-dependent classical field strength F12 of the deformed
     brackets: a(1 + theta a/4) in the symmetric gauge and a in the Landau
     gauge, with a = coupling * curlyB."""
-    if not isinstance(gauge, Gauge):
-        gauge = Gauge(str(gauge).lower())
     a = coupling * curlyB
-    if gauge is Gauge.SYMMETRIC:
+    if Gauge(gauge) is Gauge.SYMMETRIC:
         return a * (1.0 + 0.25 * theta * a)
     return a
 
@@ -186,7 +182,7 @@ def effective_field_strength(gauge: Gauge, curlyB: float, theta: float,
 def minimal_coupling_trajectory(params: NCParams, gauge: Gauge,
                                 curlyB: float, xi0, T: float,
                                 h: float) -> Trajectory:
-    """Integrate H = (p - (e/c) A(x))^2 / 2m under the standard structure
+    """Integrate H = (p - e A(x))^2 / 2m under the standard structure
     with B = 0 and the given noncommutativity theta.
 
     The velocity components oscillate at omega = |F12|/m where F12 depends
@@ -197,14 +193,13 @@ def minimal_coupling_trajectory(params: NCParams, gauge: Gauge,
             "minimal coupling uses the B = 0 structure; the field enters "
             "through the vector potential"
         )
-    coupling = params.e / params.c
     A1, A2 = (a.embed(4, (0, 1)) for a in gauge_potential(gauge, curlyB))
-    pi1 = p1() - coupling * A1
-    pi2 = p2() - coupling * A2
+    pi1 = p1() - params.e * A1
+    pi2 = p2() - params.e * A2
     H = (0.5 / params.m) * (pi1 * pi1 + pi2 * pi2)
     s = symplectic_matrix(params, StructureKind.STANDARD)
     traj = integrate(s, H, xi0, T, h)
-    F12 = effective_field_strength(gauge, curlyB, params.theta, coupling)
+    F12 = effective_field_strength(gauge, curlyB, params.theta, params.e)
     return Trajectory(traj.times, traj.states, traj.velocities, traj.h,
                       traj.energy, F12=F12, omega=abs(F12) / params.m)
 

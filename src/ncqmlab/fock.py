@@ -3,7 +3,7 @@
 Basis states |n1, n2> with per-mode occupation up to ``n_max`` are indexed
 as n1*(n_max+1) + n2.  Truncation makes commutators exact only away from
 the cutoff; checks restrict to the interior block, which excludes states
-within ``interior_margin * degree`` shells of the cutoff.
+within ``INTERIOR_MARGIN * degree`` shells of the cutoff.
 
 The optional basis length ``scale`` sets X = scale (a + a^dag)/sqrt(2),
 P = (a - a^dag)/(i sqrt(2) scale); canonical commutators are unchanged
@@ -38,6 +38,8 @@ from .polysymbol import PolySymbol
 from .reps import LinearRep, MomentumGaugeRep, VectorPotentialRep
 
 HERMITICITY_TOL = 1e-12
+# Shells per polynomial degree that interior_mask keeps clear of the cutoff.
+INTERIOR_MARGIN = 2
 # Entries at or below this fraction of the largest |H_ij| do not couple
 # basis states into one block; block_eigh drops them and reports their norm.
 BLOCK_COUPLING_TOL = 1e-13
@@ -61,14 +63,11 @@ class FockSpace:
     """Truncated two-mode space with per-mode cutoff n_max."""
 
     n_max: int
-    interior_margin: int = 2
     scale: float = 1.0
 
     def __post_init__(self):
         if self.n_max < 4:
             raise ValueError("n_max must be at least 4")
-        if self.interior_margin < 1:
-            raise ValueError("interior_margin must be at least 1")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -85,7 +84,7 @@ class FockSpace:
 
     def interior_mask(self, degree: int) -> np.ndarray:
         """States with both occupations at least margin*degree below cutoff."""
-        cut = self.n_max - self.interior_margin * max(int(degree), 1)
+        cut = self.n_max - INTERIOR_MARGIN * max(int(degree), 1)
         if cut < 0:
             raise ValueError(f"n_max too small for degree-{degree} interior block")
         occ = self.occupations
@@ -303,11 +302,10 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
         shift2 = poly_of_commuting(rep.Atilde[1], ops.P1, ops.P2)
         return RealizedOps(ops.X1 - shift1, ops.P1, ops.X2 - shift2, ops.P2)
     if isinstance(rep, VectorPotentialRep):
-        coupling = rep.params.e / rep.params.c
+        e = rep.params.e
         a1 = poly_of_commuting(rep.A[0], ops.X1, ops.X2)
         a2 = poly_of_commuting(rep.A[1], ops.X1, ops.X2)
-        return RealizedOps(ops.X1, ops.P1 - coupling * a1,
-                           ops.X2, ops.P2 - coupling * a2)
+        return RealizedOps(ops.X1, ops.P1 - e * a1, ops.X2, ops.P2 - e * a2)
     raise TypeError(f"unsupported representation type {type(rep).__name__}")
 
 
@@ -342,8 +340,7 @@ def quantize_matrix_pair(V: PolySymbol, m1, m2,
         raise ValueError("V must be an arity-2 polynomial")
     if V.max_abs_coeff() > 0 and not V.allclose(V.conj()):
         raise ValueError("V must have real coefficients")
-    if not isinstance(prescription, Prescription):
-        prescription = Prescription(str(prescription).lower())
+    prescription = Prescription(prescription)
 
     if prescription is Prescription.WEYL:
         terms = [(coeff * math.comb(e1, r) / 2.0 ** e1,
@@ -622,7 +619,7 @@ def suggested_scale(rep) -> float:
     squeeze turns slow geometric convergence into (near-)exact block
     structure.  Symmetric-family linear reps balance at sqrt|c/d|; a
     vector-potential rep with constant field curlyB balances at
-    sqrt(2c/|e curlyB|); other reps default to 1.
+    sqrt(2/|e curlyB|); other reps default to 1.
     """
     if isinstance(rep, LinearRep) and rep.c is not None and rep.d not in (None, 0.0):
         return math.sqrt(abs(rep.c / rep.d))
@@ -630,7 +627,7 @@ def suggested_scale(rep) -> float:
         field = rep.field
         if field.degree <= 0:
             value = field.eval((0.0, 0.0)).real
-            coupling = abs(rep.params.e * value / rep.params.c)
+            coupling = abs(rep.params.e * value)
             if coupling > 0:
                 return math.sqrt(2.0 / coupling)
     return 1.0
@@ -644,12 +641,12 @@ class LandauClosedForms:
 
 
 def landau_closed_forms(params: NCParams, k: int = 5) -> LandauClosedForms:
-    """E_n = hbar omega_B (n + 1/2), omega_B, and rho = |B/(1-B theta)|/2pi.
+    """E_n = omega_B (n + 1/2), omega_B, and rho = |B/(1-B theta)|/2pi.
 
     The density diverges at kappa = 0 (SingularDensity).
     """
     n = np.arange(k)
-    energies = params.hbar * params.omega_B * (n + 0.5)
+    energies = params.omega_B * (n + 0.5)
     kap = kappa(params)
     if kap == 0:
         raise SingularDensity("density of states diverges at kappa = 0")

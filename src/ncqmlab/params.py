@@ -1,8 +1,9 @@
 """Deformation and physical parameters.
 
 All closed-form operations read from a single frozen ``NCParams`` record.
-Default units put hbar = c = 1 and e = m = 1; the symbols are kept so that
-formulas quoted with explicit hbar and c stay computable.
+Every route computes in units with hbar = c = 1, so the charge e is the one
+coupling: a field B enters as e*B, and a formula quoted with e/c or hbar*x
+reads e or x here.  Defaults put e = m = 1.
 """
 
 from __future__ import annotations
@@ -21,33 +22,25 @@ class NCParams:
     B: float = 0.0
     e: float = 1.0
     m: float = 1.0
-    hbar: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "hbar", "c"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
-        for name in ("theta", "B", "e", "m", "hbar", "c"):
+        if self.m <= 0:
+            raise ConfigError("m must be strictly positive")
+        for name in ("theta", "B", "e", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
 
     @property
-    def kappa(self) -> float:
-        """1 - B*theta in default units; recomputed, never stored."""
-        return kappa(self)
-
-    @property
     def omega_B(self) -> float:
-        """Cyclotron frequency |e*B| / (m*c)."""
-        return abs(self.e * self.B) / (self.m * self.c)
+        """Cyclotron frequency |e*B| / m."""
+        return abs(self.e * self.B) / self.m
 
 
 def kappa(params: NCParams) -> float:
-    """Characteristic parameter 1 - B*theta (default units)."""
+    """Characteristic parameter 1 - B*theta."""
     return 1.0 - params.B * params.theta
 
 
-def is_singular(params: NCParams, tol: float = 0.0) -> bool:
+def is_singular(params: NCParams) -> bool:
     """True when kappa vanishes (degenerate phase space)."""
-    return abs(kappa(params)) <= tol
+    return kappa(params) == 0.0

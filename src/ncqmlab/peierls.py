@@ -111,8 +111,8 @@ def landau_projectors(params: NCParams, space: FockSpace,
     Hamiltonian on the truncated space and clustering its eigenvalues.
 
     Within each level cluster the basis is rotated to diagonalize the
-    guiding-center radius G1^2 + G2^2, whose eigenvalues (hbar/|b|)(2g+1)
-    label orbit centers; b = eB/c.  A level whose cluster also holds an
+    guiding-center radius G1^2 + G2^2, whose eigenvalues (2g+1)/|b|
+    label orbit centers; b = eB.  A level whose cluster also holds an
     eigenvector of the truncated boundary shells (at every odd n_max the
     lowest level does) shows it as a guiding index off the integers, and
     is refused with UnresolvedSpectrum.
@@ -139,7 +139,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
             f"{space.n_max}, need {N + 1}; raise n_max"
         )
 
-    b = params.e * params.B / params.c
+    b = params.e * params.B
     inv_b = 1.0 / b
     G1 = ops.X1 + inv_b * ops.P2
     G2 = ops.X2 - inv_b * ops.P1
@@ -155,7 +155,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
         block = W.conj().T @ (G_sq @ W)
         gvals, rot = np.linalg.eigh(block)
         Wg = W @ rot
-        g_index = (np.abs(b) * gvals / params.hbar - 1.0) / 2.0
+        g_index = (np.abs(b) * gvals - 1.0) / 2.0
         g_int = np.rint(g_index).astype(int)
         off = np.abs(g_index - g_int) > 1e-6
         if np.any(off):
@@ -226,9 +226,9 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
     interior.
 
     The closed laws, valid on interior states:
-        [X1^t, X2^t] = -i (hbar c/eB)(N+1) P_N
-        [P1^t, P2^t] = -i (hbar e B/(4c))(N+1) P_N
-        [X_i^t, P_j^t] = i hbar delta_ij (Pi_{N-1} + (1 - (N+1)/2) P_N)
+        [X1^t, X2^t] = -i (N+1)/(eB) P_N
+        [P1^t, P2^t] = -i (eB/4)(N+1) P_N
+        [X_i^t, P_j^t] = i delta_ij (Pi_{N-1} + (1 - (N+1)/2) P_N)
     The cross law's Pi_{N-1} term restores the canonical commutator on
     the levels below N; trace balance forces a compensating guiding-edge
     contribution, which is why the fits are taken at small g only.
@@ -241,7 +241,6 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
     """
     if N > ps.N:
         raise ValueError(f"N = {N} exceeds the ProjectorSet range {ps.N}")
-    hbar = params.hbar
     W = np.hstack(ps.bases[:N + 1])
     g_cut = ps.interior_g_cut(N)
     starts = np.cumsum([0] + [basis.shape[1] for basis in ps.bases[:N]])
@@ -271,17 +270,15 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
             report[f"coefficient_{tag}_lower"] = lower.imag
         overall = max(overall, residual)
 
-    record("X1X2", Xt[0], Xt[1],
-           -1j * (hbar * params.c / (params.e * params.B)) * (N + 1), 0.0)
-    record("P1P2", Pt[0], Pt[1],
-           -1j * (hbar * params.e * params.B / (4.0 * params.c)) * (N + 1),
-           0.0)
-    cross_coeff = 1j * hbar * (1.0 - 0.5 * (N + 1))
+    eB = params.e * params.B
+    record("X1X2", Xt[0], Xt[1], -1j * (N + 1) / eB, 0.0)
+    record("P1P2", Pt[0], Pt[1], -1j * (eB / 4.0) * (N + 1), 0.0)
+    cross_coeff = 1j * (1.0 - 0.5 * (N + 1))
     for i in range(2):
         for j in range(2):
             tag = f"X{i + 1}P{j + 1}"
             predicted = cross_coeff if i == j else 0.0j
-            lower = 1j * hbar if i == j else 0.0j
+            lower = 1j if i == j else 0.0j
             record(tag, Xt[i], Pt[j], predicted, lower)
     report["residual_norm"] = overall
     return report
@@ -290,18 +287,17 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
 @dataclass(frozen=True)
 class PeierlsResult:
     """Strong-field comparison record: the lowest-level effective spectrum
-    epsilon_n against the shifted exact spectrum full_E_n - hbar omega_B/2."""
+    epsilon_n against the shifted exact spectrum full_E_n - omega_B/2."""
 
     epsilon_n: np.ndarray
     full_E_n: np.ndarray
     omega_B: float
-    hbar_omega_B: float
     prescription: Prescription
     error_bound: float      # Weyl bound on the error of each full_E_n
     blocks: int             # blocks of the two-mode eigensolve
 
     def deviations(self) -> np.ndarray:
-        return (self.full_E_n - 0.5 * self.hbar_omega_B) - self.epsilon_n
+        return (self.full_E_n - 0.5 * self.omega_B) - self.epsilon_n
 
 
 def effective_potential_spectrum(V: PolySymbol, lam: float,
@@ -310,7 +306,7 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
                                  dim: int | None = None,
                                  boundary_tol: float = 1e-8) -> np.ndarray:
     """Eigenvalues of lam * V(X1^t, X2^t) on the one-mode lowest-level
-    system with [X1^t, X2^t] = -i hbar c/(eB).
+    system with [X1^t, X2^t] = -i/(eB).
 
     Anti-normal ordering of the effective mode (lowering operators to the
     left) reproduces the exact lowest-level compression P_0 V P_0; it is
@@ -324,9 +320,8 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     """
     if V.arity != 2:
         raise ValueError("V must be an arity-2 polynomial")
-    if not isinstance(prescription, Prescription):
-        prescription = Prescription(str(prescription).lower())
-    s = params.hbar * params.c / (params.e * params.B)   # signed
+    prescription = Prescription(prescription)
+    s = 1.0 / (params.e * params.B)   # signed
     if dim is None:
         dim = max(4 * k, 2 * k + 2 * max(1, V.degree) + 16)
     c_op = np.diag(np.sqrt(np.arange(1, dim)), 1)
@@ -360,7 +355,7 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     epsilon_n comes from the one-mode effective system; full_E_n is the
     pollution-filtered spectrum of H = Pi^2/2m + lam V on the adapted
     two-mode space.  In the strong-field regime full_E_n approaches
-    hbar omega_B/2 + epsilon_n.
+    omega_B/2 + epsilon_n.
     """
     _require_commutative_landau(params)
     epsilon = effective_potential_spectrum(V, lam, params, k, prescription)
@@ -370,9 +365,6 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     if lam != 0.0:
         H = H + lam * poly_of_commuting(V, ops.X1, ops.X2)
     full = spectrum(H, k, pollution_tol=POLLUTION_TOL)
-    omega_B = abs(params.e * params.B) / (params.m * params.c)
-    if not isinstance(prescription, Prescription):
-        prescription = Prescription(str(prescription).lower())
-    return PeierlsResult(epsilon, full.eigenvalues[:k], omega_B,
-                         params.hbar * omega_B, prescription,
-                         full.error_bound, full.blocks)
+    return PeierlsResult(epsilon, full.eigenvalues[:k], params.omega_B,
+                         Prescription(prescription), full.error_bound,
+                         full.blocks)

@@ -99,8 +99,7 @@ def symmetric_gauge_rep(
     """
     if a == 0:
         raise ValueError("scale a must be nonzero")
-    if not isinstance(branch, Branch):
-        branch = Branch(str(branch).lower())
+    branch = Branch(branch)
     th = params.theta
     if th == 0:
         raise ZeroTheta("symmetric gauge representation requires theta != 0")
@@ -230,10 +229,10 @@ def gauge_function(rep_from: MomentumGaugeRep, rep_to: MomentumGaugeRep) -> Poly
 
 @dataclass(frozen=True)
 class VectorPotentialRep:
-    """theta = 0 minimal coupling: X_jh = X_j, P_jh = P_j - (e/c) A_j(X).
+    """theta = 0 minimal coupling: X_jh = X_j, P_jh = P_j - e A_j(X).
 
     ``A`` components are arity-2 polynomials in (x1, x2); the realized
-    momentum commutator is i (e/c) (d1 A2 - d2 A1).
+    momentum commutator is i e (d1 A2 - d2 A1).
     """
 
     A: tuple[PolySymbol, PolySymbol]

@@ -103,9 +103,9 @@ class GaugePotential:
             raise ArityMismatch("gauge potential needs two arity-2 components")
 
 
-def symmetric_star_gauge(Bbar: float) -> GaugePotential:
-    """The symmetric configuration (-Bbar x2/2, Bbar x1/2)."""
-    return GaugePotential(symmetric_vector_potential(Bbar))
+def symmetric_star_gauge(Bbar: float, e: float = 1.0) -> GaugePotential:
+    """The symmetric configuration (-Bbar x2/2, Bbar x1/2) at charge e."""
+    return GaugePotential(symmetric_vector_potential(Bbar), e)
 
 
 def field_strength(A: GaugePotential, theta: float) -> PolySymbol:
@@ -157,14 +157,19 @@ def bbar_of_B(B: float, params: NCParams) -> EffectiveLandauParams:
     )
 
 
+def _landau_ladder(omega: float, k: int) -> SpectrumResult:
+    """The closed-form levels omega (n + 1/2), n < k, each a single-member
+    cluster."""
+    energies = omega * (np.arange(k) + 0.5)
+    clusters = tuple(Cluster(float(E), 1, 0.0, float(E)) for E in energies)
+    return SpectrumResult(energies, clusters)
+
+
 def star_landau_spectrum(params: NCParams, Bbar: float, k: int):
     """Landau levels of the disentangled problem: E_n = (|e* Bbar|/m*)(n+1/2)
     = (|e Lambda_bar Bbar|/m)(n+1/2)."""
     lam = lambda_bar(Bbar, params.e, params.theta)
-    omega = abs(params.e * lam * Bbar) / params.m
-    energies = omega * (np.arange(k) + 0.5)
-    clusters = tuple(Cluster(float(E), 1, 0.0, float(E)) for E in energies)
-    return SpectrumResult(energies, clusters)
+    return _landau_ladder(abs(params.e * lam * Bbar) / params.m, k)
 
 
 # --- Seiberg-Witten map ------------------------------------------------
@@ -257,21 +262,18 @@ def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
     m_check = m / (1.0 - u)
 
     # the symmetric configuration with coefficient bbar must reproduce B_check
-    F = field_strength(symmetric_star_gauge(bbar), theta)
+    F = field_strength(symmetric_star_gauge(bbar, e), theta)
     defect = (F - PolySymbol.constant(2, B_check)).max_abs_coeff()
     if defect > 1e-12 * max(1.0, abs(B_check)):
         raise InternalMismatch(
             f"symmetric star gauge missed B_check by {defect}"
         )
-    omega = abs(e * curlyB) / m
-    energies = omega * (np.arange(k) + 0.5)
     eff = EffectiveLandauParams(
         B_physical=curlyB, Bbar=bbar,
         Lambda_bar=lambda_bar(bbar, e, theta),
         B_check=B_check, m_check=m_check,
     )
-    clusters = tuple(Cluster(float(E), 1, 0.0, float(E)) for E in energies)
-    return eff, SpectrumResult(energies, clusters)
+    return eff, _landau_ladder(abs(e * curlyB) / m, k)
 
 
 # --- star-operator algebra ---------------------------------------------

@@ -107,8 +107,7 @@ def symplectic_matrix(params: NCParams, variant: StructureKind | str) -> Poisson
     Standard has det = kappa^2; exotic is standard divided by kappa and
     requires kappa != 0.
     """
-    if not isinstance(variant, StructureKind):
-        variant = StructureKind(str(variant).lower())
+    variant = StructureKind(variant)
     if variant is StructureKind.EXOTIC and abs(kappa(params)) <= 1e-14 * (
             1.0 + abs(params.B * params.theta)):
         raise SingularStructure("exotic structure undefined at kappa = 0")
@@ -128,8 +127,7 @@ def symplectic_matrix_field(
         B_poly = B_poly.embed(4, (0, 1))
     if any(e[2] or e[3] for e in B_poly.terms):
         raise ValueError("B field may depend on positions only")
-    if not isinstance(variant, StructureKind):
-        variant = StructureKind(str(variant).lower())
+    variant = StructureKind(variant)
     entries = _standard_entries(theta, B_poly)
     if variant is StructureKind.STANDARD:
         return PoissonStructure(StructureKind.STANDARD, entries)

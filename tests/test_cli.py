@@ -8,6 +8,7 @@ table (CSV or JSON) plus a JSON manifest; tabular output is byte-stable.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,11 +139,11 @@ class TestValidateConfig:
     def test_params_roundtrip(self):
         config = validate_config({
             "command": "spectrum", "theta": 0.3, "B": 2.0, "e": 1.5,
-            "m": 0.5, "hbar": 2.0, "c": 3.0,
+            "m": 0.5,
         })
         params = config.params()
-        assert (params.theta, params.B, params.e) == (0.3, 2.0, 1.5)
-        assert (params.m, params.hbar, params.c) == (0.5, 2.0, 3.0)
+        assert (params.theta, params.B, params.e, params.m) == \
+            (0.3, 2.0, 1.5, 0.5)
 
 
 class TestRadialPotential:
@@ -287,11 +288,11 @@ class TestMainExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_spectrum_refuses_charge_off_the_rep_units(self, tmp_path, capsys):
-        # the symmetric-gauge rep realizes [P1, P2] = i B whatever e and c
+        # the symmetric-gauge rep realizes [P1, P2] = i B whatever e
         code = main(["spectrum", "--theta", "0.2", "--B", "1", "--e", "2",
                      "--n-max", "12", "--k", "3", "--out", str(tmp_path)])
         assert code == 3
-        assert "e = c = 1" in capsys.readouterr().err
+        assert "e = 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, where", [
@@ -460,17 +461,56 @@ class TestMainRuns:
             (tmp_path / "two" / "spectrum.csv").read_bytes()
 
 
+class TestUnits:
+    """hbar = c = 1 in every route, so the charge e is the one coupling: at
+    theta = 0 the Fock spectrum, the star route and the constant-field
+    Seiberg-Witten route all give E_n = |e B|/m (n + 1/2)."""
+
+    @staticmethod
+    def energies(tmp_path, argv) -> list:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        return json.loads((out / f"{argv[0]}.json").read_text())["E_n"]
+
+    @pytest.mark.parametrize("e", [0.5, 2.0])
+    @pytest.mark.parametrize("m", [0.5, 1.5])
+    def test_routes_agree_at_theta_zero(self, tmp_path, e, m):
+        B = 1.5
+        omega_B = abs(e * B) / m
+        units = ["--theta", "0", "--e", str(e), "--m", str(m), "--k", "3"]
+        closed = [omega_B * (n + 0.5) for n in range(3)]
+        for argv in (["spectrum", "--B", str(B), "--n-max", "10"],
+                     ["star", "--B", str(B)],
+                     ["sw", "--curlyB", str(B)]):
+            got = self.energies(tmp_path, argv + units)
+            assert got == pytest.approx(closed, rel=1e-9, abs=0.0), argv[0]
+        out = tmp_path / "peierls"
+        assert main(["peierls", "--B", str(B), "--lam", "0.05", "--k", "2",
+                     "--n-max", "16", "--out", str(out)] + units[2:6]) == 0
+        manifest = json.loads((out / "peierls_manifest.json").read_text())
+        assert manifest["omega_B"] == pytest.approx(omega_B, rel=1e-15)
+
+    def test_star_field_strength_carries_the_charge(self, tmp_path):
+        out = tmp_path / "star"
+        assert main(["star", "--theta", "0.3", "--B", "1.5", "--e", "2",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "star_manifest.json").read_text())
+        assert manifest["field_strength_constant"] == pytest.approx(1.5)
+
+    def test_sw_carries_the_charge(self, tmp_path):
+        got = self.energies(tmp_path, ["sw", "--theta", "0.4", "--curlyB",
+                                       "0.5", "--e", "2", "--k", "2"])
+        assert got == pytest.approx([0.5, 1.5], rel=1e-12)
+
+
 class TestConfigTable:
-    # one non-default value per config key; hbar and c travel in a file
+    # one non-default value per config key
     NON_DEFAULT = {
-        "theta": 0.3, "B": 1.5, "e": 2.0, "m": 0.5, "hbar": 2.0, "c": 3.0,
-        "T": 20.0, "h": 0.002, "lam": 0.2, "curlyB": 2.0, "n_max": 12,
-        "k": 3, "seed": 7, "gauge": "landau", "prescription": "weyl",
+        "theta": 0.3, "B": 1.5, "e": 2.0, "m": 0.5, "T": 20.0, "h": 0.002,
+        "lam": 0.2, "curlyB": 2.0, "n_max": 12, "k": 3, "seed": 7, "gauge": "landau", "prescription": "weyl",
         "format": "json", "potential": [0.5, 0.25],
         "xi0": [0.0, 1.0, 0.0, 0.5],
     }
-    CONFIG_ONLY = ("hbar", "c")
-
     @staticmethod
     def flag(key: str, value) -> list:
         text = (",".join(map(str, value)) if isinstance(value, list)
@@ -483,23 +523,14 @@ class TestConfigTable:
         for command in COMMANDS:
             for key, value in {**self.NON_DEFAULT, "out": "x"}.items():
                 argv = [command] + self.flag(key, value)
-                if key in self.CONFIG_ONLY:
-                    with pytest.raises(SystemExit):
-                        parser.parse_args(argv)
-                else:
-                    assert getattr(parser.parse_args(argv), key) is not None
+                assert getattr(parser.parse_args(argv), key) is not None
 
     def test_every_key_round_trips_into_the_manifest(self, tmp_path):
         for key in KEYS:
             assert self.NON_DEFAULT.get(key.name) != key.default, key.name
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(
-            {key: self.NON_DEFAULT[key] for key in self.CONFIG_ONLY}))
-        argv = ["check-algebra", "--config", str(config_path),
-                "--out", str(tmp_path / "out")]
+        argv = ["check-algebra", "--out", str(tmp_path / "out")]
         for key, value in self.NON_DEFAULT.items():
-            if key not in self.CONFIG_ONLY:
-                argv += self.flag(key, value)
+            argv += self.flag(key, value)
         assert main(argv) == 0
         manifest = json.loads(
             (tmp_path / "out" / "check_algebra_manifest.json").read_text())
@@ -508,12 +539,27 @@ class TestConfigTable:
             "out": str(tmp_path / "out")}
 
     def test_removed_option_n_is_unknown(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["peierls", "--N", "1", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        # N, hbar and c are no options: units put hbar = c = 1
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({"N": 1}))
-        code = main(["peierls", "--config", str(config_path),
-                     "--out", str(tmp_path)])
-        assert code == 2
-        assert "unknown key: 'N'" in capsys.readouterr().err
+        for key in ("N", "hbar", "c"):
+            with pytest.raises(SystemExit) as exc:
+                main(["peierls", "--" + key, "2", "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            config_path.write_text(json.dumps({key: 2}))
+            code = main(["peierls", "--config", str(config_path),
+                         "--out", str(tmp_path)])
+            assert code == 2
+            assert f"unknown key: {key!r}" in capsys.readouterr().err
+
+    def test_readme_table_lists_every_key_and_flag(self):
+        readme = Path(__file__).parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | flag | default | meaning |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append(tuple(cell.strip().strip("`")
+                              for cell in line.strip("|").split("|")[:2]))
+        assert rows == [(key.name, "--" + key.name.replace("_", "-"))
+                        for key in KEYS]

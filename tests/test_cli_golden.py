@@ -59,8 +59,8 @@ _RUNS = (
              ("spectrum", "--theta", "0", "--B", "2.5", "--m", "1.5",
               "--e", "2", "--n-max", "16", "--k", "4")),
     Scenario("spectrum-config", ("spectrum", "--k", "3"),
-             config={"theta": 0.0, "B": 2.0, "c": 2.0, "hbar": 1.0,
-                     "n_max": 10, "k": 2}),
+             config={"theta": 0.0, "B": 2.0, "e": 0.5, "n_max": 10,
+                     "k": 2}),
     Scenario("star", ("star", "--theta", "0.2", "--B", "1", "--k", "3")),
     Scenario("star-charge", ("star", "--theta", "0.3", "--B", "1.5",
                              "--e", "2", "--m", "0.5", "--k", "4")),
@@ -73,8 +73,13 @@ _RUNS = (
              ("trajectory", "--theta", "0.1", "--B", "0", "--curlyB", "3",
               "--gauge", "landau", "--T", "16", "--h", "0.005",
               "--xi0", "0.5,0.2,0.1,0")),
+    Scenario("trajectory-charge",
+             ("trajectory", "--theta", "0.2", "--B", "0", "--curlyB", "1.5",
+              "--e", "2", "--T", "16", "--h", "0.005", "--xi0", "1,0.5,0,0")),
     Scenario("peierls", ("peierls", "--B", "50", "--lam", "0.1", "--k", "2",
                          "--n-max", "12")),
+    Scenario("peierls-charge", ("peierls", "--B", "20", "--e", "0.5",
+                                "--lam", "0.1", "--k", "2", "--n-max", "12")),
     Scenario("peierls-weyl",
              ("peierls", "--B", "20", "--lam", "0.05", "--potential",
               "0.5,0.1", "--prescription", "weyl", "--n-max", "12",

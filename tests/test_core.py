@@ -24,9 +24,9 @@ finite = st.floats(-5, 5, allow_nan=False)
 def test_kappa_closed_form():
     assert kappa(NCParams(theta=0.3, B=2.0)) == pytest.approx(0.4)
     assert kappa(NCParams(theta=0.0, B=5.0)) == pytest.approx(1.0)
-    # kappa is a statement about the bare algebra: charge and units do not
-    # enter (they only rescale dynamical quantities such as omega_B)
-    assert kappa(NCParams(theta=0.3, B=2.0, e=2.0, c=4.0)) \
+    # kappa is a statement about the bare algebra: the charge does not
+    # enter (it only rescales dynamical quantities such as omega_B)
+    assert kappa(NCParams(theta=0.3, B=2.0, e=2.0)) \
         == pytest.approx(1 - 0.3 * 2.0)
 
 

@@ -8,7 +8,7 @@ Oracles
 * Quantized radial monomials on a central-commutator pair have closed-form
   diagonals: r^2 -> 2 theta (n + 1/2) (Weyl), r^4 -> (2 theta)^2 (n+1)(n+2)
   (anti-normal) and (2 theta)^2 n(n-1) (normal).
-* Landau level energies hbar omega_B (n + 1/2) with omega_B = |e B|/(m c)
+* Landau level energies omega_B (n + 1/2) with omega_B = |e B|/m
   are recomputed here from the parameter record.
 """
 
@@ -68,7 +68,7 @@ class TestFockSpace:
         np.testing.assert_array_equal(occ[:5, 1], np.arange(5))
 
     def test_interior_mask(self):
-        space = FockSpace(6, interior_margin=2)
+        space = FockSpace(6)
         mask = space.interior_mask(1)
         occ = space.occupations
         np.testing.assert_array_equal(
@@ -78,8 +78,6 @@ class TestFockSpace:
     def test_validation(self):
         with pytest.raises(ValueError):
             FockSpace(3)
-        with pytest.raises(ValueError):
-            FockSpace(6, interior_margin=0)
         with pytest.raises(ValueError):
             FockSpace(6, scale=0.0)
 
@@ -199,12 +197,12 @@ class TestRealizeRep:
         assert ops.X1.commutator(ops.P1).interior_residual(1.0j) <= 1e-12
 
     def test_vector_potential_rep_realizes_field(self):
-        p = NCParams(theta=0.0, B=2.0, e=2.0, c=4.0)
+        p = NCParams(theta=0.0, B=2.0, e=0.5)
         space = FockSpace(10)
         rep = vector_potential_rep(symmetric_vector_potential(2.0), p)
         ops = realize_rep(rep, space)
-        # [P1 - (e/c) A1, P2 - (e/c) A2] = i (e/c) B
-        target = 1.0j * (2.0 / 4.0) * 2.0
+        # [P1 - e A1, P2 - e A2] = i e B
+        target = 1.0j * 0.5 * 2.0
         assert ops.P1.commutator(ops.P2).interior_residual(target) <= 1e-12
         assert np.max(np.abs(ops.X1.commutator(ops.X2).matrix)) <= 1e-14
 
@@ -433,13 +431,13 @@ class TestSpectrumMachinery:
 
 class TestLandauPhysics:
     def test_kinetic_spectrum_with_nondefault_couplings(self):
-        p = NCParams(theta=0.0, B=1.0, e=2.0, m=1.5, c=3.0)
+        p = NCParams(theta=0.0, B=1.0, e=2.0 / 3.0, m=1.5)
         rep = vector_potential_rep(symmetric_vector_potential(1.0), p)
         space = FockSpace(16, scale=suggested_scale(rep))
         H = kinetic_hamiltonian(realize_rep(rep, space), m=1.5)
         res = spectrum(H, 40)
         doms = dominant_clusters(res, 3)
-        omega_B = abs(2.0 * 1.0) / (1.5 * 3.0)
+        omega_B = abs(2.0 / 3.0 * 1.0) / 1.5
         for n, cluster in enumerate(doms):
             assert cluster.mean == pytest.approx(omega_B * (n + 0.5), rel=1e-9)
 
@@ -493,10 +491,10 @@ class TestSuggestedScale:
         )
 
     def test_vector_potential_balance(self):
-        p = NCParams(theta=0.0, B=4.0, e=2.0, c=0.5)
+        p = NCParams(theta=0.0, B=4.0, e=4.0)
         rep = vector_potential_rep(symmetric_vector_potential(4.0), p)
         assert suggested_scale(rep) == pytest.approx(
-            math.sqrt(2.0 / (2.0 * 4.0 / 0.5))
+            math.sqrt(2.0 / (4.0 * 4.0))
         )
 
     def test_default_for_momentum_gauge(self):

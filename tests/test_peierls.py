@@ -4,16 +4,16 @@ strong-field Peierls approximation.
 Oracles
 -------
 * Level energies and degeneracies of the symmetric-gauge Landau problem
-  are known in closed form: E_n = hbar*omega_B*(n + 1/2) with
-  omega_B = |eB|/(mc), and on the adapted truncated space level n keeps
+  are known in closed form (hbar = c = 1): E_n = omega_B*(n + 1/2) with
+  omega_B = |eB|/m, and on the adapted truncated space level n keeps
   exactly n_max - n states.
 * The truncated commutator laws are checked against independently built
   canonical operators: with Pi_N the rank-(N+1) level projector,
-      [X1t, X2t] = -i (hbar c/eB)(N+1) P_N
-      [P1t, P2t] = -i (hbar eB/(4c))(N+1) P_N
-      [Xit, Pjt] = i hbar delta_ij (Pi_{N-1} + (1 - (N+1)/2) P_N).
+      [X1t, X2t] = -i (N+1)/(eB) P_N
+      [P1t, P2t] = -i (eB/4)(N+1) P_N
+      [Xit, Pjt] = i delta_ij (Pi_{N-1} + (1 - (N+1)/2) P_N).
 * The lowest-level effective spectra of radial potentials have closed
-  forms per ordering: for V = r^2 and s = hbar*c/(eB),
+  forms per ordering: for V = r^2 and s = 1/(eB),
   anti-normal gives 2|s|*lam*(n+1), Weyl 2|s|*lam*(n+1/2), normal
   2|s|*lam*n; for V = r^4 anti-normal gives 4 s^2 lam (n+1)(n+2).
 * The full spectrum of Pi^2/2m + lam r^2 is the exact two-frequency
@@ -169,10 +169,10 @@ class TestProjectors:
     def test_guiding_center_radius_is_diagonal_within_levels(self,
                                                              landau_setup):
         # Within level n the basis diagonalizes G1^2 + G2^2 with
-        # eigenvalues (hbar/|b|)(2g+1); spot-check level 1.
+        # eigenvalues (2g+1)/|b|; spot-check level 1.
         params, _, ps = landau_setup
         ops = ps.ops
-        b = params.e * params.B / params.c
+        b = params.e * params.B
         G1 = ops.X1 + (1.0 / b) * ops.P2
         G2 = ops.X2 - (1.0 / b) * ops.P1
         G_sq = (G1 @ G1 + G2 @ G2).matrix
@@ -180,7 +180,7 @@ class TestProjectors:
         block = W.conj().T @ G_sq @ W
         g = ps.guiding_indices[1][ps.guiding_indices[1]
                                   <= ps.interior_g_cut()]
-        expected = np.diag((params.hbar / abs(b)) * (2.0 * g + 1.0))
+        expected = np.diag((1.0 / abs(b)) * (2.0 * g + 1.0))
         np.testing.assert_allclose(block, expected, rtol=0, atol=1e-8)
 
 
@@ -267,7 +267,7 @@ class TestTruncatedCommutators:
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_canonical_commutator_restored_below_top_level(self, reports, N):
-        # The Pi_{N-1} term: levels below N see the untruncated i*hbar.
+        # The Pi_{N-1} term: levels below N see the untruncated i.
         assert reports[N]["coefficient_X1P1_lower"] == pytest.approx(
             1.0, rel=1e-10)
         assert reports[N]["coefficient_X1X2_lower"] == pytest.approx(
@@ -392,7 +392,6 @@ class TestPeierlsSpectrum:
                                    (2.0 * lam / B) * np.arange(1, 4),
                                    rtol=0, atol=1e-12)
         assert res.omega_B == pytest.approx(B)
-        assert res.hbar_omega_B == pytest.approx(B)
         assert res.prescription is Prescription.ANTINORMAL
 
     def test_deviations_definition_and_size(self):
@@ -401,7 +400,7 @@ class TestPeierlsSpectrum:
         res = peierls_spectrum(R2, lam, params, 2, n_max=20)
         dev = res.deviations()
         np.testing.assert_array_equal(
-            dev, (res.full_E_n - 0.5 * res.hbar_omega_B) - res.epsilon_n)
+            dev, (res.full_E_n - 0.5 * res.omega_B) - res.epsilon_n)
         # analytic deviation of the ground level:
         # (Omega - B/2) - 2 lam/B, fourth order in the trap frequency
         Omega = np.sqrt(B * B / 4.0 + 2.0 * lam)

@@ -4,7 +4,7 @@ Oracles
 -------
 * The commutator table of any faithful representation must equal the
   deformed-algebra target entrywise, and its matrix determinant must equal
-  kappa = 1 - e*theta*B/(hbar*c) (computed here from first principles for a
+  kappa = 1 - theta*B (computed here from first principles for a
   4x4 linear map acting on canonical (X1, P1, X2, P2)).
 * Decoupled generators K_i = P_hat_i -/+ X_hat_j / theta must commute with
   the X_hat pair and satisfy [K1, K2] = -i*kappa/theta.
@@ -77,8 +77,8 @@ class TestTargetTable:
 
     def test_entries_use_bare_algebra_parameters(self):
         # the table is a statement about the algebra itself: the momentum
-        # entry is B, regardless of the charge and c used in dynamics
-        p = NCParams(theta=0.2, B=3.0, e=2.0, c=4.0)
+        # entry is B, regardless of the charge used in dynamics
+        p = NCParams(theta=0.2, B=3.0, e=2.0)
         t = target_table(p)
         assert t[1, 3] == pytest.approx(3.0, abs=0.0)
 

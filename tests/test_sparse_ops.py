@@ -124,9 +124,9 @@ def dense_realize(rep, space: FockSpace) -> list:
     if isinstance(rep, MomentumGaugeRep):
         return [X1 - dense_poly_of_commuting(rep.Atilde[0], P1, P2), P1,
                 X2 - dense_poly_of_commuting(rep.Atilde[1], P1, P2), P2]
-    coupling = rep.params.e / rep.params.c
-    return [X1, P1 - coupling * dense_poly_of_commuting(rep.A[0], X1, X2),
-            X2, P2 - coupling * dense_poly_of_commuting(rep.A[1], X1, X2)]
+    e = rep.params.e
+    return [X1, P1 - e * dense_poly_of_commuting(rep.A[0], X1, X2),
+            X2, P2 - e * dense_poly_of_commuting(rep.A[1], X1, X2)]
 
 
 def dense_kinetic(ops: list, m: float) -> np.ndarray:
@@ -273,7 +273,7 @@ def dense_truncated_report(ps, N: int, X, P, params: NCParams) -> dict:
     Pt = [Pi @ op.matrix @ Pi for op in P]
     g_cut = min(int(ps.guiding_indices[n][-1]) for n in range(N + 1)) // 2
     cols = [ps.interior_columns(n, g_cut) for n in range(N + 1)]
-    hbar = params.hbar
+    hbar = 1.0
     report = {"N": N, "g_cut": g_cut}
     overall = 0.0
 
@@ -297,10 +297,9 @@ def dense_truncated_report(ps, N: int, X, P, params: NCParams) -> dict:
         overall = max(overall, residual)
 
     record("X1X2", Xt[0], Xt[1],
-           -1j * (hbar * params.c / (params.e * params.B)) * (N + 1), 0.0)
+           -1j * (hbar / (params.e * params.B)) * (N + 1), 0.0)
     record("P1P2", Pt[0], Pt[1],
-           -1j * (hbar * params.e * params.B / (4.0 * params.c)) * (N + 1),
-           0.0)
+           -1j * (hbar * params.e * params.B / 4.0) * (N + 1), 0.0)
     for i in range(2):
         for j in range(2):
             record(f"X{i + 1}P{j + 1}", Xt[i], Pt[j],
