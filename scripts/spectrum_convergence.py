@@ -29,14 +29,7 @@ from ncqmlab.fock import (
     suggested_scale,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import landau_rep
-from ncqmlab.reps import symmetric_gauge_rep
-
-
-def magnetic_rep(params: NCParams):
-    if params.theta == 0.0:
-        return landau_rep(params)
-    return symmetric_gauge_rep(params)
+from ncqmlab.peierls import magnetic_rep
 
 
 def main(argv=None) -> int:

@@ -241,22 +241,12 @@ def _require_coupling(params: NCParams, field: float, name: str,
 
 def _run_spectrum(config: ScenarioConfig):
     from . import fock
-    from .peierls import landau_rep
-    from .reps import symmetric_gauge_rep
+    from .peierls import magnetic_rep
 
     params = config.params()
     _require_coupling(params, params.B, "B",
                       "a truncated basis shows only artefact levels")
-    if params.theta == 0.0:
-        rep = landau_rep(params)
-    elif params.e != 1.0:
-        raise DomainError(
-            "spectrum at theta != 0 uses the symmetric-gauge "
-            "representation, which realizes [P1, P2] = i B in units "
-            f"e = 1; got e = {params.e!r}"
-        )
-    else:
-        rep = symmetric_gauge_rep(params)
+    rep = magnetic_rep(params)
     space = fock.FockSpace(config.n_max, scale=fock.suggested_scale(rep))
     ops = fock.realize_rep(rep, space)
     H = fock.kinetic_hamiltonian(ops, params.m)
@@ -290,7 +280,7 @@ def _run_star(config: ScenarioConfig):
                                    params.theta)
     columns = {
         "n": list(range(config.k)),
-        "E_n": list(result.eigenvalues),
+        "E_n": list(result),
     }
     extra = {
         "Bbar": eff.Bbar,
@@ -314,7 +304,7 @@ def _run_sw(config: ScenarioConfig):
     eff, result = sw_constant_field(config.curlyB, params, config.k)
     columns = {
         "n": list(range(config.k)),
-        "E_n": list(result.eigenvalues),
+        "E_n": list(result),
     }
     extra = {
         "B_check": eff.B_check,

@@ -483,15 +483,15 @@ class Cluster:
     mean: float
     multiplicity: int
     spread: float               # highest minus lowest member eigenvalue
-    low: float                  # lowest member eigenvalue
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray     # ascending, lowest k
     clusters: tuple             # Cluster records, ascending, artifacts dropped
-    error_bound: float = 0.0    # Weyl bound on every eigenvalue's error
-    blocks: int = 0             # blocks diagonalized; 0 for closed forms
+    levels: tuple               # one Cluster per resolved level, ascending
+    error_bound: float          # Weyl bound on every eigenvalue's error
+    blocks: int                 # blocks diagonalized
 
 
 def cluster_eigenvalues(evals: np.ndarray) -> list[list[int]]:
@@ -520,19 +520,48 @@ def cluster_eigenvalues(evals: np.ndarray) -> list[list[int]]:
 def cluster_of(values: np.ndarray) -> Cluster:
     """The Cluster record of ascending member eigenvalues."""
     return Cluster(float(np.mean(values)), len(values),
-                   float(values[-1] - values[0]), float(values[0]))
+                   float(values[-1] - values[0]))
+
+
+def resolve_levels(evals: np.ndarray) -> tuple:
+    """The one Landau-level rule: (clusters, levels) of ascending
+    eigenvalues, each entry of either the list of its member indices.
+
+    Clusters are the gap clusters of cluster_eigenvalues that end below
+    the upper third of ``evals`` (those reaching into it are truncation
+    artifacts).  Degenerate levels are fat clusters; truncation leaves
+    singleton stragglers.  A cluster qualifies when its multiplicity
+    reaches max(2, ceil(max_multiplicity / 4)); a qualified cluster whose
+    mean is within LEVEL_MERGE_RTOL * |mean| of the previous one is a
+    drifted copy and joins that level.
+    """
+    cutoff_index = (2 * len(evals)) // 3
+    clusters = [group for group in cluster_eigenvalues(evals)
+                if group[-1] < cutoff_index]
+    threshold = max(2, -(-max(map(len, clusters), default=0) // 4))
+    levels: list[list[int]] = []
+    for group in clusters:
+        if len(group) < threshold:
+            continue
+        mean = np.mean(evals[group])
+        if levels and abs(mean - last) < LEVEL_MERGE_RTOL * abs(mean):
+            levels[-1] += group
+        else:
+            levels.append(list(group))
+        last = mean
+    return clusters, levels
 
 
 def spectrum(H: FockOperator, k: int,
              pollution_tol: float | None = None) -> SpectrumResult:
-    """Lowest-k eigenvalues plus degeneracy clusters of a Hermitian operator.
+    """Lowest-k eigenvalues of a Hermitian operator, with its clusters
+    and Landau levels as resolve_levels reads them.
 
-    Clusters reaching into the upper third of the computed spectrum are
-    discarded as truncation artifacts.  With `pollution_tol` set,
-    eigenvectors carrying more than that probability weight on the
-    boundary shells are dropped first: products of truncated operators
-    corrupt edge states, and at strong fields the corrupted eigenvalues
-    can dive below the physical ground state.  The eigensolve is
+    With `pollution_tol` set, eigenvectors carrying more than that
+    probability weight on the boundary shells are dropped first: products
+    of truncated operators corrupt edge states, and at strong fields the
+    corrupted eigenvalues can dive below the physical ground state; fewer
+    than k survivors is an UnresolvedSpectrum.  The eigensolve is
     block_eigh; its dropped-coupling bound and block count are reported.
     """
     if not H.hermitian_flag:
@@ -548,68 +577,28 @@ def spectrum(H: FockOperator, k: int,
                 "every eigenvector is boundary-polluted at n_max = "
                 f"{H.space.n_max}; raise n_max"
             )
-    groups = cluster_eigenvalues(evals)
-    cutoff_index = (2 * len(evals)) // 3
-    clusters = tuple(cluster_of(evals[group]) for group in groups
-                     if group[-1] < cutoff_index)
-    return SpectrumResult(evals[:k].copy(), clusters, solve.error_bound,
-                          solve.blocks)
-
-
-def resolve_levels(clusters) -> list[list[int]]:
-    """Group clusters into resolved levels, ascending by mean.
-
-    Degenerate levels show up as fat clusters of numerically coincident
-    copies; truncation leaves singleton stragglers below and between
-    levels.  A cluster qualifies when its multiplicity reaches
-    max(2, ceil(max_multiplicity / 4)).  Qualified clusters whose means,
-    taken in ascending order, differ from the previous qualified mean by
-    less than LEVEL_MERGE_RTOL * |mean| are drifted copies of one level
-    and make up that level together.  Each level is returned as the
-    indices of its clusters.
-    """
-    if not clusters:
-        return []
-    top = max(c.multiplicity for c in clusters)
-    threshold = max(2, -(-top // 4))
-    qualified = sorted((i for i, c in enumerate(clusters)
-                        if c.multiplicity >= threshold),
-                       key=lambda i: clusters[i].mean)
-    levels: list[list[int]] = []
-    for i in qualified:
-        mean = clusters[i].mean
-        if levels and abs(mean - clusters[levels[-1][-1]].mean) \
-                < LEVEL_MERGE_RTOL * abs(mean):
-            levels[-1].append(i)
-        else:
-            levels.append([i])
-    return levels
-
-
-def _merge_clusters(members) -> Cluster:
-    """One Cluster for a level made of several: multiplicity-weighted
-    mean, summed multiplicity, and the spread of all member eigenvalues."""
-    if len(members) == 1:
-        return members[0]
-    count = sum(c.multiplicity for c in members)
-    low = min(c.low for c in members)
-    high = max(c.low + c.spread for c in members)
-    mean = sum(c.mean * c.multiplicity for c in members) / count
-    return Cluster(float(mean), count, float(high - low), float(low))
+        if len(evals) < k:
+            raise UnresolvedSpectrum(
+                f"only {len(evals)} of {k} eigenvectors are free of boundary "
+                f"pollution at n_max = {H.space.n_max}; raise n_max"
+            )
+    clusters, levels = resolve_levels(evals)
+    return SpectrumResult(evals[:k].copy(),
+                          tuple(cluster_of(evals[g]) for g in clusters),
+                          tuple(cluster_of(evals[m]) for m in levels),
+                          solve.error_bound, solve.blocks)
 
 
 def dominant_clusters(result: SpectrumResult, count: int) -> tuple:
-    """The lowest `count` resolved levels (see resolve_levels), each as one
-    Cluster; fewer than `count` levels means the basis has not resolved
-    that many (UnresolvedSpectrum)."""
-    levels = resolve_levels(result.clusters)
-    if len(levels) < count:
+    """The lowest `count` resolved levels of a spectrum (see
+    resolve_levels), each one Cluster; fewer than `count` levels means the
+    basis has not resolved that many (UnresolvedSpectrum)."""
+    if len(result.levels) < count:
         raise UnresolvedSpectrum(
-            f"only {len(levels)} Landau levels resolved, need {count}; "
+            f"only {len(result.levels)} Landau levels resolved, need {count}; "
             "raise n_max"
         )
-    return tuple(_merge_clusters([result.clusters[i] for i in level])
-                 for level in levels[:count])
+    return result.levels[:count]
 
 
 def suggested_scale(rep) -> float:

@@ -31,8 +31,6 @@ from .fock import (
     Prescription,
     RealizedOps,
     block_eigh,
-    cluster_eigenvalues,
-    cluster_of,
     kinetic_hamiltonian,
     poly_of_commuting,
     quantize_matrix_pair,
@@ -43,7 +41,8 @@ from .fock import (
 )
 from .params import NCParams
 from .polysymbol import PolySymbol
-from .reps import symmetric_vector_potential, vector_potential_rep
+from .reps import (symmetric_gauge_rep, symmetric_vector_potential,
+                   vector_potential_rep)
 
 # peierls_spectrum drops eigenvectors with more than this probability
 # weight on the boundary shells before reading off full_E_n.
@@ -65,6 +64,20 @@ def landau_rep(params: NCParams):
     """The symmetric-gauge minimally coupled representation at theta = 0."""
     _require_commutative_landau(params)
     return vector_potential_rep(symmetric_vector_potential(params.B), params)
+
+
+def magnetic_rep(params: NCParams):
+    """landau_rep at theta = 0, else the symmetric-gauge representation,
+    which is written in units e = 1 and refuses any other charge."""
+    if params.theta == 0.0:
+        return landau_rep(params)
+    if params.e != 1.0:
+        raise DomainError(
+            "spectrum at theta != 0 uses the symmetric-gauge "
+            "representation, which realizes [P1, P2] = i B in units "
+            f"e = 1; got e = {params.e!r}"
+        )
+    return symmetric_gauge_rep(params)
 
 
 def adapted_space(params: NCParams, n_max: int) -> FockSpace:
@@ -108,7 +121,7 @@ class ProjectorSet:
 def landau_projectors(params: NCParams, space: FockSpace,
                       N: int) -> ProjectorSet:
     """Build P_0..P_N by diagonalizing the symmetric-gauge Landau
-    Hamiltonian on the truncated space and clustering its eigenvalues.
+    Hamiltonian and taking its levels from resolve_levels, as spectrum does.
 
     Within each level cluster the basis is rotated to diagonalize the
     guiding-center radius G1^2 + G2^2, whose eigenvalues (2g+1)/|b|
@@ -130,9 +143,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
     evals, vecs, _, _ = block_eigh(H.stored)
-    groups = cluster_eigenvalues(evals)
-    clusters = tuple(cluster_of(evals[g]) for g in groups)
-    levels = resolve_levels(clusters)
+    _, levels = resolve_levels(evals)
     if len(levels) < N + 1:
         raise UnresolvedSpectrum(
             f"only {len(levels)} Landau levels resolved at n_max = "
@@ -149,8 +160,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
     energies = []
     bases = []
     guidings = []
-    for n, level in enumerate(levels[:N + 1]):
-        members = [i for idx in level for i in groups[idx]]
+    for n, members in enumerate(levels[:N + 1]):
         W = vecs[:, members]
         block = W.conj().T @ (G_sq @ W)
         gvals, rot = np.linalg.eigh(block)

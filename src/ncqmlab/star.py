@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, DomainError, InternalMismatch
-from .fock import Cluster, SpectrumResult
 from .params import NCParams
 from .polysymbol import PolySymbol, x1, x2
 from .reps import symmetric_vector_potential
@@ -157,19 +156,11 @@ def bbar_of_B(B: float, params: NCParams) -> EffectiveLandauParams:
     )
 
 
-def _landau_ladder(omega: float, k: int) -> SpectrumResult:
-    """The closed-form levels omega (n + 1/2), n < k, each a single-member
-    cluster."""
-    energies = omega * (np.arange(k) + 0.5)
-    clusters = tuple(Cluster(float(E), 1, 0.0, float(E)) for E in energies)
-    return SpectrumResult(energies, clusters)
-
-
-def star_landau_spectrum(params: NCParams, Bbar: float, k: int):
-    """Landau levels of the disentangled problem: E_n = (|e* Bbar|/m*)(n+1/2)
-    = (|e Lambda_bar Bbar|/m)(n+1/2)."""
+def star_landau_spectrum(params: NCParams, Bbar: float, k: int) -> np.ndarray:
+    """The lowest k Landau levels of the disentangled problem:
+    E_n = (|e* Bbar|/m*)(n+1/2) = (|e Lambda_bar Bbar|/m)(n+1/2)."""
     lam = lambda_bar(Bbar, params.e, params.theta)
-    return _landau_ladder(abs(params.e * lam * Bbar) / params.m, k)
+    return abs(params.e * lam * Bbar) / params.m * (np.arange(k) + 0.5)
 
 
 # --- Seiberg-Witten map ------------------------------------------------
@@ -243,7 +234,7 @@ def sw_first_order(A: GaugePotential, lam: PolySymbol, psi: PolySymbol,
 
 
 def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
-    """All-orders constant-field Seiberg-Witten map and its spectrum.
+    """All-orders constant-field Seiberg-Witten map and its lowest k levels.
 
     B_check = B/(1 - e theta B) realized by the symmetric gauge with
     coefficient Bbar = (2/(e theta))(1/sqrt(1 - e theta B) - 1), evaluated
@@ -273,7 +264,7 @@ def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
         Lambda_bar=lambda_bar(bbar, e, theta),
         B_check=B_check, m_check=m_check,
     )
-    return eff, _landau_ladder(abs(e * curlyB) / m, k)
+    return eff, abs(e * curlyB) / m * (np.arange(k) + 0.5)
 
 
 # --- star-operator algebra ---------------------------------------------

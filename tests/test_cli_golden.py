@@ -105,6 +105,9 @@ _REFUSALS = (
              ("spectrum", "--theta", "0", "--B", "0", "--n-max", "8")),
     Scenario("peierls-unresolved",
              ("peierls", "--B", "1e-3", "--n-max", "10")),
+    Scenario("peierls-partly-polluted",
+             ("peierls", "--B", "0.75", "--m", "1.5", "--lam", "0.05",
+              "--k", "2", "--n-max", "12")),
     Scenario("spectrum-unresolved",
              ("spectrum", "--theta", "0.3", "--B", "1", "--n-max", "12",
               "--k", "40")),

@@ -411,6 +411,15 @@ class TestSpectrumMachinery:
         with pytest.raises(UnresolvedSpectrum, match="n_max = 4"):
             spectrum(FockOperator(chain, space), 3, pollution_tol=1e-6)
 
+    def test_fewer_clean_eigenvectors_than_asked_is_refused(self):
+        # a diagonal operator's eigenvectors are basis states; the 9 with
+        # both occupations <= 2 carry no weight on the boundary shells
+        H = FockOperator(np.diag(np.arange(25.0)), FockSpace(4))
+        with pytest.raises(UnresolvedSpectrum,
+                           match="only 9 of 10 eigenvectors .* n_max = 4"):
+            spectrum(H, 10, pollution_tol=1e-6)
+        assert len(spectrum(H, 9, pollution_tol=1e-6).eigenvalues) == 9
+
     def test_drifted_copies_count_as_one_level(self):
         # a pair of drifted ground-level copies 3e-7 above the level
         # qualifies as a cluster of its own, but is not a second level
@@ -425,7 +434,6 @@ class TestSpectrumMachinery:
         assert ground.multiplicity == 10
         assert ground.mean == pytest.approx(0.5 + 0.2 * 3e-7, abs=1e-15)
         assert ground.spread == pytest.approx(3e-7, rel=1e-9)
-        assert ground.low == 0.5
         assert (first.mean, first.multiplicity) == (1.5, 4)
 
 

@@ -25,6 +25,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncqmlab.errors import (
     ClusterAmbiguity,
@@ -38,6 +39,8 @@ from ncqmlab.fock import (
     Prescription,
     build_canonical_ops,
     kinetic_hamiltonian,
+    realize_rep,
+    spectrum,
 )
 from ncqmlab.params import NCParams
 from ncqmlab.peierls import (
@@ -182,6 +185,29 @@ class TestProjectors:
                                   <= ps.interior_g_cut()]
         expected = np.diag((1.0 / abs(b)) * (2.0 * g + 1.0))
         np.testing.assert_allclose(block, expected, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(8, 24), B=st.floats(0.3, 3.0),
+       e=st.sampled_from([0.5, 1.0, 2.0]))
+def test_projectors_and_spectrum_share_one_level_rule(n_max, B, e):
+    # landau_projectors and spectrum both read their levels off
+    # fock.resolve_levels: whenever the projectors answer, their energies
+    # and ranks are the spectrum's levels
+    params = NCParams(theta=0.0, B=B, e=e)
+    space = adapted_space(params, n_max)
+    N = n_max // 4
+    try:
+        ps = landau_projectors(params, space, N)
+    except UnresolvedSpectrum:
+        return
+    H = kinetic_hamiltonian(realize_rep(landau_rep(params), space), params.m)
+    levels = spectrum(H, 1).levels[:N + 1]
+    np.testing.assert_allclose(ps.level_energies,
+                               [level.mean for level in levels], rtol=1e-12)
+    for P, level in zip(ps.projectors, levels):
+        assert np.trace(P.matrix).real == pytest.approx(level.multiplicity,
+                                                        abs=1e-9)
 
 
 class TestSincProfile:

@@ -14,6 +14,9 @@ Oracles
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,7 +216,7 @@ class TestDisentangling:
         eff = bbar_of_B(3.0, p)
         res = star_landau_spectrum(p, eff.Bbar, 3)
         np.testing.assert_allclose(
-            res.eigenvalues, 3.0 * (np.arange(3) + 0.5), atol=1e-12
+            res, 3.0 * (np.arange(3) + 0.5), atol=1e-12
         )
 
     def test_spectrum_with_theta_independent_bbar(self):
@@ -223,13 +226,13 @@ class TestDisentangling:
         res = star_landau_spectrum(p, bbar, 4)
         omega = lambda_bar(bbar, 1.0, theta) * bbar
         np.testing.assert_allclose(
-            res.eigenvalues, omega * (np.arange(4) + 0.5), atol=1e-12
+            res, omega * (np.arange(4) + 0.5), atol=1e-12
         )
 
     def test_zero_theta_recovers_commutative_landau(self):
         p = NCParams(theta=0.0, B=0.0)
         res = star_landau_spectrum(p, 2.0, 2)
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(res, [1.0, 3.0], atol=1e-14)
 
 
 class TestStarSpectrumCrossCheck:
@@ -254,7 +257,7 @@ class TestStarSpectrumCrossCheck:
 
         H = 0.5 * (Pi1 @ Pi1 + Pi2 @ Pi2)
         evals = np.linalg.eigvalsh(H.matrix)
-        targets = star_landau_spectrum(p, bbar, 3).eigenvalues
+        targets = star_landau_spectrum(p, bbar, 3)
         for target in targets:
             assert np.min(np.abs(evals - target)) <= 1e-6
 
@@ -320,7 +323,7 @@ class TestConstantFieldMap:
         assert eff.m_check == pytest.approx(1.25, rel=1e-14)
         # spectrum is theta-independent: (|e B|/m)(n+1/2)
         np.testing.assert_allclose(
-            res.eigenvalues, 0.5 * (np.arange(3) + 0.5), atol=1e-14
+            res, 0.5 * (np.arange(3) + 0.5), atol=1e-14
         )
 
     def test_spectrum_theta_independent(self):
@@ -328,7 +331,7 @@ class TestConstantFieldMap:
             p = NCParams(theta=theta, B=0.0)
             _, res = sw_constant_field(2.0, p, k=4)
             np.testing.assert_allclose(
-                res.eigenvalues, 2.0 * (np.arange(4) + 0.5), atol=1e-14
+                res, 2.0 * (np.arange(4) + 0.5), atol=1e-14
             )
 
     def test_bbar_consistency_with_field_strength(self):
@@ -398,3 +401,15 @@ class TestStarOperatorAlgebra:
             ))
             table = star_commutation_table(A, 0.4)
             assert table["jacobi_residual"] <= 1e-11
+
+
+def test_star_imports_no_fock_layer():
+    # the closed-form routes return plain arrays, so importing star loads
+    # neither the Fock layer nor scipy.sparse
+    code = ("import sys, ncqmlab.star; "
+            "print('ncqmlab.fock' in sys.modules, 'scipy.sparse' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(fock.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "False"]
