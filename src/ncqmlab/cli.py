@@ -316,7 +316,7 @@ def _run_sw(config: ScenarioConfig):
 
 
 def _run_trajectory(config: ScenarioConfig):
-    from .dynamics import minimal_coupling_trajectory, dominant_frequency
+    from .dynamics import dominant_fit, minimal_coupling_trajectory
 
     params = config.params()
     if params.B != 0.0:
@@ -334,10 +334,13 @@ def _run_trajectory(config: ScenarioConfig):
         "v1": list(traj.velocities[:, 0]),
         "v2": list(traj.velocities[:, 1]),
     }
+    fit = dominant_fit(traj)
     extra = {
         "F12": traj.F12,
         "omega_predicted": traj.omega,
-        "omega_fitted": dominant_frequency(traj),
+        "omega_fitted": fit.omega,
+        "fit_residual_rms": fit.residual_rms,
+        "fit_crossings": fit.n_crossings,
         "energy_drift": traj.energy_drift,
     }
     return columns, extra

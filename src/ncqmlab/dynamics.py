@@ -1,6 +1,14 @@
 """Classical dynamics: fixed-step RK4 integration of xi' = Omega(xi) grad H,
 the deformed equation-of-motion residual, minimally coupled trajectories in
 the two standard gauges, and sub-grid frequency extraction.
+
+``integrate`` compiles the flow numerators sum_j entries_ij d_jH, the
+structure denominator and H once into a ``MonomialTable``.  An affine flow
+(every numerator of degree <= 1 over a constant denominator) is stepped by
+the RK4 step matrix R(hA): for a linear ODE one RK4 step is exactly that
+product.  It is not the exact propagator expm(hA), so the trajectory and
+its energy drift are RK4's.  Any other flow evaluates the table at each RK4
+stage.  Velocities and energy are read from the table over all states.
 """
 
 from __future__ import annotations
@@ -11,9 +19,10 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ArityMismatch, InsufficientData, StepTooLarge
+from .errors import (ArityMismatch, InsufficientData, SingularStructure,
+                     StepTooLarge)
 from .params import NCParams
-from .polysymbol import PolySymbol, p1, p2
+from .polysymbol import MonomialTable, PolySymbol, p1, p2
 from .reps import landau_vector_potential, symmetric_vector_potential
 from .structures import PoissonStructure, StructureKind, symplectic_matrix
 
@@ -52,20 +61,84 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - self.energy[0])))
 
 
-def _gradient_fns(H: PolySymbol):
+# Rows of the compiled flow table: the numerators of xi' (0-3), the
+# structure denominator and the energy.
+_DEN, _ENERGY = 4, 5
+
+
+def _flow_table(s: PoissonStructure, H: PolySymbol) -> MonomialTable:
+    """Compile xi'_i = sum_j entries_ij d_jH / den and H into one table.
+
+    The gradient and the energy are read as real parts; a structure entry
+    that is not real is refused, as the flow would not be real.
+    """
     if H.arity != 4:
         raise ArityMismatch("Hamiltonian must be an arity-4 symbol")
-    grads = [H.diff(i) for i in range(4)]
+    if not all(entry.is_real for row in s.entries for entry in row):
+        raise ValueError("structure entries must evaluate real")
+    grad = [H.diff(j).real() for j in range(4)]
+    numerators = [sum((row[j] * grad[j] for j in range(4)),
+                      PolySymbol.zero(4)) for row in s.entries]
+    return MonomialTable(numerators + [s.denominator, H.real()])
 
-    def grad(xi: np.ndarray) -> np.ndarray:
-        return np.array([g.eval(xi).real for g in grads])
 
-    return grad
+def _affine_step(table: MonomialTable, h: float) -> np.ndarray | None:
+    """The RK4 step matrix R(hA) on (xi, 1), when the flow is affine.
+
+    For xi' = A xi + b with constant A and b, one RK4 step is exactly
+    multiplication by the stability polynomial R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24 of the augmented matrix [[A, b], [0, 0]].  Returns None
+    when a numerator has degree above 1 or the denominator is not constant.
+    """
+    degree = table.exponents.sum(axis=1)
+    flow, den = table.coeffs[:_DEN], table.coeffs[_DEN]
+    if flow[:, degree > 1].any() or den[degree > 0].any():
+        return None
+    hA = np.zeros((5, 5))
+    hA[:4, :4] = h * flow[:, degree == 1] @ table.exponents[degree == 1]
+    hA[:4, 4] = h * flow[:, degree == 0].sum(axis=1)
+    hA /= den.sum()
+    step = np.eye(5)
+    for k in (4, 3, 2, 1):
+        step = np.eye(5) + (hA / k) @ step
+    return step
+
+
+def _rk4_states(table: MonomialTable, xi0: np.ndarray, h: float,
+                n_steps: int) -> np.ndarray:
+    """The n_steps + 1 states of the fixed-step RK4 orbit from xi0."""
+    states = np.empty((n_steps + 1, 4))
+    states[0] = xi0
+    step = _affine_step(table, h)
+    if step is not None:
+        xi = np.append(xi0, 1.0)
+        for n in range(n_steps):
+            xi = step @ xi
+            states[n + 1] = xi[:4]
+        return states
+
+    def field(xi: np.ndarray) -> np.ndarray:
+        values = table(xi)
+        if values[_DEN] == 0:
+            raise SingularStructure(
+                f"structure singular at point {tuple(xi)}")
+        return values[:_DEN] / values[_DEN]
+
+    xi = xi0
+    for n in range(n_steps):
+        k1 = field(xi)
+        k2 = field(xi + 0.5 * h * k1)
+        k3 = field(xi + 0.5 * h * k2)
+        k4 = field(xi + h * k3)
+        xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[n + 1] = xi
+    return states
 
 
 def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
               max_energy_drift: float | None = 1e-6) -> Trajectory:
-    """Explicit fixed-step RK4 on xi' = Omega(xi) grad H(xi).
+    """Explicit fixed-step RK4 on xi' = Omega(xi) grad H(xi), with the flow
+    compiled once per call (see the module docstring).
 
     ``max_energy_drift`` guards the result: if |H(t) - H(0)| ever exceeds
     the bound (scaled by max(1, |H(0)|)), the step was too coarse for this
@@ -78,32 +151,16 @@ def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.shape != (4,):
         raise ValueError("xi0 must have four components (x1, x2, p1, p2)")
-    grad = _gradient_fns(H)
-
-    if s.is_constant:
-        omega_mat = s.constant_matrix()
-
-        def field(xi: np.ndarray) -> np.ndarray:
-            return omega_mat @ grad(xi)
-    else:
-        def field(xi: np.ndarray) -> np.ndarray:
-            return s.matrix_at(xi) @ grad(xi)
-
+    table = _flow_table(s, H)
     n_steps = int(round(T / h))
-    states = np.empty((n_steps + 1, 4))
-    states[0] = xi0
-    xi = xi0
-    for step in range(n_steps):
-        k1 = field(xi)
-        k2 = field(xi + 0.5 * h * k1)
-        k3 = field(xi + 0.5 * h * k2)
-        k4 = field(xi + h * k3)
-        xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[step + 1] = xi
+    states = _rk4_states(table, xi0, h, n_steps)
 
+    values = table(states)
+    if not np.all(values[:, _DEN]):
+        raise SingularStructure("structure singular on the trajectory")
     times = h * np.arange(n_steps + 1)
-    velocities = np.array([field(state)[:2] for state in states])
-    energy = np.array([H.eval(state).real for state in states])
+    velocities = values[:, :2] / values[:, _DEN, None]
+    energy = values[:, _ENERGY]
     if max_energy_drift is not None:
         drift = np.max(np.abs(energy - energy[0]))
         scale = max(1.0, abs(energy[0]))
@@ -144,10 +201,7 @@ def eom_residual(traj: Trajectory, params: NCParams,
     xdot = (x[2:] - x[:-2]) / (2.0 * h)
     xddot = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
 
-    gradV = np.array([
-        [V.diff(i).eval(state).real for i in range(2)]
-        for state in traj.states
-    ])
+    gradV = MonomialTable([V.diff(i).real() for i in range(2)])(traj.states)
     dt_gradV = (gradV[2:] - gradV[:-2]) / (2.0 * h)
 
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -269,6 +323,11 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> FrequencyFit:
                         rms, len(crossing_idx))
 
 
+def dominant_fit(traj: Trajectory) -> FrequencyFit:
+    """The least-squares sinusoid fit of v1(t)."""
+    return fit_sinusoid(traj.times, traj.velocities[:, 0])
+
+
 def dominant_frequency(traj: Trajectory) -> float:
     """The dominant angular frequency of v1(t) by least-squares sinusoid fit."""
-    return fit_sinusoid(traj.times, traj.velocities[:, 0]).omega
+    return dominant_fit(traj).omega

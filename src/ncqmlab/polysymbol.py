@@ -6,11 +6,15 @@ mapping from integer exponent tuples to complex coefficients; zero
 coefficients are never stored.  Arithmetic is exact over double-precision
 complex numbers.  Arity is 2 (configuration or momentum plane) or 4 (full
 phase space); mixed-arity arithmetic is rejected.
+
+``MonomialTable`` compiles a list of real-valued symbols for numeric work:
+one exponent matrix shared by every row and one real coefficient matrix,
+evaluated at a point or over an array of points with numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -170,6 +174,16 @@ class PolySymbol:
         """Complex conjugation of coefficients (variables are real)."""
         return PolySymbol(self.arity, {e: c.conjugate() for e, c in self.terms.items()})
 
+    def real(self) -> "PolySymbol":
+        """The real part: at real points it evaluates to ``eval(pt).real``."""
+        return PolySymbol(self.arity, {e: c.real for e, c in self.terms.items()})
+
+    @property
+    def is_real(self) -> bool:
+        """Every coefficient real, up to 1e-12 of its own size."""
+        return all(abs(c.imag) <= 1e-12 * (1.0 + abs(c.real))
+                   for c in self.terms.values())
+
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -235,6 +249,54 @@ class PolySymbol:
             )
             parts.append(f"({coeff:g}){factors}")
         return " + ".join(parts)
+
+
+# Bulk evaluation runs over blocks of this many points, so the
+# (points, monomials, arity) power array stays small on long trajectories.
+_BLOCK = 1024
+
+
+class MonomialTable:
+    """Real symbols of one arity compiled for numeric evaluation.
+
+    ``exponents`` (M x arity) lists every monomial that appears in any row;
+    ``coeffs`` (rows x M) holds the real coefficients.  Row r evaluates to
+    sum_m coeffs[r, m] * prod_v xi_v ** exponents[m, v].  A row with a
+    non-real coefficient is refused with ValueError: take ``.real()`` first
+    where only the real part is wanted.
+    """
+
+    __slots__ = ("exponents", "coeffs")
+
+    def __init__(self, rows: Sequence[PolySymbol]):
+        arities = {row.arity for row in rows}
+        if len(arities) != 1:
+            raise ArityMismatch("table rows must share one arity")
+        if not all(row.is_real for row in rows):
+            raise ValueError("compiled symbols must have real coefficients")
+        monomials = sorted(set().union(*(row.terms for row in rows)))
+        column = {expo: m for m, expo in enumerate(monomials)}
+        self.exponents = np.array(monomials, dtype=int).reshape(
+            len(monomials), arities.pop())
+        self.coeffs = np.zeros((len(rows), len(monomials)))
+        for r, row in enumerate(rows):
+            for expo, coeff in row.terms.items():
+                self.coeffs[r, column[expo]] = coeff.real
+
+    def __call__(self, points) -> np.ndarray:
+        """Every row at one point (shape (arity,) -> (rows,)) or at each of
+        n points (shape (n, arity) -> (n, rows))."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != self.exponents.shape[1:]:
+            raise ArityMismatch(
+                f"points of shape {points.shape} for arity "
+                f"{self.exponents.shape[1]}")
+        if points.ndim == 2 and len(points) > _BLOCK:
+            return np.concatenate([self(points[start:start + _BLOCK])
+                                   for start in range(0, len(points), _BLOCK)])
+        monomials = np.multiply.reduce(points[..., None, :] ** self.exponents,
+                                       axis=-1)
+        return monomials @ self.coeffs.T
 
 
 def x1(arity: int = 2) -> PolySymbol:

@@ -10,19 +10,25 @@ Oracles
 * For V = 0 the flow is theta-independent (theta multiplies grad_x H).
 * Constant rescaling of the whole bracket matrix by 1/kappa is a time
   reparametrization t -> t/kappa: integrating the rescaled structure with
-  step h must reproduce the original structure with step h/kappa exactly
-  (the RK4 arithmetic is identical term by term).
+  step h must reproduce the original structure with step h/kappa up to
+  rounding.
+* ``oracle_integrate`` is the per-stage ``PolySymbol.eval`` RK4 loop the
+  compiled steppers replace.  The step-matrix route for affine flows and
+  the compiled-table route for every other flow must agree with it.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncqmlab.errors import ArityMismatch, InsufficientData, StepTooLarge
+from ncqmlab.errors import (ArityMismatch, InsufficientData,
+                            SingularStructure, StepTooLarge)
 from ncqmlab.params import NCParams
-from ncqmlab.polysymbol import PolySymbol, p1, p2, x1, x2
-from ncqmlab.structures import StructureKind, symplectic_matrix, symplectic_matrix_field
+from ncqmlab.polysymbol import MonomialTable, PolySymbol, p1, p2, x1, x2
+from ncqmlab.structures import (PoissonStructure, StructureKind,
+                                symplectic_matrix, symplectic_matrix_field)
 from ncqmlab.dynamics import (
     Gauge,
     Trajectory,
@@ -129,6 +135,202 @@ class TestIntegrate:
         H = 0.5 * (p1() * p1() + p2() * p2()) + 0.5 * (x1(4) ** 2 + x2(4) ** 2)
         traj = integrate(s, H, (0.4, 0.0, 0.0, 0.3), T=5.0, h=1e-3)
         assert traj.energy_drift <= 1e-8
+
+
+def oracle_integrate(s, H, xi0, T, h):
+    """RK4 on xi' = Omega(xi) grad H(xi) by evaluating every symbol at every
+    stage: the reference for ``integrate``.  Returns states, velocities and
+    energy."""
+    grads = [H.diff(i) for i in range(4)]
+
+    def field(xi):
+        return s.matrix_at(xi) @ np.array([g.eval(xi).real for g in grads])
+
+    n_steps = int(round(T / h))
+    states = np.empty((n_steps + 1, 4))
+    states[0] = xi = np.asarray(xi0, dtype=float)
+    for step in range(n_steps):
+        k1 = field(xi)
+        k2 = field(xi + 0.5 * h * k1)
+        k3 = field(xi + 0.5 * h * k2)
+        k4 = field(xi + h * k3)
+        xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[step + 1] = xi
+    velocities = np.array([field(state)[:2] for state in states])
+    energy = np.array([H.eval(state).real for state in states])
+    return states, velocities, energy
+
+
+VARIABLES = (x1(4), x2(4), p1(), p2())
+# every exponent tuple of total degree <= 4 in four variables
+EXPONENTS = [(a, b, c, d) for a in range(5) for b in range(5)
+             for c in range(5) for d in range(5) if a + b + c + d <= 4]
+coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+small = st.floats(-1.0, 1.0, allow_nan=False)
+point = st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 4)
+
+
+@st.composite
+def polynomials(draw, max_terms=8):
+    terms = draw(st.dictionaries(st.sampled_from(EXPONENTS),
+                                 st.tuples(coefficient, coefficient),
+                                 max_size=max_terms))
+    return PolySymbol(4, {e: complex(re, im) for e, (re, im) in terms.items()})
+
+
+@st.composite
+def quadratic_hamiltonians(draw, linear: bool):
+    """H = xi S xi / 2 (+ g . xi) with S symmetric positive definite, so
+    every orbit stays on a compact level set of H."""
+    M = np.array(draw(st.lists(small, min_size=16, max_size=16))).reshape(4, 4)
+    S = M @ M.T + np.eye(4)
+    H = PolySymbol.zero(4)
+    for i in range(4):
+        for j in range(4):
+            H = H + (0.5 * S[i, j]) * VARIABLES[i] * VARIABLES[j]
+    if linear:
+        for var, g in zip(VARIABLES, draw(st.lists(small, min_size=4,
+                                                   max_size=4))):
+            H = H + g * var
+    return H
+
+
+def _absolute_terms(poly: PolySymbol, pt) -> float:
+    """sum |c| |monomial| at pt: the scale rounding error is relative to."""
+    return sum(abs(c.real) * math.prod(abs(x) ** e for x, e in zip(pt, expo))
+               for expo, c in poly.terms.items())
+
+
+class TestMonomialTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(polynomials(), min_size=1, max_size=5),
+           st.lists(point, min_size=1, max_size=6))
+    def test_matches_eval_at_points_and_over_arrays(self, rows, points):
+        table = MonomialTable([row.real() for row in rows])
+        bulk = table(np.array(points))
+        assert bulk.shape == (len(points), len(rows))
+        for n, pt in enumerate(points):
+            single = table(np.array(pt))
+            for r, row in enumerate(rows):
+                want = row.eval(pt).real
+                tol = 1e-12 * max(_absolute_terms(row, pt), 1e-300)
+                assert abs(single[r] - want) <= tol
+                assert abs(bulk[n, r] - want) <= tol
+
+    def test_bulk_evaluation_spans_blocks(self):
+        table = MonomialTable([x1(4) * p2() - 2.0 * x2(4) ** 3])
+        pts = np.random.default_rng(0).uniform(-1, 1, size=(5000, 4))
+        want = pts[:, 0] * pts[:, 3] - 2.0 * pts[:, 1] ** 3
+        np.testing.assert_allclose(table(pts)[:, 0], want, rtol=1e-14,
+                                   atol=1e-15)
+
+    def test_refuses_complex_coefficients(self):
+        with pytest.raises(ValueError):
+            MonomialTable([1j * x1(4)])
+        with pytest.raises(ArityMismatch):
+            MonomialTable([x1(2), p1()])
+
+
+def _assert_matches_oracle(traj, oracle, bound):
+    states, velocities, energy = oracle
+    assert np.max(np.abs(traj.states - states)) <= bound
+    assert np.max(np.abs(traj.velocities - velocities)) <= bound
+    assert np.max(np.abs(traj.energy - energy)) <= bound
+
+
+class TestCompiledSteppers:
+    """``integrate`` against the per-stage symbol-evaluation RK4 loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.booleans(), st.data(), small, small,
+           st.sampled_from([StructureKind.STANDARD, StructureKind.EXOTIC]),
+           st.tuples(*[small] * 4))
+    def test_step_matrix_matches_oracle(self, linear, data, theta, B, kind,
+                                        xi0):
+        # RK4 on an affine flow is one product with the stability
+        # polynomial R(hA); the two differ only by rounding, which the
+        # repeated product accumulates at most linearly in the steps
+        if kind is StructureKind.EXOTIC and abs(1.0 - theta * B) < 0.2:
+            theta = 0.0
+        H = data.draw(quadratic_hamiltonians(linear))
+        s = symplectic_matrix(NCParams(theta=theta, B=B), kind)
+        T, h = 2.0, 1e-2
+        traj = integrate(s, H, xi0, T, h, max_energy_drift=None)
+        oracle = oracle_integrate(s, H, xi0, T, h)
+        n_steps = len(traj.times) - 1
+        scale = max(1.0, np.max(np.abs(oracle[0])))
+        _assert_matches_oracle(traj, oracle, n_steps * 1e-15 * scale)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.floats(0.1, 0.4), st.floats(0.5, 1.5), st.floats(0.1, 0.4),
+           st.tuples(*[st.floats(-0.6, 0.6)] * 4))
+    def test_general_stepper_matches_oracle_on_quartic_trap(
+            self, theta, B, lam, xi0):
+        r2 = x1(4) ** 2 + x2(4) ** 2
+        H = 0.5 * (p1() ** 2 + p2() ** 2) + 0.5 * r2 + lam * r2 * r2
+        s = symplectic_matrix(NCParams(theta=theta, B=B),
+                              StructureKind.STANDARD)
+        traj = integrate(s, H, xi0, 1.0, 1e-3)
+        _assert_matches_oracle(traj, oracle_integrate(s, H, xi0, 1.0, 1e-3),
+                               1e-13)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.floats(0.1, 0.3), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+           st.tuples(*[st.floats(-0.4, 0.4)] * 4))
+    def test_general_stepper_matches_oracle_on_exotic_field(
+            self, theta, b1, b2, xi0):
+        field = 1.0 + b1 * x1() + b2 * x2() ** 2
+        s = symplectic_matrix_field(theta, field, StructureKind.EXOTIC)
+        H = 0.5 * (p1() ** 2 + p2() ** 2) + 0.5 * (x1(4) ** 2 + x2(4) ** 2)
+        traj = integrate(s, H, xi0, 1.0, 1e-3)
+        _assert_matches_oracle(traj, oracle_integrate(s, H, xi0, 1.0, 1e-3),
+                               1e-13)
+
+    def test_complex_structure_entry_refused(self):
+        _, s, H, _ = harmonic_setup(0.2, 0.5)
+        entries = [list(row) for row in s.entries]
+        entries[0][1], entries[1][0] = 0.2j * PolySymbol.constant(4, 1.0), \
+            -0.2j * PolySymbol.constant(4, 1.0)
+        custom = PoissonStructure(StructureKind.CUSTOM,
+                                  tuple(tuple(row) for row in entries))
+        with pytest.raises(ValueError):
+            integrate(custom, H, (1.0, 0.0, 0.0, 0.0), T=1.0, h=1e-2)
+
+    @pytest.mark.parametrize("xi0,H,h", [
+        # kappa(x) = 1 - x1 vanishes at the starting point
+        ((1.0, 0.0, 0.0, 0.0), harmonic_setup(0.0, 0.0)[2], 1e-2),
+        # x1' = 2 / kappa(x) = 4 at x1 = 1/2, so the second RK4 stage
+        # lands on x1 = 1/2 + (h/2) * 4 = 1 and no state does
+        ((0.5, 0.0, 0.0, 0.0), 2.0 * p1(), 0.25),
+    ], ids=["state", "stage"])
+    def test_zero_denominator_refused(self, xi0, H, h):
+        s = symplectic_matrix_field(1.0, x1(), StructureKind.EXOTIC)
+        with pytest.raises(SingularStructure):
+            integrate(s, H, xi0, T=h, h=h)
+
+    @pytest.mark.parametrize("H", [
+        0.5 * (p1() ** 2 + p2() ** 2) + 0.5 * (x1(4) ** 2 + x2(4) ** 2),
+        0.5 * (p1() ** 2 + p2() ** 2) + (x1(4) ** 2 + x2(4) ** 2) ** 2,
+    ], ids=["quadratic", "quartic"])
+    def test_symbols_are_not_evaluated_per_step(self, H, monkeypatch):
+        # the flow is compiled once per call: symbol evaluations must not
+        # grow with the number of steps
+        calls = []
+        evaluate = PolySymbol.eval
+
+        def counting_eval(self, pt):
+            calls.append(1)
+            return evaluate(self, pt)
+
+        monkeypatch.setattr(PolySymbol, "eval", counting_eval)
+        s = symplectic_matrix(NCParams(theta=0.2, B=0.5),
+                              StructureKind.STANDARD)
+        counts = []
+        for T in (0.1, 0.2):
+            calls.clear()
+            integrate(s, H, (0.5, 0.0, 0.0, 0.3), T=T, h=1e-3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestTrajectoryRecord:
