@@ -7,8 +7,11 @@ structure denominator and H once into a ``MonomialTable``.  An affine flow
 (every numerator of degree <= 1 over a constant denominator) is stepped by
 the RK4 step matrix R(hA): for a linear ODE one RK4 step is exactly that
 product.  It is not the exact propagator expm(hA), so the trajectory and
-its energy drift are RK4's.  Any other flow evaluates the table at each RK4
-stage.  Velocities and energy are read from the table over all states.
+its energy drift are RK4's.  Any other flow runs the RK4 stages on plain
+floats, calling the table's straight-line ``scalar()`` function once per
+stage, which avoids numpy call overhead on 4-vectors.  Velocities and
+energy are read from the table over all states; a state or energy that is
+not finite means the orbit diverged, and is refused.
 """
 
 from __future__ import annotations
@@ -117,22 +120,42 @@ def _rk4_states(table: MonomialTable, xi0: np.ndarray, h: float,
             states[n + 1] = xi[:4]
         return states
 
-    def field(xi: np.ndarray) -> np.ndarray:
-        values = table(xi)
-        if values[_DEN] == 0:
-            raise SingularStructure(
-                f"structure singular at point {tuple(xi)}")
-        return values[:_DEN] / values[_DEN]
+    rows = table.scalar()
 
-    xi = xi0
-    for n in range(n_steps):
-        k1 = field(xi)
-        k2 = field(xi + 0.5 * h * k1)
-        k3 = field(xi + 0.5 * h * k2)
-        k4 = field(xi + h * k3)
-        xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[n + 1] = xi
+    def field(xi: tuple) -> tuple:
+        n1, n2, n3, n4, den, _ = rows(*xi)
+        if den == 0:
+            raise SingularStructure(f"structure singular at point {xi}")
+        return n1 / den, n2 / den, n3 / den, n4 / den
+
+    # the stages on plain floats: a, b, c, d are one state's components
+    half, sixth = 0.5 * h, h / 6.0
+    a, b, c, d = map(float, xi0)
+    out = []
+    for _ in range(n_steps):
+        k1 = field((a, b, c, d))
+        k2 = field((a + half * k1[0], b + half * k1[1],
+                    c + half * k1[2], d + half * k1[3]))
+        k3 = field((a + half * k2[0], b + half * k2[1],
+                    c + half * k2[2], d + half * k2[3]))
+        k4 = field((a + h * k3[0], b + h * k3[1],
+                    c + h * k3[2], d + h * k3[3]))
+        a += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        b += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        c += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        d += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        out.append((a, b, c, d))
+    states[1:] = out
     return states
+
+
+def _require_finite(times: np.ndarray, finite: np.ndarray) -> None:
+    """StepTooLarge at the first time a state or energy is not finite: the
+    orbit diverged, and a NaN drift would pass any bound."""
+    if not finite.all():
+        raise StepTooLarge(
+            f"orbit diverged to a non-finite value at "
+            f"t = {times[np.argmin(finite)]:.6g}; reduce h")
 
 
 def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
@@ -142,23 +165,27 @@ def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
 
     ``max_energy_drift`` guards the result: if |H(t) - H(0)| ever exceeds
     the bound (scaled by max(1, |H(0)|)), the step was too coarse for this
-    problem and StepTooLarge is raised.  Pass None to disable.
+    problem and StepTooLarge is raised.  Pass None to disable.  A state or
+    energy that is not finite raises StepTooLarge whatever the bound.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     if T < h:
         raise ValueError("total time T must be at least one step")
     xi0 = np.asarray(xi0, dtype=float)
-    if xi0.shape != (4,):
-        raise ValueError("xi0 must have four components (x1, x2, p1, p2)")
+    if xi0.shape != (4,) or not np.isfinite(xi0).all():
+        raise ValueError(
+            "xi0 must have four finite components (x1, x2, p1, p2)")
     table = _flow_table(s, H)
     n_steps = int(round(T / h))
     states = _rk4_states(table, xi0, h, n_steps)
 
+    times = h * np.arange(n_steps + 1)
+    _require_finite(times, np.isfinite(states).all(axis=1))
     values = table(states)
+    _require_finite(times, np.isfinite(values[:, _ENERGY]))
     if not np.all(values[:, _DEN]):
         raise SingularStructure("structure singular on the trajectory")
-    times = h * np.arange(n_steps + 1)
     velocities = values[:, :2] / values[:, _DEN, None]
     energy = values[:, _ENERGY]
     if max_energy_drift is not None:

@@ -9,12 +9,14 @@ phase space); mixed-arity arithmetic is rejected.
 
 ``MonomialTable`` compiles a list of real-valued symbols for numeric work:
 one exponent matrix shared by every row and one real coefficient matrix,
-evaluated at a point or over an array of points with numpy.
+evaluated at a point or over an array of points with numpy, or written out
+by ``scalar()`` as one straight-line float function for point-by-point use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import cmath
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -262,8 +264,8 @@ class MonomialTable:
     ``exponents`` (M x arity) lists every monomial that appears in any row;
     ``coeffs`` (rows x M) holds the real coefficients.  Row r evaluates to
     sum_m coeffs[r, m] * prod_v xi_v ** exponents[m, v].  A row with a
-    non-real coefficient is refused with ValueError: take ``.real()`` first
-    where only the real part is wanted.
+    non-finite or non-real coefficient is refused with ValueError: take
+    ``.real()`` first where only the real part is wanted.
     """
 
     __slots__ = ("exponents", "coeffs")
@@ -272,6 +274,9 @@ class MonomialTable:
         arities = {row.arity for row in rows}
         if len(arities) != 1:
             raise ArityMismatch("table rows must share one arity")
+        if not all(cmath.isfinite(coeff) for row in rows
+                   for coeff in row.terms.values()):
+            raise ValueError("compiled symbols must have finite coefficients")
         if not all(row.is_real for row in rows):
             raise ValueError("compiled symbols must have real coefficients")
         monomials = sorted(set().union(*(row.terms for row in rows)))
@@ -297,6 +302,46 @@ class MonomialTable:
         monomials = np.multiply.reduce(points[..., None, :] ** self.exponents,
                                        axis=-1)
         return monomials @ self.coeffs.T
+
+    def scalar(self) -> Callable[..., tuple]:
+        """Every row as one straight-line function of ``arity`` floats,
+        returning a tuple of row values.
+
+        Each monomial is computed once, as a shorter monomial times one
+        variable; each row is the sum of its coefficients, written as
+        ``repr`` literals (which round-trip exactly), times its monomials.
+        The source holds only fixed identifiers and float literals.  Plain
+        float arithmetic pays no numpy call overhead, so this is the form
+        for evaluating one point at a time.
+        """
+        args = [f"v{i}" for i in range(self.exponents.shape[1])]
+        names: dict[Exponents, str] = {}
+        lines: list[str] = []
+
+        def monomial(expo: Exponents) -> str:
+            if expo not in names:
+                v = next(i for i, e in enumerate(expo) if e)
+                rest = expo[:v] + (expo[v] - 1,) + expo[v + 1:]
+                if any(rest):
+                    shorter = monomial(rest)
+                    names[expo] = f"m{len(lines)}"
+                    lines.append(f"    {names[expo]} = {shorter} * {args[v]}")
+                else:
+                    names[expo] = args[v]
+            return names[expo]
+
+        exponents = [tuple(map(int, row)) for row in self.exponents]
+        rows = []
+        for coeffs in self.coeffs:
+            terms = [f"{float(c)!r} * {monomial(expo)}" if any(expo)
+                     else repr(float(c))
+                     for c, expo in zip(coeffs, exponents) if c]
+            rows.append(" + ".join(terms) or "0.0")
+        source = "\n".join([f"def table({', '.join(args)}):", *lines,
+                            f"    return ({', '.join(rows)},)"])
+        namespace: dict = {}
+        exec(compile(source, "<MonomialTable.scalar>", "exec"), namespace)
+        return namespace["table"]
 
 
 def x1(arity: int = 2) -> PolySymbol:

@@ -53,12 +53,6 @@ class PoissonStructure:
         if self.denominator.is_zero:
             raise SingularStructure("structure denominator is identically zero")
 
-    @property
-    def is_constant(self) -> bool:
-        return all(
-            self.entries[i][j].degree <= 0 for i in range(4) for j in range(4)
-        ) and self.denominator.degree <= 0
-
     def matrix_at(self, point) -> np.ndarray:
         """Evaluate Omega at a phase-space point; returns a real 4x4 array."""
         den = self.denominator.eval(point)
@@ -73,12 +67,6 @@ class PoissonStructure:
                 out[i, j] = value.real
                 out[j, i] = -value.real
         return out
-
-    def constant_matrix(self) -> np.ndarray:
-        """The constant Omega matrix; valid only when is_constant."""
-        if not self.is_constant:
-            raise ValueError("structure is position-dependent")
-        return self.matrix_at((0.0, 0.0, 0.0, 0.0))
 
 
 def canonical_omega() -> np.ndarray:

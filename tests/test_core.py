@@ -37,7 +37,7 @@ def test_singularity_detection():
 
 def test_standard_structure_matrix():
     s = symplectic_matrix(NCParams(theta=0.3, B=2.0), "standard")
-    M = s.constant_matrix()
+    M = s.matrix_at((0, 0, 0, 0))
     expected = np.array([
         [0.0, 0.3, 1.0, 0.0],
         [-0.3, 0.0, 0.0, 1.0],
@@ -51,8 +51,9 @@ def test_standard_structure_matrix():
 
 def test_exotic_structure_is_standard_over_kappa():
     params = NCParams(theta=0.3, B=2.0)
-    std = symplectic_matrix(params, "standard").constant_matrix()
-    exo = symplectic_matrix(params, StructureKind.EXOTIC).constant_matrix()
+    origin = (0, 0, 0, 0)
+    std = symplectic_matrix(params, "standard").matrix_at(origin)
+    exo = symplectic_matrix(params, StructureKind.EXOTIC).matrix_at(origin)
     np.testing.assert_allclose(exo, std / 0.4, atol=1e-14)
 
 
@@ -124,6 +125,6 @@ def test_canonical_omega_block():
 @settings(max_examples=60, deadline=None)
 def test_kappa_determinant_identity(theta, B):
     params = NCParams(theta=theta, B=B)
-    M = symplectic_matrix(params, "standard").constant_matrix()
+    M = symplectic_matrix(params, "standard").matrix_at((0, 0, 0, 0))
     assert np.linalg.det(M) == pytest.approx(kappa(params) ** 2,
                                              rel=1e-9, abs=1e-9)

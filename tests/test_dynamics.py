@@ -110,6 +110,21 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge):
             integrate(s, H, (1.0, 0.0, 0.0, 0.0), T=10.0, h=0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_orbit_raises(self):
+        # h = 0.3 on a stiff quartic trap blows the orbit up to inf and NaN,
+        # where a drift of NaN compares False against any bound; such an
+        # orbit is refused, before numpy reads it, even with the drift
+        # guard off
+        s = symplectic_matrix(NCParams(theta=0.2, B=1.0),
+                              StructureKind.STANDARD)
+        r2 = x1(4) ** 2 + x2(4) ** 2
+        H = 0.5 * (p1() ** 2 + p2() ** 2) + 0.5 * r2 + 2.0 * r2 * r2
+        for bound in (1e-6, None):
+            with pytest.raises(StepTooLarge, match="non-finite"):
+                integrate(s, H, (1.5, 0.5, 1.0, 1.0), T=40.0, h=0.3,
+                          max_energy_drift=bound)
+
     def test_drift_guard_can_be_disabled(self):
         p, s, H, _ = harmonic_setup(0.0, 0.0, omega0=5.0)
         traj = integrate(s, H, (1.0, 0.0, 0.0, 0.0), T=10.0, h=0.5,
@@ -124,6 +139,8 @@ class TestIntegrate:
             integrate(s, H, (0, 0, 0, 0), T=0.001, h=1.0)
         with pytest.raises(ValueError):
             integrate(s, H, (0, 0, 0), T=1.0, h=0.01)
+        with pytest.raises(ValueError):
+            integrate(s, H, (math.nan, 0, 0, 0), T=1.0, h=0.01)
         with pytest.raises(ArityMismatch):
             integrate(s, x1() + x2(), (0, 0, 0, 0), T=1.0, h=0.01)
 
@@ -209,13 +226,16 @@ class TestMonomialTable:
         table = MonomialTable([row.real() for row in rows])
         bulk = table(np.array(points))
         assert bulk.shape == (len(points), len(rows))
+        scalar = table.scalar()
         for n, pt in enumerate(points):
             single = table(np.array(pt))
+            straight = scalar(*pt)
             for r, row in enumerate(rows):
                 want = row.eval(pt).real
                 tol = 1e-12 * max(_absolute_terms(row, pt), 1e-300)
                 assert abs(single[r] - want) <= tol
                 assert abs(bulk[n, r] - want) <= tol
+                assert abs(straight[r] - want) <= tol
 
     def test_bulk_evaluation_spans_blocks(self):
         table = MonomialTable([x1(4) * p2() - 2.0 * x2(4) ** 3])
@@ -227,6 +247,9 @@ class TestMonomialTable:
     def test_refuses_complex_coefficients(self):
         with pytest.raises(ValueError):
             MonomialTable([1j * x1(4)])
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                MonomialTable([PolySymbol(4, {(1, 0, 0, 0): bad})])
         with pytest.raises(ArityMismatch):
             MonomialTable([x1(2), p1()])
 
