@@ -25,8 +25,9 @@ from .params import NCParams, kappa, is_singular
 from .polysymbol import PolySymbol, x1, x2
 
 # Largest dense (n_max+1)^2-square complex matrix a command may allocate,
-# in bytes.  Operators are sparse; only peierls still needs a dense one
-# (the eigenvectors of its two-mode Hamiltonian).
+# in bytes.  Operators are sparse, and eigenvectors stay in their coupling
+# blocks; only peierls is limited: a radial trap leaves its Hamiltonian
+# two parity blocks, whose dense eigenvectors grow as (n_max+1)^4.
 DENSE_MATRIX_LIMIT = 2 ** 30
 
 

@@ -120,10 +120,11 @@ def _rk4_states(table: MonomialTable, xi0: np.ndarray, h: float,
             states[n + 1] = xi[:4]
         return states
 
-    rows = table.scalar()
+    # the stages read the flow rows only; the energy row is read in bulk
+    rows = table[:_ENERGY].scalar()
 
     def field(xi: tuple) -> tuple:
-        n1, n2, n3, n4, den, _ = rows(*xi)
+        n1, n2, n3, n4, den = rows(*xi)
         if den == 0:
             raise SingularStructure(f"structure singular at point {xi}")
         return n1 / den, n2 / den, n3 / den, n4 / den

@@ -9,10 +9,12 @@ The optional basis length ``scale`` sets X = scale (a + a^dag)/sqrt(2),
 P = (a - a^dag)/(i sqrt(2) scale); canonical commutators are unchanged
 while convergence for strong fields improves when scale ~ sqrt(2/B).
 
-Operators built from the ladders are scipy.sparse CSR arrays: they are
-low-degree polynomials in banded matrices, O(n_max^2) entries each.  Dense
-arrays appear only one block at a time inside block_eigh and as spectral
-outputs (projectors, selectors, unitaries).
+Every FockOperator is stored as a scipy.sparse CSR array.  Operators built
+from the ladders are low-degree polynomials in banded matrices, O(n_max^2)
+entries each.  Spectral outputs (projectors, selectors) are functions of a
+Hermitian operator, block-diagonal in its coupling blocks, and spectral_sum
+assembles them block by block.  Dense arrays appear only one block at a time
+inside block_eigh and spectral_sum.
 """
 
 from __future__ import annotations
@@ -94,27 +96,22 @@ class FockSpace:
 class FockOperator:
     """Complex operator on a FockSpace with its polynomial-degree metadata.
 
-    ``stored`` is the operator as built: a CSR array for everything made
-    from the ladders (sums and products of banded matrices stay sparse), a
-    dense ndarray for spectral outputs (projectors, selectors, unitaries).
-    ``matrix`` is always a dense ndarray, made from CSR on first access.
+    ``stored`` is the operator as a CSR array (a dense argument is
+    converted); sums and products of CSR operators stay CSR.  ``matrix`` is
+    the dense ndarray, made from CSR on first access.
     """
 
     __slots__ = ("stored", "space", "degree", "_herm", "_dense")
 
     def __init__(self, matrix, space: FockSpace, degree: int = 1):
-        if sp.issparse(matrix):
-            matrix = sp.csr_array(matrix, dtype=complex)
-            dense = None
-        else:
-            matrix = dense = np.asarray(matrix, dtype=complex)
+        matrix = sp.csr_array(matrix, dtype=complex)
         if matrix.shape != (space.dim, space.dim):
             raise ValueError("matrix shape does not match space dimension")
         self.stored = matrix
         self.space = space
         self.degree = int(degree)
         self._herm: bool | None = None
-        self._dense: np.ndarray | None = dense
+        self._dense: np.ndarray | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -175,8 +172,8 @@ class FockOperator:
         return self @ other - other @ self
 
     def restrict(self, degree: int | None = None):
-        """Interior-block submatrix for the given polynomial degree, CSR
-        or dense as the operator is stored."""
+        """Interior-block submatrix for the given polynomial degree, in
+        CSR."""
         mask = self.space.interior_mask(self.degree if degree is None else degree)
         return self.stored[np.ix_(mask, mask)]
 
@@ -387,11 +384,19 @@ def kinetic_hamiltonian(ops: RealizedOps, m: float = 1.0) -> FockOperator:
     return (1.0 / (2.0 * m)) * (ops.P1 @ ops.P1 + ops.P2 @ ops.P2)
 
 
+class EigenBlock(NamedTuple):
+    """The eigenpairs of one coupling block, over its own basis states."""
+
+    states: np.ndarray       # ascending basis indices of the block
+    positions: np.ndarray    # indices of its eigenvalues in the ascending list
+    vectors: np.ndarray      # len(states)-square, columns matching positions
+
+
 class BlockEigh(NamedTuple):
     """Eigen-decomposition of a Hermitian matrix by its coupling blocks."""
 
     eigenvalues: np.ndarray          # ascending, as np.linalg.eigh
-    eigenvectors: np.ndarray | None  # columns matching eigenvalues
+    eigenvectors: tuple | None       # one EigenBlock per coupling block
     error_bound: float               # Frobenius norm of dropped couplings
     blocks: int
 
@@ -428,8 +433,9 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     Hamiltonians are block-diagonal up to roundoff (shells of equal
     n1 + n2 on a degeneracy-adapted basis, the parity of n1 + n2 on the
     unit-scale basis), so only one block at a time is made dense and
-    handed to eigh.  Eigenvalues come back ascending and eigenvectors as
-    full columns, as from np.linalg.eigh.  The dropped stored entries
+    handed to eigh.  Eigenvalues come back ascending, as from
+    np.linalg.eigh; eigenvectors stay in their blocks, one EigenBlock each
+    (see spectral_sum and eigenvector_columns).  The dropped stored entries
     between blocks form a Hermitian perturbation E, so by Weyl's
     inequality every eigenvalue differs from that of the full matrix by
     at most ||E||_2 <= ||E||_F = ``error_bound``.
@@ -446,36 +452,84 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     # Reorder the basis so that every block is a contiguous diagonal slice.
     order = np.argsort(labels, kind="stable")
     H = H[order][:, order]
-    stops = np.cumsum(np.bincount(labels))
-    # Allocate the eigenvector matrix before the per-block arrays: the
-    # other order fragments the heap, and peak RSS over repeated solves
-    # grows past that of dense eigh.
-    eigvecs = (np.zeros(H.shape, dtype=np.result_type(H.dtype, float))
-               if vectors else None)
-    values = []
-    start = 0
-    for stop in stops:
+    sizes = np.bincount(labels)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    values, blocks = [], []
+    for start, stop in zip(starts, stops):
         sub = H[start:stop, start:stop].toarray()
         if vectors:
             w, v = np.linalg.eigh(sub)
-            eigvecs[order[start:stop], start:stop] = v
+            blocks.append(v)
         else:
             w = np.linalg.eigvalsh(sub)
         values.append(w)
-        start = stop
     values = np.concatenate(values)
     rank = np.argsort(values, kind="stable")
     if vectors:
-        eigvecs = eigvecs[:, rank]
-    return BlockEigh(values[rank], eigvecs, error_bound, n_blocks)
+        position = np.empty_like(rank)
+        position[rank] = np.arange(len(rank))
+        blocks = tuple(EigenBlock(order[start:stop], position[start:stop], v)
+                       for start, stop, v in zip(starts, stops, blocks))
+    return BlockEigh(values[rank], blocks if vectors else None, error_bound,
+                     n_blocks)
+
+
+def spectral_sum(solve: BlockEigh, weights: np.ndarray) -> sp.csr_array:
+    """Sum over the eigenpairs of a block solve (with vectors) of
+    w_k v_k v_k^dag, for one weight per ascending eigenvalue, in CSR.
+
+    The one place eigenvectors are multiplied back out.  With w = f(the
+    eigenvalues) this is f(H), which is block-diagonal as H is (Higham,
+    Functions of Matrices, Thm 1.13): each block's product is made from
+    that block's eigenvectors alone.  Eigenpairs of zero weight are left
+    out, so a block whose weights are all zero stores no entries.
+    """
+    weights = np.asarray(weights)
+    dim = len(solve.eigenvalues)
+    parts = []
+    row_nnz = np.zeros(dim, dtype=np.int64)
+    for block in solve.eigenvectors:
+        w = weights[block.positions]
+        keep = w != 0
+        if keep.any():
+            V = block.vectors[:, keep]
+            parts.append((block.states, (V * w[keep]) @ V.conj().T))
+            row_nnz[block.states] = len(block.states)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    # 32-bit indices, as scipy picks for its own arrays when they fit
+    index = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+    indptr = indptr.astype(index)
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1], dtype=complex)
+    for states, product in parts:
+        # row states[i] holds product[i] in the columns states, ascending
+        slots = indptr[states][:, None] + np.arange(len(states))
+        indices[slots] = states
+        data[slots] = product
+    return sp.csr_array((data, indices, indptr), shape=(dim, dim))
+
+
+def eigenvector_columns(solve: BlockEigh, positions) -> np.ndarray:
+    """The eigenvectors at the given positions of the ascending eigenvalue
+    list of a block solve (with vectors), as full dense columns."""
+    positions = np.asarray(positions, dtype=int)
+    columns = np.zeros((len(solve.eigenvalues), len(positions)),
+                       dtype=complex)
+    for block in solve.eigenvectors:
+        hit = np.flatnonzero(np.isin(positions, block.positions))
+        if len(hit):
+            local = np.searchsorted(block.positions, positions[hit])
+            columns[np.ix_(block.states, hit)] = block.vectors[:, local]
+    return columns
 
 
 def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
     """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
     if not G.hermitian_flag:
         raise NonHermitian("generator must be Hermitian")
-    evals, vecs, _, _ = block_eigh(G.stored)
-    return (vecs * np.exp(1.0j * evals)) @ vecs.conj().T
+    solve = block_eigh(G.stored)
+    return spectral_sum(solve, np.exp(1.0j * solve.eigenvalues)).toarray()
 
 
 @dataclass(frozen=True)
@@ -570,7 +624,10 @@ def spectrum(H: FockOperator, k: int,
     evals = solve.eigenvalues
     if pollution_tol is not None:
         boundary = ~H.space.interior_mask(H.degree)
-        weight = np.sum(np.abs(solve.eigenvectors[boundary, :]) ** 2, axis=0)
+        weight = np.empty(len(evals))
+        for block in solve.eigenvectors:
+            edge = block.vectors[boundary[block.states]]
+            weight[block.positions] = np.sum(np.abs(edge) ** 2, axis=0)
         evals = evals[weight <= pollution_tol]
         if len(evals) == 0:
             raise UnresolvedSpectrum(

@@ -31,11 +31,13 @@ from .fock import (
     Prescription,
     RealizedOps,
     block_eigh,
+    eigenvector_columns,
     kinetic_hamiltonian,
     poly_of_commuting,
     quantize_matrix_pair,
     realize_rep,
     resolve_levels,
+    spectral_sum,
     spectrum,
     suggested_scale,
 )
@@ -142,7 +144,8 @@ def landau_projectors(params: NCParams, space: FockSpace,
     H = kinetic_hamiltonian(ops, params.m)
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
-    evals, vecs, _, _ = block_eigh(H.stored)
+    solve = block_eigh(H.stored)
+    evals = solve.eigenvalues
     _, levels = resolve_levels(evals)
     if len(levels) < N + 1:
         raise UnresolvedSpectrum(
@@ -155,16 +158,22 @@ def landau_projectors(params: NCParams, space: FockSpace,
     G1 = ops.X1 + inv_b * ops.P2
     G2 = ops.X2 - inv_b * ops.P1
     G_sq = (G1 @ G1 + G2 @ G2).stored
+    # free what is done with: the dense columns W below take the most room
+    del G1, G2
+
+    def projector(members) -> FockOperator:
+        indicator = np.zeros(len(evals))
+        indicator[members] = 1.0
+        return FockOperator(spectral_sum(solve, indicator), space,
+                            degree=H.degree)
 
     projectors = []
     energies = []
     bases = []
     guidings = []
     for n, members in enumerate(levels[:N + 1]):
-        W = vecs[:, members]
-        block = W.conj().T @ (G_sq @ W)
-        gvals, rot = np.linalg.eigh(block)
-        Wg = W @ rot
+        W = eigenvector_columns(solve, members)
+        gvals, rot = np.linalg.eigh(W.conj().T @ (G_sq @ W))
         g_index = (np.abs(b) * gvals - 1.0) / 2.0
         g_int = np.rint(g_index).astype(int)
         off = np.abs(g_index - g_int) > 1e-6
@@ -177,17 +186,13 @@ def landau_projectors(params: NCParams, space: FockSpace,
                 "does not resolve this level cleanly, choose another n_max"
             )
         order = np.argsort(g_int)
-        Wg = Wg[:, order]
-        g_int = g_int[order]
-        P = FockOperator(Wg @ Wg.conj().T, space, degree=H.degree)
-        projectors.append(P)
+        projectors.append(projector(members))
         energies.append(float(np.mean(evals[members])))
-        bases.append(Wg)
-        guidings.append(g_int)
+        bases.append(W @ rot[:, order])
+        guidings.append(g_int[order])
+        del W
 
-    cumulative = projectors[0]
-    for P in projectors[1:]:
-        cumulative = cumulative + P
+    cumulative = projector([k for members in levels[:N + 1] for k in members])
     return ProjectorSet(tuple(projectors), tuple(energies), cumulative,
                         N, tuple(bases), tuple(guidings), space, ops)
 
@@ -202,12 +207,13 @@ def sinc_profile(h, n: int):
 
 
 def projector_sinc(H: FockOperator, n: int, E_n: float) -> FockOperator:
-    """Apply the sinc-type level selector spectrally: V f(D/E_n) V*."""
+    """Apply the sinc-type level selector spectrally: f(H/E_n), made block
+    by block by spectral_sum."""
     if not H.hermitian_flag:
         raise NonHermitian("projector_sinc requires a Hermitian operator")
-    evals, vecs, _, _ = block_eigh(H.stored)
-    f = sinc_profile(evals / E_n, n)
-    return FockOperator((vecs * f) @ vecs.conj().T, H.space, degree=H.degree)
+    solve = block_eigh(H.stored)
+    f = sinc_profile(solve.eigenvalues / E_n, n)
+    return FockOperator(spectral_sum(solve, f), H.space, degree=H.degree)
 
 
 def _fit_and_residual(blocks: list, N: int, diag_targets: list) -> tuple:

@@ -303,6 +303,13 @@ class MonomialTable:
                                        axis=-1)
         return monomials @ self.coeffs.T
 
+    def __getitem__(self, rows: slice) -> "MonomialTable":
+        """The table of the selected rows over the same monomials; its
+        scalar() computes those rows exactly as the whole table's does."""
+        table = object.__new__(MonomialTable)
+        table.exponents, table.coeffs = self.exponents, self.coeffs[rows]
+        return table
+
     def scalar(self) -> Callable[..., tuple]:
         """Every row as one straight-line function of ``arity`` floats,
         returning a tuple of row values.

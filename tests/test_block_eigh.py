@@ -9,6 +9,13 @@ eigenvalues separated from the rest by a gap of at least 1e-2 * ||H||,
 which is basis-independent inside degenerate levels.  By Davis-Kahan the
 projectors then differ by at most about (dropped norm + roundoff) / gap,
 below 1e-10 for dropped norms up to 1e-12 * ||H||.
+
+``spectral_sum`` is checked against ``(V * f(w)) @ V^dag`` from the same
+dense eigh, for f(x) = exp(ix) and for the sinc level selector.  A function
+with Lipschitz constant L moves f(H) by at most about L times the error of
+the eigenvalues (for exp(ix) exactly: ||exp(iA) - exp(iB)||_2 <=
+||A - B||_2), so every entry must agree within L * (dropped-coupling bound
++ 1e-12 * ||H||) + 1e-12, the last term for the rounding of the sum.
 """
 
 import math
@@ -22,12 +29,15 @@ from ncqmlab.fock import (
     BLOCK_COUPLING_TOL,
     FockSpace,
     block_eigh,
+    eigenvector_columns,
     kinetic_hamiltonian,
     poly_of_commuting,
     realize_rep,
+    spectral_sum,
     suggested_scale,
 )
 from ncqmlab.params import NCParams
+from ncqmlab.peierls import sinc_profile
 from ncqmlab.polysymbol import x1, x2
 from ncqmlab.reps import (
     symmetric_gauge_rep,
@@ -38,6 +48,9 @@ from ncqmlab.reps import (
 EIGENVALUE_RTOL = 1e-12
 PROJECTOR_ATOL = 1e-10
 GROUP_GAP = 1e-2
+SPECTRAL_ATOL = 1e-12
+# Largest slope of sinc_profile(h, 1) on 0 <= h <= 2 is 2.45.
+SINC_SLOPE = 2.5
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:
@@ -51,9 +64,19 @@ def gap_groups(evals: np.ndarray, gap: float) -> list:
     return np.split(np.arange(len(evals)), cuts)
 
 
+def spectral_weights(norm: float) -> list:
+    """(f, Lipschitz constant of f) for the two spectral sums checked: the
+    unitary's exp(ix) and the sinc selector of level 1 on h = 1 + x/norm,
+    which keeps h within [0, 2], away from the profile's pole at h = -1."""
+    scale = norm or 1.0
+    return [(lambda x: np.exp(1.0j * x), 1.0),
+            (lambda x: sinc_profile(1.0 + x / scale, 1), SINC_SLOPE / scale)]
+
+
 def assert_matches_dense(matrix: np.ndarray) -> tuple:
-    """Check block_eigh against dense eigh with and without vectors;
-    returns the solve with vectors."""
+    """Check block_eigh against dense eigh with and without vectors, and
+    spectral_sum against the dense spectral sum; returns the solve with
+    vectors."""
     dense_vals, dense_vecs = np.linalg.eigh(matrix)
     norm = float(np.max(np.abs(dense_vals)))
     solve = block_eigh(matrix, vectors=True)
@@ -64,12 +87,21 @@ def assert_matches_dense(matrix: np.ndarray) -> tuple:
     tol = solve.error_bound + EIGENVALUE_RTOL * norm
     for values in (solve.eigenvalues, values_only.eigenvalues):
         assert np.max(np.abs(values - dense_vals)) <= tol
-    vecs = solve.eigenvectors
+    dim = len(matrix)
+    positions = np.concatenate([b.positions for b in solve.eigenvectors])
+    np.testing.assert_array_equal(np.sort(positions), np.arange(dim))
+    vecs = eigenvector_columns(solve, np.arange(dim))
     assert vecs.shape == matrix.shape
     for group in gap_groups(dense_vals, GROUP_GAP * norm):
         dense_P = dense_vecs[:, group] @ dense_vecs[:, group].conj().T
         block_P = vecs[:, group] @ vecs[:, group].conj().T
         assert np.max(np.abs(block_P - dense_P)) <= PROJECTOR_ATOL
+    for f, lipschitz in spectral_weights(norm):
+        dense_f = (dense_vecs * f(dense_vals)) @ dense_vecs.conj().T
+        block_f = spectral_sum(solve, f(solve.eigenvalues))
+        assert block_f.format == "csr"
+        assert np.max(np.abs(block_f.toarray() - dense_f)) <= \
+            lipschitz * tol + SPECTRAL_ATOL
     return solve
 
 
@@ -174,7 +206,8 @@ def test_peierls_hamiltonian_with_quartic_trap(B, lam, c4):
 def test_zero_matrix():
     solve = block_eigh(np.zeros((5, 5)), vectors=True)
     np.testing.assert_array_equal(solve.eigenvalues, np.zeros(5))
-    np.testing.assert_array_equal(solve.eigenvectors, np.eye(5))
+    np.testing.assert_array_equal(
+        eigenvector_columns(solve, np.arange(5)), np.eye(5))
     assert (solve.blocks, solve.error_bound) == (5, 0.0)
 
 

@@ -308,7 +308,8 @@ class TestMainExitCodes:
         assert where in err and "raise n_max" in err
 
     def test_dense_matrix_over_the_limit_is_refused(self, tmp_path, capsys):
-        # peierls diagonalizes with eigenvectors: 16 (n_max+1)^4 bytes
+        # H + lam V of peierls has two parity blocks, so its dense blocks
+        # and their eigenvectors grow as a 16 (n_max+1)^4-byte matrix
         code = main(["peierls", "--n-max", "120", "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err

@@ -30,6 +30,8 @@ from ncqmlab.polysymbol import MonomialTable, PolySymbol, p1, p2, x1, x2
 from ncqmlab.structures import (PoissonStructure, StructureKind,
                                 symplectic_matrix, symplectic_matrix_field)
 from ncqmlab.dynamics import (
+    _ENERGY,
+    _flow_table,
     Gauge,
     Trajectory,
     dominant_frequency,
@@ -308,6 +310,26 @@ class TestCompiledSteppers:
         traj = integrate(s, H, xi0, 1.0, 1e-3)
         _assert_matches_oracle(traj, oracle_integrate(s, H, xi0, 1.0, 1e-3),
                                1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.1, 0.4), st.floats(-0.5, 0.5), st.floats(0.1, 0.4),
+           st.booleans(), st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+    def test_stage_rows_equal_the_full_table_rows(self, theta, b1, lam,
+                                                  exotic, pt):
+        # the RK4 stages call the flow rows alone; the energy row is read
+        # only in bulk, so dropping it must not move a single bit
+        r2 = x1(4) ** 2 + x2(4) ** 2
+        H = 0.5 * (p1() ** 2 + p2() ** 2) + 0.5 * r2 + lam * r2 * r2
+        if exotic:
+            field = 1.0 + b1 * x1() + lam * x2() ** 2
+            s = symplectic_matrix_field(theta, field, StructureKind.EXOTIC)
+        else:
+            s = symplectic_matrix(NCParams(theta=theta, B=1.0 + b1),
+                                  StructureKind.STANDARD)
+        table = _flow_table(s, H)
+        stages = table[:_ENERGY].scalar()(*pt)
+        assert len(stages) == _ENERGY
+        assert stages == table.scalar()(*pt)[:_ENERGY]
 
     def test_complex_structure_entry_refused(self):
         _, s, H, _ = harmonic_setup(0.2, 0.5)

@@ -13,9 +13,14 @@ Oracles
   guiding-interior columns.
 * ``block_eigh`` on the CSR operator must give the eigenvalues, block
   count and dropped-coupling bound of the same operator handed over dense.
+* The spectral outputs are made block by block: on the adapted basis at
+  n_max = 40 (dim 1681), ``tracemalloc`` sees no call allocate an eighth
+  of one dense complex dim x dim array beyond the dense level bases that
+  ``landau_projectors`` returns.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,15 +34,17 @@ from ncqmlab.fock import (
     Prescription,
     block_eigh,
     build_canonical_ops,
+    eigenvector_columns,
     kinetic_hamiltonian,
     ladder,
     poly_of_commuting,
     quantize_matrix_pair,
     realize_rep,
+    spectrum,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import adapted_space, landau_projectors, \
-    truncated_commutators
+from ncqmlab.peierls import adapted_space, landau_projectors, landau_rep, \
+    projector_sinc, truncated_commutators
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import (
     LinearRep,
@@ -257,8 +264,10 @@ def test_block_eigh_on_csr_matches_dense_input(rep, space, trap):
         assert sparse.error_bound == pytest.approx(dense.error_bound,
                                                    rel=RTOL, abs=0.0)
         if vectors:
-            np.testing.assert_array_equal(sparse.eigenvectors,
-                                          dense.eigenvectors)
+            every = np.arange(space.dim)
+            np.testing.assert_array_equal(
+                eigenvector_columns(sparse, every),
+                eigenvector_columns(dense, every))
     exact = np.linalg.eigvalsh(H.matrix)
     assert np.max(np.abs(sparse.eigenvalues - exact)) <= \
         sparse.error_bound + RTOL * max(1.0, np.max(np.abs(exact)))
@@ -344,7 +353,42 @@ def test_ladder_built_operators_stay_sparse():
     np.testing.assert_array_equal(H.restrict(2).toarray(),
                                   H.matrix[np.ix_(space.interior_mask(2),
                                                   space.interior_mask(2))])
-    # a dense operator (a spectral output) keeps its array
-    dense = FockOperator(np.eye(space.dim), space)
-    assert isinstance(dense.stored, np.ndarray)
-    assert dense.matrix is dense.stored
+    # a dense argument is stored as CSR and .matrix returns the same values
+    values = np.arange(space.dim ** 2).reshape(space.dim, space.dim) * 1j
+    dense = FockOperator(values, space)
+    assert sp.issparse(dense.stored) and dense.stored.format == "csr"
+    np.testing.assert_array_equal(dense.matrix, values)
+
+
+# --- memory of the spectral outputs ----------------------------------------
+
+@pytest.fixture(scope="module")
+def large_landau():
+    params = NCParams(theta=0.0, B=1.3)
+    space = adapted_space(params, 40)
+    H = kinetic_hamiltonian(realize_rep(landau_rep(params), space), params.m)
+    assert H.hermitian_flag     # validated (and cached) before tracing
+    return params, space, H
+
+
+@pytest.mark.parametrize("call", ["spectrum", "projector_sinc",
+                                  "landau_projectors"])
+def test_spectral_calls_allocate_no_dense_square(large_landau, call):
+    params, space, H = large_landau
+    run = {
+        "spectrum": lambda: spectrum(H, 3, pollution_tol=1e-6),
+        "projector_sinc": lambda: projector_sinc(H, 0, 0.5 * params.omega_B),
+        "landau_projectors": lambda: landau_projectors(params, space, 2),
+    }[call]
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One dense complex dim x dim array is 16 dim^2 bytes (43 MiB here).
+    # landau_projectors returns its level bases as dense dim x multiplicity
+    # columns (about 3 MiB here).  Beyond those, each call must allocate
+    # less than an eighth of that array.
+    returned = sum(basis.nbytes for basis in getattr(result, "bases", ()))
+    assert peak - returned < 16 * space.dim ** 2 / 8
