@@ -24,12 +24,6 @@ from .errors import ConfigError, DomainError, NCQMError
 from .params import NCParams, kappa, is_singular
 from .polysymbol import PolySymbol, x1, x2
 
-# Largest dense (n_max+1)^2-square complex matrix a command may allocate,
-# in bytes.  Operators are sparse, and eigenvectors stay in their coupling
-# blocks; only peierls is limited: a radial trap leaves its Hamiltonian
-# two parity blocks, whose dense eigenvectors grow as (n_max+1)^4.
-DENSE_MATRIX_LIMIT = 2 ** 30
-
 
 def _key(default, help_text, **meta):
     """One config key: its default and help, plus optional metadata that
@@ -347,23 +341,9 @@ def _run_trajectory(config: ScenarioConfig):
     return columns, extra
 
 
-def _require_dense_fits(config: ScenarioConfig) -> None:
-    """Refuse before allocating a dense dim x dim complex matrix that
-    exceeds DENSE_MATRIX_LIMIT bytes."""
-    dim = (config.n_max + 1) ** 2
-    size = 16 * dim * dim
-    if size > DENSE_MATRIX_LIMIT:
-        raise ConfigError(
-            f"{config.command} at n_max = {config.n_max} needs a dense "
-            f"{dim} x {dim} complex matrix of {size} bytes, above "
-            f"DENSE_MATRIX_LIMIT = {DENSE_MATRIX_LIMIT} bytes; lower n_max"
-        )
-
-
 def _run_peierls(config: ScenarioConfig):
     from .peierls import peierls_spectrum
 
-    _require_dense_fits(config)
     params = config.params()
     V = radial_potential(config.potential)
     result = peierls_spectrum(V, config.lam, params, config.k,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +61,14 @@ class Prescription(str, Enum):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated two-mode space with per-mode cutoff n_max."""
+    """Truncated two-mode space with per-mode cutoff n_max.
+
+    The two modes are whatever ladders a caller builds on them: the
+    Cartesian oscillators (n1, n2) of build_canonical_ops, or the Landau
+    level n and guiding index g of peierls.landau_basis_hamiltonian.
+    interior_mask and the boundary shells of spectrum's pollution filter
+    are those of the two occupations either way.
+    """
 
     n_max: int
     scale: float = 1.0
@@ -306,20 +312,6 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
     raise TypeError(f"unsupported representation type {type(rep).__name__}")
 
 
-def weyl_average_reference(e1: int, e2: int, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Brute-force multiset-permutation average (test oracle, small degrees)."""
-    word = (0,) * e1 + (1,) * e2
-    mats = (X1, X2)
-    seen = set(permutations(word))
-    total = np.zeros_like(X1)
-    for order in seen:
-        prod = np.eye(X1.shape[0], dtype=complex)
-        for idx in order:
-            prod = prod @ mats[idx]
-        total += prod
-    return total / len(seen)
-
-
 def quantize_matrix_pair(V: PolySymbol, m1, m2,
                          prescription: Prescription | str = Prescription.WEYL,
                          theta: float | None = None):
@@ -432,7 +424,8 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     components of that graph are the blocks, found in O(nnz).  Realized
     Hamiltonians are block-diagonal up to roundoff (shells of equal
     n1 + n2 on a degeneracy-adapted basis, the parity of n1 + n2 on the
-    unit-scale basis), so only one block at a time is made dense and
+    unit-scale basis, the angular momentum g - n of a radial trap on the
+    Landau-level basis), so only one block at a time is made dense and
     handed to eigh.  Eigenvalues come back ascending, as from
     np.linalg.eigh; eigenvectors stay in their blocks, one EigenBlock each
     (see spectral_sum and eigenvector_columns).  The dropped stored entries

@@ -11,10 +11,20 @@ center sits from the origin.  Truncation artifacts live at large g, so
 "interior" always means small guiding index here — occupation-number
 cutoffs cannot isolate the physical block because circular eigenstates
 spread binomially across the occupation diagonal.
+
+The projectors and commutator laws work on the Cartesian two-mode basis of
+adapted_space.  peierls_spectrum does not: it writes H = Pi^2/2m + lam V
+directly on the Landau-level basis |n, g> (level index n, guiding index g),
+where a radial V conserves the angular momentum l = g - n.  H then splits
+into 2 n_max + 1 small blocks of fixed l instead of the two parity blocks
+of the Cartesian basis, so the solve costs O(n_max^4) rather than
+O(n_max^6) and no dense (n_max+1)^2-square matrix is ever made.  A
+non-radial V is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +43,7 @@ from .fock import (
     block_eigh,
     eigenvector_columns,
     kinetic_hamiltonian,
-    poly_of_commuting,
+    ladder,
     quantize_matrix_pair,
     realize_rep,
     resolve_levels,
@@ -363,23 +373,83 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     return evals[:k]
 
 
+def radial_coefficients(V: PolySymbol) -> list:
+    """(c_0, c_1, ..., c_K) with V = sum_k c_k (x1^2 + x2^2)^k.
+
+    The c_k are read off the pure x1^(2k) terms; a V that the rebuilt sum
+    does not reproduce, or one with a non-real coefficient, is refused
+    with DomainError.
+    """
+    if V.arity != 2:
+        raise ValueError("V must be an arity-2 polynomial")
+    if not V.is_real:
+        raise DomainError("peierls needs a real potential V; got complex "
+                          "coefficients")
+    top = max(V.degree, 0) // 2
+    coeffs = [V.terms.get((2 * k, 0), 0.0).real for k in range(top + 1)]
+    r2 = PolySymbol.variable(2, 0) ** 2 + PolySymbol.variable(2, 1) ** 2
+    rebuilt = PolySymbol.zero(2)
+    for k, c in enumerate(coeffs):
+        if c != 0.0:
+            rebuilt = rebuilt + c * r2 ** k
+    if not V.allclose(rebuilt):
+        raise DomainError(
+            "peierls conserves angular momentum and needs a radial V = "
+            "sum_k c_k (x1^2 + x2^2)^k; this V is not a polynomial in "
+            "x1^2 + x2^2"
+        )
+    return coeffs
+
+
+def landau_basis_hamiltonian(coeffs, lam: float, params: NCParams,
+                             n_max: int) -> FockOperator:
+    """H = omega_B (a^dag a + 1/2) + lam sum_k c_k (R^2)^k on the
+    symmetric-gauge Landau-level basis |n, g>, n, g <= n_max.
+
+    Mode 0 is the cyclotron ladder a (Landau level n), mode 1 the
+    guiding-center ladder b (guiding index g).  The position z = x1 + i x2
+    is Z = sqrt(2/|eB|) (b^dag - a), up to the orientation sign of eB,
+    which only relabels l -> -l.  Z raises l = g - n by one even in the
+    truncated box, so R^2 = (Z Z^dag + Z^dag Z)/2, and every power of it,
+    conserves l exactly: H splits into the 2 n_max + 1 blocks of fixed l.
+    The powers are products of R^2, never polynomials in X1 and X2: in
+    the box X1 and X2 stop commuting at the boundary, and a monomial such
+    as X1^2 X2^2 would not conserve l.
+    """
+    space = FockSpace(n_max)
+    a, b = ladder(space, 0), ladder(space, 1)
+    H = params.omega_B * (a.dagger() @ a + 0.5)
+    if lam == 0.0:
+        return H
+    Z = math.sqrt(2.0 / abs(params.e * params.B)) * (b.dagger() - a)
+    R2 = 0.5 * (Z @ Z.dagger() + Z.dagger() @ Z)
+    H = H + lam * coeffs[0]
+    power = None
+    for c in coeffs[1:]:
+        power = R2 if power is None else power @ R2
+        if c != 0.0:
+            H = H + (lam * c) * power
+    return H
+
+
 def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
                      n_max: int = 30,
                      prescription=Prescription.ANTINORMAL) -> PeierlsResult:
     """Peierls approximation against the exact truncated-space spectrum.
 
     epsilon_n comes from the one-mode effective system; full_E_n is the
-    pollution-filtered spectrum of H = Pi^2/2m + lam V on the adapted
-    two-mode space.  In the strong-field regime full_E_n approaches
+    pollution-filtered spectrum of H = Pi^2/2m + lam V on the Landau-level
+    basis of landau_basis_hamiltonian.  V must be radial (DomainError
+    otherwise); H then splits into 2 n_max + 1 blocks of fixed angular
+    momentum, with a zero dropped-coupling bound.  The boundary shells of
+    the pollution filter are those of the level index n and the guiding
+    index g.  In the strong-field regime full_E_n approaches
     omega_B/2 + epsilon_n.
     """
     _require_commutative_landau(params)
+    coeffs = radial_coefficients(V)
     epsilon = effective_potential_spectrum(V, lam, params, k, prescription)
-    space = adapted_space(params, n_max)
-    ops = realize_rep(landau_rep(params), space)
-    H = kinetic_hamiltonian(ops, params.m)
-    if lam != 0.0:
-        H = H + lam * poly_of_commuting(V, ops.X1, ops.X2)
+    H = landau_basis_hamiltonian(coeffs, lam, params, n_max)
     full = spectrum(H, k, pollution_tol=POLLUTION_TOL)
     return PeierlsResult(epsilon, full.eigenvalues[:k], params.omega_B,
                          Prescription(prescription), full.error_bound,

@@ -290,12 +290,13 @@ def test_c09_peierls_strong_field():
         relative = []
         for B in (10.0, 50.0, 250.0):
             params = NCParams(theta=0.0, B=B)
-            res = peierls_spectrum(V, lam, params, 1)
+            res = peierls_spectrum(V, lam, params, 3)
             dev = res.deviations()[0]
             relative.append(abs(dev) / res.epsilon_n[0])
-            # exact two-frequency oscillator oracle for the ground level
+            # exact two-frequency oscillator oracle for the lowest branch
             Omega = np.sqrt(B * B / 4.0 + 2.0 * lam)
-            assert abs(res.full_E_n[0] - Omega) <= 1e-9
+            lowest_branch = Omega + np.arange(3) * (Omega - B / 2.0)
+            assert np.max(np.abs(res.full_E_n - lowest_branch)) <= 1e-9
         assert relative[0] > relative[1] > relative[2]
 
 

@@ -307,15 +307,6 @@ class TestMainExitCodes:
         assert "domain error" in err
         assert where in err and "raise n_max" in err
 
-    def test_dense_matrix_over_the_limit_is_refused(self, tmp_path, capsys):
-        # H + lam V of peierls has two parity blocks, so its dense blocks
-        # and their eigenvectors grow as a 16 (n_max+1)^4-byte matrix
-        code = main(["peierls", "--n-max", "120", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "3429742096 bytes" in err and "DENSE_MATRIX_LIMIT" in err
-        assert not (tmp_path / "peierls.csv").exists()
-
     def test_failed_check_exits_1_after_writing(self, tmp_path, capsys,
                                                 monkeypatch):
         import ncqmlab.reps
@@ -428,7 +419,8 @@ class TestMainRuns:
         manifest = json.loads(
             (tmp_path / "peierls_manifest.json").read_text())
         assert manifest["omega_B"] == pytest.approx(50.0)
-        assert manifest["blocks"] == 2
+        # one block per angular momentum l = g - n in [-12, 12]
+        assert manifest["blocks"] == 2 * 12 + 1
         assert manifest["eigenvalue_error_bound"] == 0.0
 
     def test_check_algebra_regular(self, tmp_path):

@@ -84,6 +84,12 @@ _RUNS = (
              ("peierls", "--B", "20", "--lam", "0.05", "--potential",
               "0.5,0.1", "--prescription", "weyl", "--n-max", "12",
               "--k", "2")),
+    # a weak field, answered by the Fock-Darwin levels Omega, 2 Omega -
+    # omega_B/2; the n_max = 8 basis below is too small for it
+    Scenario("peierls-weak-field",
+             ("peierls", "--B", "0.75", "--m", "1.5", "--lam", "0.05",
+              "--k", "2", "--n-max", "12")),
+    Scenario("peierls-large-basis", ("peierls", "--n-max", "120")),
     Scenario("check-algebra", ("check-algebra", "--theta", "0.3", "--B", "1",
                                "--seed", "7")),
     Scenario("check-algebra-singular",
@@ -94,7 +100,6 @@ _REFUSALS = (
     # exit 2: malformed configuration
     Scenario("n-max-too-small", ("spectrum", "--n-max", "2")),
     Scenario("trajectory-direct-field", ("trajectory", "--B", "1")),
-    Scenario("peierls-dense-limit", ("peierls", "--n-max", "120")),
     Scenario("unknown-config-key", ("star",), config={"Theta": 0.1}),
     Scenario("bad-list-flag", ("trajectory", "--xi0", "1,a,0,0")),
     # exit 3: outside the domain of the route
@@ -107,7 +112,7 @@ _REFUSALS = (
              ("peierls", "--B", "1e-3", "--n-max", "10")),
     Scenario("peierls-partly-polluted",
              ("peierls", "--B", "0.75", "--m", "1.5", "--lam", "0.05",
-              "--k", "2", "--n-max", "12")),
+              "--k", "2", "--n-max", "8")),
     Scenario("spectrum-unresolved",
              ("spectrum", "--theta", "0.3", "--B", "1", "--n-max", "12",
               "--k", "40")),

@@ -13,6 +13,7 @@ Oracles
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ from ncqmlab.fock import (
     spectrum,
     suggested_scale,
     unitary_from_hermitian,
-    weyl_average_reference,
 )
 from ncqmlab.reps import (
     landau_gauge_rep,
@@ -55,6 +55,21 @@ from ncqmlab.reps import (
     symmetric_vector_potential,
     vector_potential_rep,
 )
+
+
+def weyl_average_reference(e1: int, e2: int, X1: np.ndarray,
+                           X2: np.ndarray) -> np.ndarray:
+    """Brute-force multiset-permutation average (small degrees)."""
+    word = (0,) * e1 + (1,) * e2
+    mats = (X1, X2)
+    seen = set(permutations(word))
+    total = np.zeros_like(X1)
+    for order in seen:
+        prod = np.eye(X1.shape[0], dtype=complex)
+        for idx in order:
+            prod = prod @ mats[idx]
+        total += prod
+    return total / len(seen)
 
 
 class TestFockSpace:

@@ -16,9 +16,13 @@ Oracles
   forms per ordering: for V = r^2 and s = 1/(eB),
   anti-normal gives 2|s|*lam*(n+1), Weyl 2|s|*lam*(n+1/2), normal
   2|s|*lam*n; for V = r^4 anti-normal gives 4 s^2 lam (n+1)(n+2).
-* The full spectrum of Pi^2/2m + lam r^2 is the exact two-frequency
-  oscillator: Omega = sqrt(omega_B^2/4 + 2 lam/m), and the lowest branch
-  runs E_n = Omega + n*(Omega - omega_B/2).
+* The full spectrum of Pi^2/2m + lam c1 r^2 is the Fock-Darwin spectrum,
+  two decoupled oscillators of frequencies Omega +- omega_B/2 with
+  Omega = sqrt(omega_B^2/4 + 2 lam c1/m); its lowest branch runs
+  E_n = Omega + n*(Omega - omega_B/2).
+* peierls_spectrum solves on the Landau-level basis; the Cartesian route
+  (the minimally coupled representation on the adapted two-mode basis,
+  with V from poly_of_commuting) is kept here as its oracle.
 """
 
 import json
@@ -39,17 +43,20 @@ from ncqmlab.fock import (
     Prescription,
     build_canonical_ops,
     kinetic_hamiltonian,
+    poly_of_commuting,
     realize_rep,
     spectrum,
 )
 from ncqmlab.params import NCParams
 from ncqmlab.peierls import (
+    POLLUTION_TOL,
     adapted_space,
     effective_potential_spectrum,
     landau_projectors,
     landau_rep,
     peierls_spectrum,
     projector_sinc,
+    radial_coefficients,
     sinc_profile,
     truncated_commutators,
 )
@@ -443,18 +450,119 @@ class TestPeierlsSpectrum:
                                    rtol=0, atol=1e-9)
 
     def test_reports_the_eigensolve_bound(self):
-        res = peierls_spectrum(R2, 0.1, NCParams(theta=0.0, B=50.0), 2,
-                               n_max=12)
-        # the trap couples neighbouring n1 + n2 shells but conserves the
-        # parity of n1 + n2 exactly
-        assert res.blocks == 2
-        assert res.error_bound == 0.0
+        # a radial trap conserves l = g - n exactly, even in the box:
+        # one block per l in [-n_max, n_max], nothing dropped between them
+        n_max = 12
+        for V in (R2, 0.5 * R2 + 0.2 * R2 * R2):
+            for B in (50.0, -7.0):
+                res = peierls_spectrum(V, 0.1, NCParams(theta=0.0, B=B), 2,
+                                       n_max=n_max)
+                assert res.blocks == 2 * n_max + 1
+                assert res.error_bound == 0.0
 
     def test_weak_field_is_unresolved(self):
         with pytest.raises(UnresolvedSpectrum, match="n_max = 10"):
             peierls_spectrum(R2, 0.1, NCParams(theta=0.0, B=1e-3), 2,
                              n_max=10)
 
+    def test_weak_field_answers_on_a_large_enough_basis(self):
+        # omega_B = 0.5: the two lowest levels are Omega and
+        # 2 Omega - omega_B/2; at n_max = 8 only one of them is free of
+        # boundary weight
+        params = NCParams(theta=0.0, B=0.75, m=1.5)
+        res = peierls_spectrum(R2, 0.05, params, 2, n_max=12)
+        np.testing.assert_allclose(res.full_E_n,
+                                   fock_darwin_levels(params, 0.05, 2),
+                                   rtol=1e-13, atol=0)
+        with pytest.raises(UnresolvedSpectrum, match="only 1 of 2"):
+            peierls_spectrum(R2, 0.05, params, 2, n_max=8)
+
     def test_noncommutative_plane_rejected(self):
         with pytest.raises(DomainError):
             peierls_spectrum(R2, 0.1, NCParams(theta=0.2, B=10.0), 2)
+
+    @pytest.mark.parametrize("V", [X1SYM * X1SYM,
+                                   R2 + X1SYM * X1SYM * X2SYM * X2SYM,
+                                   R2 + X1SYM])
+    def test_non_radial_potential_rejected(self, V):
+        with pytest.raises(DomainError, match="radial V"):
+            peierls_spectrum(V, 0.1, NCParams(theta=0.0, B=10.0), 2,
+                             n_max=12)
+
+    def test_complex_potential_rejected(self):
+        with pytest.raises(DomainError, match="real potential"):
+            peierls_spectrum(1.0j * R2, 0.1, NCParams(theta=0.0, B=10.0), 2,
+                             n_max=12)
+
+    @pytest.mark.parametrize("B, e, m", [(30.0, 2.0, 1.7), (-30.0, 2.0, 1.7),
+                                         (-12.0, 0.5, 0.8), (8.0, 1.0, 1.0)])
+    def test_fock_darwin_levels(self, B, e, m):
+        # all six lowest levels of a quadratic trap, not only its ground
+        lam, c1, k = 0.1, 1.3, 6
+        params = NCParams(theta=0.0, B=B, e=e, m=m)
+        res = peierls_spectrum(c1 * R2, lam, params, k, n_max=20)
+        np.testing.assert_allclose(res.full_E_n,
+                                   fock_darwin_levels(params, lam * c1, k),
+                                   rtol=1e-13, atol=0)
+
+
+def fock_darwin_levels(params: NCParams, stiffness: float,
+                       count: int) -> np.ndarray:
+    """Lowest levels of Pi^2/2m + stiffness r^2: oscillators of frequencies
+    Omega +- omega_B/2 with Omega = sqrt(omega_B^2/4 + 2 stiffness/m)."""
+    omega_B = params.omega_B
+    Omega = np.sqrt(omega_B ** 2 / 4.0 + 2.0 * stiffness / params.m)
+    plus, minus = Omega + omega_B / 2.0, Omega - omega_B / 2.0
+    levels = sorted(plus * (a + 0.5) + minus * (b + 0.5)
+                    for a in range(count) for b in range(count))
+    return np.array(levels[:count])
+
+
+def cartesian_full_spectrum(V: PolySymbol, lam: float, params: NCParams,
+                            k: int, n_max: int) -> np.ndarray:
+    """The oracle: H = Pi^2/2m + lam V on the adapted Cartesian two-mode
+    basis, V from poly_of_commuting on X1 and X2, through the same
+    pollution filter; H splits into two parity blocks only."""
+    space = adapted_space(params, n_max)
+    ops = realize_rep(landau_rep(params), space)
+    H = kinetic_hamiltonian(ops, params.m)
+    H = H + lam * poly_of_commuting(V, ops.X1, ops.X2)
+    return spectrum(H, k, pollution_tol=POLLUTION_TOL).eigenvalues
+
+
+# 1e-10 relative: the two truncations differ only in boundary shells that
+# the lowest levels barely reach.  Over 300 random draws the largest
+# difference was 1.8e-11 (eB = 2.9 with a quartic term), and it was the
+# oracle's own truncation error: the Landau-level route matched its
+# n_max = 60 answer within 3e-16 there; all other draws agreed within 3e-14.
+ORACLE_RTOL = 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(B=st.floats(5.0, 80.0), sign=st.sampled_from([1.0, -1.0]),
+       e=st.sampled_from([0.5, 1.0, 2.0]), m=st.floats(0.5, 2.0),
+       lam=st.floats(0.01, 0.2), c1=st.floats(0.1, 1.5),
+       c2=st.floats(0.0, 0.5), n_max=st.integers(18, 28))
+def test_landau_basis_matches_cartesian_oracle(B, sign, e, m, lam, c1, c2,
+                                               n_max):
+    params = NCParams(theta=0.0, B=sign * B, e=e, m=m)
+    V = c1 * R2 + c2 * R2 * R2
+    k = 3
+    res = peierls_spectrum(V, lam, params, k, n_max=n_max)
+    assert res.blocks == 2 * n_max + 1 and res.error_bound == 0.0
+    np.testing.assert_allclose(
+        res.full_E_n, cartesian_full_spectrum(V, lam, params, k, n_max),
+        rtol=ORACLE_RTOL, atol=0)
+
+
+class TestRadialCoefficients:
+    def test_reads_each_power_of_r_squared(self):
+        V = 3.0 + 0.5 * R2 + 2.0 * R2 * R2 * R2
+        assert radial_coefficients(V) == [3.0, 0.5, 0.0, 2.0]
+
+    def test_zero_potential_has_no_power_above_the_constant(self):
+        assert radial_coefficients(PolySymbol.zero(2)) == [0.0]
+
+    def test_rejects_wrong_arity_potential(self):
+        with pytest.raises(ValueError):
+            radial_coefficients(PolySymbol.variable(4, 0))
