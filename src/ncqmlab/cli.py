@@ -160,10 +160,11 @@ def radial_potential(coefficients) -> PolySymbol:
     return V
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_cells(column) -> list[str]:
+    """One column's CSV cells: repr of each float, str of anything else."""
+    values = np.asarray(column)
+    return list(map(repr if values.dtype.kind == "f" else str,
+                    values.tolist()))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -195,11 +196,8 @@ def emit_table(columns: dict, fmt: str, path: str) -> str:
     if len(lengths) > 1:
         raise NCQMError("table columns must have equal length")
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for i in range(lengths.pop() if lengths else 0):
-            lines.append(",".join(_format_value(col[i])
-                                  for col in columns.values()))
-        text = "\n".join(lines) + "\n"
+        rows = zip(*map(_csv_cells, columns.values()))
+        text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
     else:
         text = json.dumps({k: _jsonify(v) for k, v in columns.items()},
                           indent=2, sort_keys=False) + "\n"
@@ -321,13 +319,13 @@ def _run_trajectory(config: ScenarioConfig):
     traj = minimal_coupling_trajectory(params, config.gauge, config.curlyB,
                                        config.xi0, config.T, config.h)
     columns = {
-        "t": list(traj.times),
-        "x1": list(traj.states[:, 0]),
-        "x2": list(traj.states[:, 1]),
-        "p1": list(traj.states[:, 2]),
-        "p2": list(traj.states[:, 3]),
-        "v1": list(traj.velocities[:, 0]),
-        "v2": list(traj.velocities[:, 1]),
+        "t": traj.times,
+        "x1": traj.states[:, 0],
+        "x2": traj.states[:, 1],
+        "p1": traj.states[:, 2],
+        "p2": traj.states[:, 3],
+        "v1": traj.velocities[:, 0],
+        "v2": traj.velocities[:, 1],
     }
     fit = dominant_fit(traj)
     extra = {

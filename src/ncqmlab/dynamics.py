@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (ArityMismatch, InsufficientData, SingularStructure,
                      StepTooLarge)
@@ -297,24 +296,36 @@ class FrequencyFit:
     n_crossings: int
 
 
-def _linear_seed(times: np.ndarray, values: np.ndarray,
-                 omega: float) -> np.ndarray:
-    """(a, b, c) of the linear least-squares fit of values by
-    a cos(omega t) + b sin(omega t) + c.
+# Gauss-Newton steps in omega that fit_sinusoid takes at most.
+_FIT_ITERATIONS = 50
 
-    Seeding the nonlinear fit with it means a signal starting at its mean
-    does not start the fit flat.  Over the five or more periods the fit
-    requires the three columns are near-orthogonal, so the normal
-    equations are well conditioned.
+
+def _linear_fit(basis: np.ndarray, values: np.ndarray) -> tuple:
+    """(coefficients, residual) of the linear least-squares fit of values
+    by the basis columns.
+
+    fit_sinusoid's columns are cos(omega t), sin(omega t) and 1; over the
+    five or more periods the fit requires they are near-orthogonal, so the
+    normal equations are well conditioned.
     """
-    basis = np.column_stack([np.cos(omega * times), np.sin(omega * times),
-                             np.ones_like(times)])
-    return np.linalg.solve(basis.T @ basis, basis.T @ values)
+    coeffs = np.linalg.solve(basis.T @ basis, basis.T @ values)
+    return coeffs, values - basis @ coeffs
 
 
 def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> FrequencyFit:
     """Fit a single sinusoid, seeding the frequency from zero crossings of
-    the centered signal (two crossings per period)."""
+    the centered signal (two crossings per period).
+
+    Variable projection (Golub & Pereyra 1973; Kaufman 1975): at each
+    omega, (a, b, c) is the linear fit, so the fit is a Gauss-Newton
+    iteration in omega alone.  With residual r, model derivative
+    d = t (b cos(omega t) - a sin(omega t)) and P d its part orthogonal to
+    the three basis columns, the step is (P d . r) / |P d|^2, which equals
+    (d . r) / |P d|^2 as r is orthogonal to the columns.  Omega stops when
+    a step is within 1e-15 of it, or after _FIT_ITERATIONS steps.  As the
+    amplitude is always the linear fit's, a signal starting at its mean
+    does not start the fit flat.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     centered = values - np.mean(values)
@@ -332,20 +343,24 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> FrequencyFit:
         )
     t_first = times[crossing_idx[0]]
     t_last = times[crossing_idx[-1]]
-    omega0 = np.pi * (len(crossing_idx) - 1) / (t_last - t_first)
+    w = np.pi * (len(crossing_idx) - 1) / (t_last - t_first)
 
-    def model(q, t):
-        a, b, c, w = q
-        return a * np.cos(w * t) + b * np.sin(w * t) + c
-
-    def resid(q):
-        return model(q, times) - values
-
-    q0 = np.append(_linear_seed(times, values, omega0), omega0)
-    sol = least_squares(resid, q0, method="lm", xtol=1e-14, ftol=1e-14)
-    a, b, c, w = sol.x
-    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
-    if not np.isfinite(w) or abs(w) <= 0 or rms > 0.2 * max(amp0, 1e-12):
+    # a step that is not a number, or an overflow, leaves omega or the rms
+    # non-finite, which is refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_FIT_ITERATIONS):
+            cos, sin = np.cos(w * times), np.sin(w * times)
+            basis = np.column_stack([cos, sin, np.ones_like(times)])
+            (a, b, c), resid = _linear_fit(basis, values)
+            d_perp = _linear_fit(basis, times * (b * cos - a * sin))[1]
+            # sums, not dots: OpenBLAS threads a ddot of 10^4 or more
+            # entries, which took 7 ms a call on a 2-core host
+            step = np.sum(d_perp * resid) / np.sum(d_perp * d_perp)
+            w += step
+            if not abs(step) > 1e-15 * abs(w):
+                break
+        rms = float(np.sqrt(np.mean(resid ** 2)))
+    if not (np.isfinite(w) and abs(w) > 0 and rms <= 0.2 * max(amp0, 1e-12)):
         raise InsufficientData("sinusoid fit failed to converge on the signal")
     return FrequencyFit(abs(float(w)), float(np.hypot(a, b)), float(c),
                         rms, len(crossing_idx))

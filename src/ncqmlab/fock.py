@@ -44,8 +44,8 @@ INTERIOR_MARGIN = 2
 # Entries at or below this fraction of the largest |H_ij| do not couple
 # basis states into one block; block_eigh drops them and reports their norm.
 BLOCK_COUPLING_TOL = 1e-13
-# Qualified clusters whose means differ by less than this fraction of the
-# mean are drifted copies of one level (see resolve_levels).
+# Level clusters whose means differ by less than this fraction of the mean
+# are drifted copies of one level (see resolve_levels).
 LEVEL_MERGE_RTOL = 1e-4
 # The gap rule of cluster_eigenvalues (see its docstring).
 CLUSTER_REL_GAP = 10.0
@@ -419,38 +419,49 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
 def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     """Hermitian eigensolve that diagonalizes each coupling block alone.
 
-    A dense input is converted to CSR first.  Basis states are joined when
-    a stored |H_ij| exceeds BLOCK_COUPLING_TOL * max|H|; the connected
-    components of that graph are the blocks, found in O(nnz).  Realized
-    Hamiltonians are block-diagonal up to roundoff (shells of equal
-    n1 + n2 on a degeneracy-adapted basis, the parity of n1 + n2 on the
-    unit-scale basis, the angular momentum g - n of a radial trap on the
-    Landau-level basis), so only one block at a time is made dense and
-    handed to eigh.  Eigenvalues come back ascending, as from
+    The input, sparse or dense, is read as COO with duplicates summed.
+    Basis states are joined when a stored |H_ij| exceeds
+    BLOCK_COUPLING_TOL * max|H|; the connected components of that graph
+    are the blocks, found in O(nnz).  Realized Hamiltonians are
+    block-diagonal up to roundoff (shells of equal n1 + n2 on a
+    degeneracy-adapted basis, the parity of n1 + n2 on the unit-scale
+    basis, the angular momentum g - n of a radial trap on the Landau-level
+    basis), so only one block at a time is made dense, from its own
+    entries, and handed to eigh.  Eigenvalues come back ascending, as from
     np.linalg.eigh; eigenvectors stay in their blocks, one EigenBlock each
     (see spectral_sum and eigenvector_columns).  The dropped stored entries
     between blocks form a Hermitian perturbation E, so by Weyl's
     inequality every eigenvalue differs from that of the full matrix by
     at most ||E||_2 <= ||E||_F = ``error_bound``.
     """
-    H = sp.csr_array(matrix)
-    coo = H.tocoo()
+    coo = sp.coo_array(matrix)
+    coo.sum_duplicates()
     mags = np.abs(coo.data)
     threshold = BLOCK_COUPLING_TOL * np.max(mags, initial=0.0)
     coupled = mags > threshold
     n_blocks, labels = _components(coo.row[coupled], coo.col[coupled],
-                                   H.shape[0])
-    dropped = labels[coo.row] != labels[coo.col]
+                                   coo.shape[0])
+    row_labels = labels[coo.row]
+    dropped = row_labels != labels[coo.col]
     error_bound = float(np.linalg.norm(mags[dropped]))
-    # Reorder the basis so that every block is a contiguous diagonal slice.
+    # The states of each block, ascending, each state's index in its block,
+    # and the kept entries split by block.
     order = np.argsort(labels, kind="stable")
-    H = H[order][:, order]
     sizes = np.bincount(labels)
     stops = np.cumsum(sizes)
     starts = stops - sizes
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - starts[labels[order]]
+    kept = np.flatnonzero(~dropped)
+    kept = kept[np.argsort(row_labels[kept], kind="stable")]
+    cuts = np.cumsum(np.bincount(row_labels[kept], minlength=n_blocks))[:-1]
+    entries = zip(*(np.split(x, cuts) for x in (
+        local[coo.row[kept]], local[coo.col[kept]], coo.data[kept])))
     values, blocks = [], []
-    for start, stop in zip(starts, stops):
-        sub = H[start:stop, start:stop].toarray()
+    for size, (rows, cols, data) in zip(sizes, entries):
+        # the dense block, as H[states][:, states].toarray() would give it
+        sub = np.zeros((size, size), dtype=coo.dtype)
+        sub[rows, cols] = data
         if vectors:
             w, v = np.linalg.eigh(sub)
             blocks.append(v)
@@ -535,7 +546,6 @@ class Cluster:
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray     # ascending, lowest k
-    clusters: tuple             # Cluster records, ascending, artifacts dropped
     levels: tuple               # one Cluster per resolved level, ascending
     error_bound: float          # Weyl bound on every eigenvalue's error
     blocks: int                 # blocks diagonalized
@@ -570,25 +580,23 @@ def cluster_of(values: np.ndarray) -> Cluster:
                    float(values[-1] - values[0]))
 
 
-def resolve_levels(evals: np.ndarray) -> tuple:
-    """The one Landau-level rule: (clusters, levels) of ascending
-    eigenvalues, each entry of either the list of its member indices.
+def resolve_levels(evals: np.ndarray) -> list[list[int]]:
+    """The one Landau-level rule: the levels of ascending eigenvalues,
+    each the list of its member indices.
 
-    Clusters are the gap clusters of cluster_eigenvalues that end below
-    the upper third of ``evals`` (those reaching into it are truncation
-    artifacts).  Degenerate levels are fat clusters; truncation leaves
-    singleton stragglers.  A cluster qualifies when its multiplicity
-    reaches max(2, ceil(max_multiplicity / 4)); a qualified cluster whose
-    mean is within LEVEL_MERGE_RTOL * |mean| of the previous one is a
-    drifted copy and joins that level.
+    Only the gap clusters of cluster_eigenvalues that end below the upper
+    third of ``evals`` count (those reaching into it are truncation
+    artifacts).  Degenerate levels are clusters of two or more members;
+    truncation leaves singleton stragglers, which are skipped.  A cluster
+    whose mean is within LEVEL_MERGE_RTOL * |mean| of the previous one is
+    a drifted copy and joins that level.
     """
     cutoff_index = (2 * len(evals)) // 3
-    clusters = [group for group in cluster_eigenvalues(evals)
-                if group[-1] < cutoff_index]
-    threshold = max(2, -(-max(map(len, clusters), default=0) // 4))
     levels: list[list[int]] = []
-    for group in clusters:
-        if len(group) < threshold:
+    for group in cluster_eigenvalues(evals):
+        if group[-1] >= cutoff_index:
+            break
+        if len(group) < 2:
             continue
         mean = np.mean(evals[group])
         if levels and abs(mean - last) < LEVEL_MERGE_RTOL * abs(mean):
@@ -596,13 +604,13 @@ def resolve_levels(evals: np.ndarray) -> tuple:
         else:
             levels.append(list(group))
         last = mean
-    return clusters, levels
+    return levels
 
 
 def spectrum(H: FockOperator, k: int,
              pollution_tol: float | None = None) -> SpectrumResult:
-    """Lowest-k eigenvalues of a Hermitian operator, with its clusters
-    and Landau levels as resolve_levels reads them.
+    """Lowest-k eigenvalues of a Hermitian operator, with its Landau
+    levels as resolve_levels reads them.
 
     With `pollution_tol` set, eigenvectors carrying more than that
     probability weight on the boundary shells are dropped first: products
@@ -632,10 +640,9 @@ def spectrum(H: FockOperator, k: int,
                 f"only {len(evals)} of {k} eigenvectors are free of boundary "
                 f"pollution at n_max = {H.space.n_max}; raise n_max"
             )
-    clusters, levels = resolve_levels(evals)
     return SpectrumResult(evals[:k].copy(),
-                          tuple(cluster_of(evals[g]) for g in clusters),
-                          tuple(cluster_of(evals[m]) for m in levels),
+                          tuple(cluster_of(evals[m])
+                                for m in resolve_levels(evals)),
                           solve.error_bound, solve.blocks)
 
 

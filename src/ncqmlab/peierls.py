@@ -156,7 +156,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
     solve = block_eigh(H.stored)
     evals = solve.eigenvalues
-    _, levels = resolve_levels(evals)
+    levels = resolve_levels(evals)
     if len(levels) < N + 1:
         raise UnresolvedSpectrum(
             f"only {len(levels)} Landau levels resolved at n_max = "

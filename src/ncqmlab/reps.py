@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import schur
 
-from .errors import CurlMismatch, NegativeKappa, SingularStructure, ZeroTheta
+from .errors import CurlMismatch, NegativeKappa, ZeroTheta
 from .params import NCParams, kappa
 from .polysymbol import PolySymbol, x1, x2
 
@@ -258,28 +257,3 @@ def symmetric_vector_potential(curlyB: float) -> tuple[PolySymbol, PolySymbol]:
 def landau_vector_potential(curlyB: float) -> tuple[PolySymbol, PolySymbol]:
     """A = (0, B x1)."""
     return (PolySymbol.zero(2), curlyB * x1())
-
-
-def canonicalizing_transform(table: np.ndarray) -> np.ndarray:
-    """Real M with M . Omega_can . M^T equal to the antisymmetric table.
-
-    Existence for a nondegenerate table is the block-diagonalization
-    statement; raises SingularStructure when the table is degenerate.
-    """
-    T = np.asarray(table, dtype=float)
-    if T.shape != (4, 4) or np.max(np.abs(T + T.T)) > 1e-12 * (1 + np.max(np.abs(T))):
-        raise ValueError("table must be a real antisymmetric 4x4 matrix")
-    S, Q = schur(T, output="real")
-    scale = np.max(np.abs(T))
-    if abs(S[1, 0]) <= 1e-12 * (1 + scale) or abs(S[3, 2]) <= 1e-12 * (1 + scale):
-        raise SingularStructure("degenerate table: no canonicalizing transform")
-    Q = Q.copy()
-    mus = []
-    for k in (0, 2):
-        s = S[k, k + 1]
-        if s < 0:  # make the block equal +mu above the diagonal
-            Q[:, [k, k + 1]] = Q[:, [k + 1, k]]
-            s = -s
-        mus.extend([s, s])
-    M = Q @ np.diag([math.sqrt(mu) for mu in mus])
-    return M

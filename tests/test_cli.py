@@ -8,11 +8,15 @@ table (CSV or JSON) plus a JSON manifest; tabular output is byte-stable.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ncqmlab import cli
 from ncqmlab.cli import (
     COMMANDS,
     KEYS,
@@ -556,3 +560,39 @@ class TestConfigTable:
                               for cell in line.strip("|").split("|")[:2]))
         assert rows == [(key.name, "--" + key.name.replace("_", "-"))
                         for key in KEYS]
+
+
+# The public scipy packages each command loads: only the sparse Fock
+# matrices need scipy, so the closed-form routes and the classical flow
+# load none of it.
+_SCIPY_PACKAGES = {
+    ("star", "--theta", "0.3", "--B", "1"): [],
+    ("sw", "--theta", "0.3", "--curlyB", "0.5"): [],
+    ("check-algebra", "--theta", "0.3"): [],
+    ("trajectory", "--B", "0", "--theta", "0.25", "--curlyB", "2"): [],
+    ("spectrum", "--theta", "0.3", "--n-max", "10", "--k", "3"):
+        ["scipy", "scipy.sparse"],
+    ("peierls", "--B", "20", "--n-max", "12", "--k", "2"):
+        ["scipy", "scipy.sparse"],
+}
+
+
+@pytest.mark.parametrize("argv,packages", _SCIPY_PACKAGES.items(),
+                         ids=[argv[0] for argv in _SCIPY_PACKAGES])
+def test_command_loads_only_the_scipy_it_needs(tmp_path, argv, packages):
+    code = (
+        "import json, sys\n"
+        "from ncqmlab import cli\n"
+        "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(\n"
+        "    name for name, module in sys.modules.items()\n"
+        "    if name.split('.')[0] == 'scipy' and hasattr(module, '__path__')\n"
+        "    and not any(part.startswith('_') for part in name.split('.')))))\n"
+    )
+    src = str(Path(cli.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code,
+         json.dumps(list(argv) + ["--out", str(tmp_path)])],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout.splitlines()[-1]) == packages

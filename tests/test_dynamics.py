@@ -15,13 +15,19 @@ Oracles
 * ``oracle_integrate`` is the per-stage ``PolySymbol.eval`` RK4 loop the
   compiled steppers replace.  The step-matrix route for affine flows and
   the compiled-table route for every other flow must agree with it.
+* ``oracle_fit`` is scipy's Levenberg-Marquardt ``least_squares`` over all
+  four parameters, started from the orbit's predicted frequency.  The
+  variable-projection fit minimizes the same sum of squares, so on
+  minimally coupled orbits its frequency must agree with the oracle's to
+  FIT_OMEGA_RTOL.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from ncqmlab.errors import (ArityMismatch, InsufficientData,
                             SingularStructure, StepTooLarge)
@@ -496,7 +502,53 @@ class TestMinimalCoupling:
         assert fitted == pytest.approx(expected, rel=1e-3)
 
 
+# In sweeps over both gauges, theta in [-0.4, 0.4], curlyB in [1, 5],
+# e in {0.5, 1, 2}, m in [0.5, 2], any starting phase, T in {10, 16} and
+# h in {1e-3, 5e-3}, the two fits differed by at most 2.6e-14 relative;
+# the trajectory goldens gate omega_fitted at 1e-12.
+FIT_OMEGA_RTOL = 1e-12
+
+
+def oracle_fit(times, values, omega0):
+    """(omega, rms residual) of least_squares over (a, b, c, omega), from
+    omega0 and the linear least-squares amplitudes there."""
+    def model(q):
+        a, b, c, w = q
+        return a * np.cos(w * times) + b * np.sin(w * times) + c
+
+    basis = np.column_stack([np.cos(omega0 * times),
+                             np.sin(omega0 * times), np.ones_like(times)])
+    q0 = np.append(np.linalg.lstsq(basis, values, rcond=None)[0], omega0)
+    sol = least_squares(lambda q: model(q) - values, q0, method="lm",
+                        xtol=1e-14, ftol=1e-14)
+    return abs(sol.x[3]), float(np.sqrt(np.mean(sol.fun ** 2)))
+
+
+def assert_fit_matches_oracle(traj):
+    fit = fit_sinusoid(traj.times, traj.velocities[:, 0])
+    omega, rms = oracle_fit(traj.times, traj.velocities[:, 0], traj.omega)
+    assert fit.omega == pytest.approx(omega, rel=FIT_OMEGA_RTOL, abs=0)
+    # both sit at the roundoff floor of the same sum of squares
+    assert fit.residual_rms <= rms + 1e-12 * fit.amplitude
+
+
 class TestFrequencyFit:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(list(Gauge)), st.floats(0.05, 0.4),
+           st.floats(3.5, 5.0), st.tuples(*[st.floats(-0.5, 0.5)] * 2),
+           st.floats(0.5, 1.5), st.floats(-math.pi, math.pi))
+    # in both gauges v1 is proportional to p1 - A1, so with cos(phi) = 0
+    # it starts at zero, its mean
+    @example(Gauge.LANDAU, 0.25, 4.0, (0.3, -0.2), 1.0, math.pi / 2)
+    @example(Gauge.SYMMETRIC, 0.25, 4.0, (0.0, 0.0), 1.0, -math.pi / 2)
+    def test_matches_least_squares_oracle(self, gauge, theta, curlyB, x,
+                                          speed, phi):
+        A = MonomialTable(list(gauge_potential(gauge, curlyB)))(x)
+        p = speed * np.array([math.cos(phi), math.sin(phi)]) + A
+        traj = minimal_coupling_trajectory(
+            NCParams(theta=theta), gauge, curlyB, (*x, *p), 10.0, 1e-3)
+        assert_fit_matches_oracle(traj)
+
     def test_synthetic_recovery(self):
         t = np.linspace(0.0, 20.0, 4001)
         y = 1.3 * np.cos(3.0 * t + 0.4) - 0.2
@@ -507,7 +559,7 @@ class TestFrequencyFit:
 
     def test_signal_starting_at_its_mean(self):
         # v1 starts at its mean, so a fit seeded with amplitude
-        # (v1(0) - mean, 0) starts flat; the linear seed does not
+        # (v1(0) - mean, 0) starts flat; the linear fit does not
         traj = minimal_coupling_trajectory(
             NCParams(theta=0.37205200595938115), "landau",
             4.506356472553741,
@@ -516,11 +568,19 @@ class TestFrequencyFit:
         assert dominant_frequency(traj) == pytest.approx(traj.omega,
                                                          rel=1e-6)
         assert traj.omega == 4.506356472553741
+        assert_fit_matches_oracle(traj)
 
     def test_constant_signal_rejected(self):
         t = np.linspace(0.0, 10.0, 101)
         with pytest.raises(InsufficientData):
             fit_sinusoid(t, np.full_like(t, 2.5))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_fit_is_refused_without_warnings(self):
+        # the normal equations overflow, so the step and omega turn NaN
+        t = np.linspace(0.0, 20.0, 2001)
+        with pytest.raises(InsufficientData, match="failed to converge"):
+            fit_sinusoid(t, 1e300 * np.cos(3.0 * t))
 
     def test_too_few_periods_rejected(self):
         t = np.linspace(0.0, 3.0, 301)

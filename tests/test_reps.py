@@ -20,14 +20,12 @@ from hypothesis import given, settings, strategies as st
 from ncqmlab.errors import (
     CurlMismatch,
     NegativeKappa,
-    SingularStructure,
     ZeroTheta,
 )
 from ncqmlab.params import NCParams, kappa
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import (
     Branch,
-    canonicalizing_transform,
     commutator_table,
     decouple,
     gauge_function,
@@ -282,30 +280,6 @@ class TestVectorPotentialRep:
         rep = vector_potential_rep(A, NCParams(theta=0.0, B=1.0))
         expected = PolySymbol.constant(2, 1.0) + x1 * 2.0
         assert rep.field.allclose(expected)
-
-
-class TestCanonicalizingTransform:
-    def test_round_trip_reproduces_table(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            p = NCParams(
-                theta=float(rng.uniform(-0.8, 0.8)),
-                B=float(rng.uniform(-2.0, 2.0)),
-            )
-            if abs(kappa(p)) < 1e-3:
-                continue
-            M = canonicalizing_transform(target_table(p))
-            np.testing.assert_allclose(
-                M @ CANONICAL_OMEGA @ M.T, target_table(p), atol=1e-10
-            )
-
-    def test_singular_point_rejected(self):
-        with pytest.raises(SingularStructure):
-            canonicalizing_transform(target_table(NCParams(theta=0.5, B=2.0)))
-
-    def test_non_antisymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            canonicalizing_transform(np.eye(4))
 
 
 @settings(max_examples=60, deadline=None)
