@@ -16,9 +16,9 @@ import argparse
 import os
 import sys
 
-from ncqmlab.cli import emit_table, radial_potential
+from ncqmlab.cli import emit_table
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import peierls_spectrum
+from ncqmlab.peierls import peierls_spectrum, radial_potential
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError, NCQMError
 from .params import NCParams, kappa, is_singular
-from .polysymbol import PolySymbol, x1, x2
 
 
 def _key(default, help_text, **meta):
@@ -150,23 +149,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(command=command, **values)
 
 
-def radial_potential(coefficients) -> PolySymbol:
-    """V = sum_k c_k r^(2k) from the coefficient list (c_1, c_2, ...)."""
-    r2 = x1() ** 2 + x2() ** 2
-    V = PolySymbol.zero(2)
-    for power, coeff in enumerate(coefficients, start=1):
-        if coeff != 0.0:
-            V = V + coeff * r2 ** power
-    return V
-
-
-def _csv_cells(column) -> list[str]:
-    """One column's CSV cells: repr of each float, str of anything else."""
-    values = np.asarray(column)
-    return list(map(repr if values.dtype.kind == "f" else str,
-                    values.tolist()))
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     try:
@@ -177,68 +159,45 @@ def _atomic_write(path: str, text: str) -> None:
         raise NCQMError(f"failed writing {path}: {exc}") from exc
 
 
-def _jsonify(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.ndarray, list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {key: _jsonify(val) for key, val in value.items()}
-    return value
-
-
 def emit_table(columns: dict, fmt: str, path: str) -> str:
     """Write named equal-length arrays as CSV (header row, '.' decimals,
-    newline-terminated) or JSON (flat object of arrays); byte-stable."""
-    lengths = {len(v) for v in columns.values()}
-    if len(lengths) > 1:
+    newline-terminated; repr of each float, str of anything else) or JSON
+    (flat object of arrays); byte-stable."""
+    arrays = [np.asarray(column) for column in columns.values()]
+    if len({len(values) for values in arrays}) > 1:
         raise NCQMError("table columns must have equal length")
+    cells = [values.tolist() for values in arrays]
     if fmt == "csv":
-        rows = zip(*map(_csv_cells, columns.values()))
+        rows = zip(*(map(repr if values.dtype.kind == "f" else str, column)
+                     for values, column in zip(arrays, cells)))
         text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
     else:
-        text = json.dumps({k: _jsonify(v) for k, v in columns.items()},
-                          indent=2, sort_keys=False) + "\n"
+        text = json.dumps(dict(zip(columns, cells)), indent=2) + "\n"
     _atomic_write(path, text)
     return path
 
 
 def _write_manifest(config: ScenarioConfig, extra: dict, path: str) -> str:
     manifest = {
-        "config": _jsonify(dataclasses.asdict(config)),
+        "config": dataclasses.asdict(config),
         "versions": {
             "ncqmlab": __version__,
             "numpy": np.__version__,
             "python": "%d.%d" % sys.version_info[:2],
         },
     }
-    manifest.update(_jsonify(extra))
+    manifest.update(extra)
     _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
 # --- command implementations -------------------------------------------
 
-def _require_coupling(params: NCParams, field: float, name: str,
-                      artefact: str) -> None:
-    """Refuse a zero coupling e * field: a free particle has a continuous
-    spectrum, so no route may print Landau levels for it."""
-    if params.e == 0.0 or field == 0.0:
-        raise DomainError(
-            f"{name if field == 0.0 else 'e'} = 0 has no Landau structure: "
-            f"the spectrum is continuous and {artefact}"
-        )
-
-
 def _run_spectrum(config: ScenarioConfig):
     from . import fock
     from .peierls import magnetic_rep
 
     params = config.params()
-    _require_coupling(params, params.B, "B",
-                      "a truncated basis shows only artefact levels")
     rep = magnetic_rep(params)
     space = fock.FockSpace(config.n_max, scale=fock.suggested_scale(rep))
     ops = fock.realize_rep(rep, space)
@@ -266,7 +225,6 @@ def _run_star(config: ScenarioConfig):
         star_commutation_table, symmetric_star_gauge
 
     params = config.params()
-    _require_coupling(params, params.B, "B", "has no levels to print")
     eff = bbar_of_B(params.B, params)
     result = star_landau_spectrum(params, eff.Bbar, config.k)
     table = star_commutation_table(symmetric_star_gauge(eff.Bbar, params.e),
@@ -292,8 +250,6 @@ def _run_sw(config: ScenarioConfig):
     from .star import sw_constant_field
 
     params = config.params()
-    _require_coupling(params, config.curlyB, "curlyB",
-                      "has no levels to print")
     eff, result = sw_constant_field(config.curlyB, params, config.k)
     columns = {
         "n": list(range(config.k)),
@@ -340,7 +296,7 @@ def _run_trajectory(config: ScenarioConfig):
 
 
 def _run_peierls(config: ScenarioConfig):
-    from .peierls import peierls_spectrum
+    from .peierls import peierls_spectrum, radial_potential
 
     params = config.params()
     V = radial_potential(config.potential)
@@ -426,7 +382,10 @@ def run_scenario(config: ScenarioConfig) -> dict:
     naming the failed checks.
     """
     columns, extra = _RUNNERS[config.command](config)
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise NCQMError(f"failed making {config.out}: {exc}") from exc
     stem = config.command.replace("-", "_")
     table_path = os.path.join(config.out, f"{stem}.{config.format}")
     manifest_path = os.path.join(config.out, f"{stem}_manifest.json")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -44,3 +44,15 @@ def kappa(params: NCParams) -> float:
 def is_singular(params: NCParams) -> bool:
     """True when kappa vanishes (degenerate phase space)."""
     return kappa(params) == 0.0
+
+
+def require_coupling(e: float, field: float, name: str,
+                     consequence: str) -> None:
+    """Refuse a zero coupling e * field: a free particle has a continuous
+    spectrum, so no route may report Landau levels for it.  ``name`` names
+    the field in the message; ``consequence`` ends it."""
+    if e == 0.0 or field == 0.0:
+        raise DomainError(
+            f"{name if field == 0.0 else 'e'} = 0 has no Landau structure: "
+            f"the spectrum is continuous and {consequence}"
+        )

@@ -51,8 +51,8 @@ from .fock import (
     spectrum,
     suggested_scale,
 )
-from .params import NCParams
-from .polysymbol import PolySymbol
+from .params import NCParams, require_coupling
+from .polysymbol import PolySymbol, x1, x2
 from .reps import (symmetric_gauge_rep, symmetric_vector_potential,
                    vector_potential_rep)
 
@@ -67,9 +67,7 @@ def _require_commutative_landau(params: NCParams) -> None:
             "Landau truncation is defined on the commutative plane "
             f"(theta = 0); got theta = {params.theta}"
         )
-    if params.e == 0.0 or params.B == 0.0:
-        raise DomainError(f"{'B' if params.B == 0.0 else 'e'} = 0 has no "
-                          "Landau structure to truncate")
+    require_coupling(params.e, params.B, "B", "has no levels to truncate")
 
 
 def landau_rep(params: NCParams):
@@ -80,7 +78,10 @@ def landau_rep(params: NCParams):
 
 def magnetic_rep(params: NCParams):
     """landau_rep at theta = 0, else the symmetric-gauge representation,
-    which is written in units e = 1 and refuses any other charge."""
+    which is written in units e = 1 and refuses any other charge.  A zero
+    coupling e B is refused at any theta."""
+    require_coupling(params.e, params.B, "B",
+                     "a truncated basis shows only artefact levels")
     if params.theta == 0.0:
         return landau_rep(params)
     if params.e != 1.0:
@@ -373,12 +374,22 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     return evals[:k]
 
 
+def radial_potential(coefficients) -> PolySymbol:
+    """V = sum_k c_k r^(2k) from the coefficient list (c_1, c_2, ...)."""
+    r2 = x1() ** 2 + x2() ** 2
+    V = PolySymbol.zero(2)
+    for power, coeff in enumerate(coefficients, start=1):
+        if coeff != 0.0:
+            V = V + coeff * r2 ** power
+    return V
+
+
 def radial_coefficients(V: PolySymbol) -> list:
     """(c_0, c_1, ..., c_K) with V = sum_k c_k (x1^2 + x2^2)^k.
 
-    The c_k are read off the pure x1^(2k) terms; a V that the rebuilt sum
-    does not reproduce, or one with a non-real coefficient, is refused
-    with DomainError.
+    The c_k are read off the pure x1^(2k) terms; a V that
+    c_0 + radial_potential(c_1, ...) does not reproduce, or one with a
+    non-real coefficient, is refused with DomainError.
     """
     if V.arity != 2:
         raise ValueError("V must be an arity-2 polynomial")
@@ -387,12 +398,7 @@ def radial_coefficients(V: PolySymbol) -> list:
                           "coefficients")
     top = max(V.degree, 0) // 2
     coeffs = [V.terms.get((2 * k, 0), 0.0).real for k in range(top + 1)]
-    r2 = PolySymbol.variable(2, 0) ** 2 + PolySymbol.variable(2, 1) ** 2
-    rebuilt = PolySymbol.zero(2)
-    for k, c in enumerate(coeffs):
-        if c != 0.0:
-            rebuilt = rebuilt + c * r2 ** k
-    if not V.allclose(rebuilt):
+    if not V.allclose(coeffs[0] + radial_potential(coeffs[1:])):
         raise DomainError(
             "peierls conserves angular momentum and needs a radial V = "
             "sum_k c_k (x1^2 + x2^2)^k; this V is not a polynomial in "

@@ -2,11 +2,10 @@
 
 A ``LinearRep`` expresses (X1h, P1h, X2h, P2h) as real linear combinations
 of canonical (X1, P1, X2, P2); that row ordering is fixed here and differs
-from the xi = (x1, x2, p1, p2) ordering of the structures module by the
-permutation ``REP_TO_XI``.  Momentum-gauge and vector-potential
-representations substitute polynomials of the commuting momenta /
-coordinates instead and are realized at the matrix level by the Fock
-module.
+from the xi = (x1, x2, p1, p2) ordering of the structures module.
+Momentum-gauge and vector-potential representations substitute polynomials
+of the commuting momenta / coordinates instead and are realized at the
+matrix level by the Fock module.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, DomainError, InternalMismatch
-from .params import NCParams
+from .params import NCParams, require_coupling
 from .polysymbol import PolySymbol, x1, x2
 from .reps import symmetric_vector_potential
 
@@ -158,7 +158,10 @@ def bbar_of_B(B: float, params: NCParams) -> EffectiveLandauParams:
 
 def star_landau_spectrum(params: NCParams, Bbar: float, k: int) -> np.ndarray:
     """The lowest k Landau levels of the disentangled problem:
-    E_n = (|e* Bbar|/m*)(n+1/2) = (|e Lambda_bar Bbar|/m)(n+1/2)."""
+    E_n = (|e* Bbar|/m*)(n+1/2) = (|e Lambda_bar Bbar|/m)(n+1/2).  A zero
+    coupling is refused: e = 0, or Bbar = 0, which is B = Lambda_bar Bbar
+    = 0."""
+    require_coupling(params.e, Bbar, "B", "has no levels to print")
     lam = lambda_bar(Bbar, params.e, params.theta)
     return abs(params.e * lam * Bbar) / params.m * (np.arange(k) + 0.5)
 
@@ -239,9 +242,11 @@ def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
     B_check = B/(1 - e theta B) realized by the symmetric gauge with
     coefficient Bbar = (2/(e theta))(1/sqrt(1 - e theta B) - 1), evaluated
     in the cancellation-free form 2B / (sqrt(1-u)(1 + sqrt(1-u))); the
-    spectrum E_n = (|e B|/m)(n+1/2) is theta-independent.
+    spectrum E_n = (|e B|/m)(n+1/2) is theta-independent.  A zero
+    coupling e B is refused.
     """
     e, theta, m = params.e, params.theta, params.m
+    require_coupling(e, curlyB, "curlyB", "has no levels to print")
     u = e * theta * curlyB
     if 1.0 - u <= 0:
         raise DomainError(

@@ -17,11 +17,6 @@ from .errors import ArityMismatch, SingularStructure
 from .params import NCParams, kappa
 from .polysymbol import PolySymbol
 
-# Permutation between this ordering and the representation-row ordering
-# (X1, P1, X2, P2): REP_TO_XI[row] is the xi-index of representation row `row`.
-REP_TO_XI = (0, 2, 1, 3)
-
-
 class StructureKind(str, Enum):
     STANDARD = "standard"
     EXOTIC = "exotic"

@@ -24,10 +24,10 @@ from ncqmlab.cli import (
     emit_table,
     main,
     merge_cli,
-    radial_potential,
     validate_config,
 )
 from ncqmlab.errors import ConfigError, NCQMError
+from ncqmlab.peierls import radial_coefficients, radial_potential
 from ncqmlab.polysymbol import x1, x2
 
 
@@ -165,6 +165,11 @@ class TestRadialPotential:
         assert radial_potential((0.0,)).is_zero
         V = radial_potential((0.0, 1.0))
         assert V.allclose((x1() ** 2 + x2() ** 2) ** 2)
+
+    @pytest.mark.parametrize("c", [(1.0,), (0.5, 2.0), (0.0, 1.0),
+                                   (-0.3, 0.0, 0.25)])
+    def test_radial_coefficients_read_back_the_trap(self, c):
+        assert radial_coefficients(radial_potential(c)) == [0.0, *c]
 
 
 class TestEmitTable:
@@ -437,6 +442,9 @@ class TestMainRuns:
         assert "jacobi_exotic" in table["check"]
         assert "symmetric_rep_residual" in table["check"]
         assert all(s == "ok" for s in table["status"])
+        manifest = json.loads(
+            (tmp_path / "check_algebra_manifest.json").read_text())
+        assert manifest["singular"] is False
 
     def test_check_algebra_singular_warns_but_succeeds(self, tmp_path,
                                                        capsys):
@@ -449,6 +457,9 @@ class TestMainRuns:
         table = json.loads((tmp_path / "check_algebra.json").read_text())
         assert "jacobi_exotic" not in table["check"]
         assert table["status"][table["check"].index("kappa")] == "singular"
+        manifest = json.loads(
+            (tmp_path / "check_algebra_manifest.json").read_text())
+        assert manifest["singular"] is True
 
     def test_byte_stable_across_runs(self, tmp_path):
         args = ["spectrum", "--theta", "0.3", "--n-max", "8", "--k", "2"]

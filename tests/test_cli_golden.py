@@ -15,9 +15,10 @@ manifest are compared with the recording under ``tests/golden/<scenario>``:
 Tables longer than MAX_ROWS rows are stored thinned to every step-th row;
 ``run.json`` records the full row count and the step.
 
-To re-record after a deliberate output change (state it in CHANGES.md):
+To re-record after a deliberate output change (state it in CHANGES.md),
+naming the scenarios to re-record, or none to re-record them all:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 """
 
 from __future__ import annotations
@@ -265,7 +266,11 @@ def record_golden(scenario: Scenario) -> None:
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = set(names) - {scenario.name for scenario in SCENARIOS}
+    if unknown:
+        sys.exit(f"unknown scenarios: {', '.join(sorted(unknown))}")
     for scenario in SCENARIOS:
-        record_golden(scenario)
-        print(f"recorded {scenario.name}")
-    sys.exit(0)
+        if not names or scenario.name in names:
+            record_golden(scenario)
+            print(f"recorded {scenario.name}")

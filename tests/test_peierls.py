@@ -54,6 +54,7 @@ from ncqmlab.peierls import (
     effective_potential_spectrum,
     landau_projectors,
     landau_rep,
+    magnetic_rep,
     peierls_spectrum,
     projector_sinc,
     radial_coefficients,
@@ -84,6 +85,16 @@ class TestPreconditions:
     def test_landau_rep_rejects_zero_field(self):
         with pytest.raises(DomainError):
             landau_rep(NCParams(theta=0.0, B=0.0))
+
+    @pytest.mark.parametrize("params", [
+        NCParams(theta=0.3, B=0.0),
+        NCParams(theta=0.3, B=1.0, e=0.0),
+    ])
+    def test_magnetic_rep_refuses_zero_coupling(self, params):
+        # the symmetric-gauge rep at theta != 0 exists at B = 0, but a
+        # free particle has no Landau levels to realize
+        with pytest.raises(DomainError, match="no Landau structure"):
+            magnetic_rep(params)
 
     def test_adapted_space_propagates_domain_check(self):
         with pytest.raises(DomainError):

@@ -349,7 +349,6 @@ def test_ladder_built_operators_stay_sparse():
     assert sp.issparse(H.stored) and H.stored.format == "csr"
     assert H.hermitian_flag
     assert isinstance(H.matrix, np.ndarray)
-    assert H.matrix is H.matrix     # made dense once, then kept
     np.testing.assert_array_equal(H.restrict(2).toarray(),
                                   H.matrix[np.ix_(space.interior_mask(2),
                                                   space.interior_mask(2))])

@@ -234,6 +234,15 @@ class TestDisentangling:
         res = star_landau_spectrum(p, 2.0, 2)
         np.testing.assert_allclose(res, [1.0, 3.0], atol=1e-14)
 
+    @pytest.mark.parametrize("p, bbar", [
+        (NCParams(theta=0.2, B=0.0), 0.0),
+        (NCParams(e=0.0), 1.0),
+    ])
+    def test_zero_coupling_refused(self, p, bbar):
+        # e B = 0 is a free particle: a continuous spectrum, no levels
+        with pytest.raises(DomainError, match="no Landau structure"):
+            star_landau_spectrum(p, bbar, 3)
+
 
 class TestStarSpectrumCrossCheck:
     def test_against_number_basis_diagonalization(self):
@@ -347,6 +356,11 @@ class TestConstantFieldMap:
             sw_constant_field(2.5, p)
         with pytest.raises(DomainError):
             sw_constant_field(3.0, p)
+
+    @pytest.mark.parametrize("curlyB, e", [(0.0, 1.0), (0.5, 0.0)])
+    def test_zero_coupling_refused(self, curlyB, e):
+        with pytest.raises(DomainError, match="no Landau structure"):
+            sw_constant_field(curlyB, NCParams(theta=0.4, e=e))
 
     def test_zero_theta_identity_map(self):
         p = NCParams(theta=0.0, B=0.0)
