@@ -267,13 +267,9 @@ def _run_sw(config: ScenarioConfig):
 def _run_trajectory(config: ScenarioConfig):
     from .dynamics import dominant_fit, minimal_coupling_trajectory
 
-    params = config.params()
-    if params.B != 0.0:
-        raise ConfigError(
-            "trajectory uses the B = 0 structure; set the field via curlyB"
-        )
-    traj = minimal_coupling_trajectory(params, config.gauge, config.curlyB,
-                                       config.xi0, config.T, config.h)
+    traj = minimal_coupling_trajectory(config.params(), config.gauge,
+                                       config.curlyB, config.xi0, config.T,
+                                       config.h)
     columns = {
         "t": traj.times,
         "x1": traj.states[:, 0],
@@ -320,6 +316,12 @@ def _run_peierls(config: ScenarioConfig):
     return columns, extra
 
 
+# check-algebra passes a Jacobi tensor and a commutator-table residual no
+# larger than these (largest entry).
+JACOBI_LIMIT = 1e-10
+TABLE_LIMIT = 1e-12
+
+
 def _run_check_algebra(config: ScenarioConfig):
     from .reps import symmetric_gauge_rep, landau_gauge_rep, table_residual
     from .structures import symplectic_matrix, jacobi_residual, \
@@ -327,18 +329,20 @@ def _run_check_algebra(config: ScenarioConfig):
 
     params = config.params()
     singular = is_singular(params)
-    rng = np.random.default_rng(config.seed)
-    points = rng.uniform(-1.0, 1.0, size=(10, 4))
-    standard = symplectic_matrix(params, StructureKind.STANDARD)
-    jac_std = max(float(np.max(np.abs(jacobi_residual(standard, pt))))
-                  for pt in points)
+    points = np.random.default_rng(config.seed).uniform(-1.0, 1.0, (10, 4))
 
-    names = ["kappa", "jacobi_standard", "landau_rep_residual"]
-    values = [kappa(params), jac_std,
-              table_residual(landau_gauge_rep(params))]
-    statuses = ["singular" if singular else "ok",
-                "ok" if jac_std <= 1e-10 else "fail", ""]
-    statuses[2] = "ok" if values[2] <= 1e-12 else "fail"
+    def jacobi_max(kind: StructureKind) -> float:
+        structure = symplectic_matrix(params, kind)
+        return max(float(np.max(np.abs(jacobi_residual(structure, pt))))
+                   for pt in points)
+
+    # (check, value, limit); the kappa row has no limit and reads
+    # "singular" at kappa = 0
+    rows = [("kappa", kappa(params), None),
+            ("jacobi_standard", jacobi_max(StructureKind.STANDARD),
+             JACOBI_LIMIT),
+            ("landau_rep_residual", table_residual(landau_gauge_rep(params)),
+             TABLE_LIMIT)]
     warnings = []
     if singular:
         warnings.append(
@@ -346,18 +350,17 @@ def _run_check_algebra(config: ScenarioConfig):
             "exotic structure and symmetric-gauge representation undefined"
         )
     else:
-        exotic = symplectic_matrix(params, StructureKind.EXOTIC)
-        jac_exo = max(float(np.max(np.abs(jacobi_residual(exotic, pt))))
-                      for pt in points)
-        names.append("jacobi_exotic")
-        values.append(jac_exo)
-        statuses.append("ok" if jac_exo <= 1e-10 else "fail")
+        rows.append(("jacobi_exotic", jacobi_max(StructureKind.EXOTIC),
+                     JACOBI_LIMIT))
         if kappa(params) > 0 and params.theta != 0.0:
-            sym_res = table_residual(symmetric_gauge_rep(params))
-            names.append("symmetric_rep_residual")
-            values.append(sym_res)
-            statuses.append("ok" if sym_res <= 1e-12 else "fail")
-    columns = {"check": names, "value": values, "status": statuses}
+            rows.append(("symmetric_rep_residual",
+                         table_residual(symmetric_gauge_rep(params)),
+                         TABLE_LIMIT))
+    checks, values, limits = zip(*rows)
+    statuses = [("singular" if singular else "ok") if limit is None
+                else "ok" if value <= limit else "fail"
+                for value, limit in zip(values, limits)]
+    columns = {"check": checks, "value": values, "status": statuses}
     extra = {"warnings": warnings, "seed": config.seed,
              "kappa": kappa(params), "singular": singular}
     return columns, extra
@@ -403,24 +406,24 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per runner, each with a flag for every key of the
-    config table (n_max as --n-max) plus --config."""
+    """One parser for every command: the command, --config and a flag for
+    each key of the config table (n_max as --n-max).  validate_config
+    checks a choice flag as it checks a config file, case-insensitively."""
     parser = argparse.ArgumentParser(
         prog="ncqmlab",
         description="noncommutative quantum mechanics laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=str, default=None,
-                         help="JSON file of config keys; flags win")
-        for key in KEYS:
-            kind = type(key.default)
-            cmd.add_argument(
-                "--" + key.name.replace("_", "-"),
-                type=kind if kind in (int, float) else str,
-                choices=key.metadata.get("choices"), default=None,
-                help=f"{key.metadata['help']} (default {key.default!r})")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", type=str, default=None,
+                        help="JSON file of config keys; flags win")
+    for key in KEYS:
+        kind = type(key.default)
+        choices = key.metadata.get("choices")
+        parser.add_argument(
+            "--" + key.name.replace("_", "-"),
+            type=kind if kind in (int, float) else str, default=None,
+            metavar="{%s}" % ",".join(choices) if choices else None,
+            help=f"{key.metadata['help']} (default {key.default!r})")
     return parser
 
 
@@ -453,7 +456,7 @@ def merge_cli(args: argparse.Namespace) -> ScenarioConfig:
         raw.update(_load_config_file(args.config))
     raw["command"] = args.command
     for key in KEYS:
-        value = getattr(args, key.name, None)
+        value = getattr(args, key.name)
         if value is not None:
             raw[key.name] = (_parse_list(value, key.name)
                              if type(key.default) is tuple else value)

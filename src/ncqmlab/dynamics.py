@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (ArityMismatch, InsufficientData, SingularStructure,
-                     StepTooLarge)
+from .errors import (ArityMismatch, ConfigError, InsufficientData,
+                     SingularStructure, StepTooLarge)
 from .params import NCParams
 from .polysymbol import MonomialTable, PolySymbol, p1, p2
 from .reps import landau_vector_potential, symmetric_vector_potential
@@ -267,12 +267,12 @@ def minimal_coupling_trajectory(params: NCParams, gauge: Gauge,
     with B = 0 and the given noncommutativity theta.
 
     The velocity components oscillate at omega = |F12|/m where F12 depends
-    on the gauge choice; the trajectory record carries both.
+    on the gauge choice; the trajectory record carries both.  A nonzero
+    params.B is refused with ConfigError: the field enters through curlyB.
     """
     if params.B != 0.0:
-        raise ValueError(
-            "minimal coupling uses the B = 0 structure; the field enters "
-            "through the vector potential"
+        raise ConfigError(
+            "trajectory uses the B = 0 structure; set the field via curlyB"
         )
     A1, A2 = (a.embed(4, (0, 1)) for a in gauge_potential(gauge, curlyB))
     pi1 = p1() - params.e * A1

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClusterAmbiguity,
-    DomainError,
-    NonHermitian,
-    UnresolvedSpectrum,
-)
+from .errors import DomainError, NonHermitian, UnresolvedSpectrum
 from .fock import (
     FockOperator,
     FockSpace,
@@ -227,25 +222,6 @@ def projector_sinc(H: FockOperator, n: int, E_n: float) -> FockOperator:
     return FockOperator(spectral_sum(solve, f), H.space, degree=H.degree)
 
 
-def _fit_and_residual(blocks: list, N: int, diag_targets: list) -> tuple:
-    """Mean top-level diagonal plus the worst deviation from the target
-    block structure diag_targets[n] * I_n (zero off-diagonal blocks)."""
-    M_NN = blocks[N][N]
-    fitted = complex(np.mean(np.diag(M_NN)))
-    residual = 0.0
-    for n in range(N + 1):
-        for m in range(N + 1):
-            block = blocks[n][m]
-            target = diag_targets[n] * np.eye(block.shape[0]) \
-                if n == m else 0.0
-            residual = max(residual, float(np.max(np.abs(block - target))))
-    lower = None
-    if N > 0:
-        lower = complex(np.mean([np.mean(np.diag(blocks[n][n]))
-                                 for n in range(N)]))
-    return fitted, lower, residual
-
-
 def truncated_commutators(ps: ProjectorSet, N: int, X, P,
                           params: NCParams) -> dict:
     """Form the truncated canonical operators X_i^t = Pi_N X_i Pi_N,
@@ -270,9 +246,9 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
         raise ValueError(f"N = {N} exceeds the ProjectorSet range {ps.N}")
     W = np.hstack(ps.bases[:N + 1])
     g_cut = ps.interior_g_cut(N)
-    starts = np.cumsum([0] + [basis.shape[1] for basis in ps.bases[:N]])
-    interior = [start + np.flatnonzero(g <= g_cut)
-                for start, g in zip(starts, ps.guiding_indices[:N + 1])]
+    guiding = ps.guiding_indices[:N + 1]
+    interior = np.flatnonzero(np.concatenate(guiding) <= g_cut)
+    level = np.repeat(np.arange(N + 1), [len(g) for g in guiding])[interior]
 
     def compress(op):
         return W.conj().T @ (op.stored @ W)
@@ -284,17 +260,21 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
     overall = 0.0
 
     def record(tag, A, B, predicted, lower_target):
+        """Fit the commutator's interior diagonal on level N (and the mean
+        of the per-level means below it); the residual is its worst
+        deviation from diag(lower_target, ..., lower_target, predicted)."""
         nonlocal overall
-        C = A @ B - B @ A
-        blocks = [[C[np.ix_(rows, cols)] for cols in interior]
-                  for rows in interior]
-        targets = [lower_target] * N + [predicted]
-        fitted, lower, residual = _fit_and_residual(blocks, N, targets)
-        report[f"coefficient_{tag}"] = fitted.imag
+        C = (A @ B - B @ A)[np.ix_(interior, interior)]
+        diagonal = np.diag(C)
+        target = np.where(level == N, predicted, lower_target)
+        residual = float(np.max(np.abs(C - np.diag(target))))
+        means = [np.mean(diagonal[level == n]) for n in range(N + 1)]
+        report[f"coefficient_{tag}"] = float(means[N].imag)
         report[f"predicted_{tag}"] = predicted.imag
         report[f"residual_{tag}"] = residual
-        if lower is not None:
-            report[f"coefficient_{tag}_lower"] = lower.imag
+        if N > 0:
+            lower = np.mean(means[:N])
+            report[f"coefficient_{tag}_lower"] = float(lower.imag)
         overall = max(overall, residual)
 
     eB = params.e * params.B
@@ -368,8 +348,9 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     weight = np.sum(np.abs(vecs[boundary, :]) ** 2, axis=0)
     evals = evals[weight <= boundary_tol]
     if len(evals) < k:
-        raise ClusterAmbiguity(
-            "too few boundary-clean eigenvectors; increase dim"
+        raise UnresolvedSpectrum(
+            f"only {len(evals)} boundary-clean eigenvectors at dim = {dim}, "
+            f"need {k}; raise dim"
         )
     return evals[:k]
 

@@ -73,11 +73,6 @@ class PolySymbol:
         expo[index] = 1
         return cls(arity, {tuple(expo): 1.0})
 
-    @classmethod
-    def monomial(cls, coeff: complex, expo: Iterable[int]) -> "PolySymbol":
-        expo = tuple(int(e) for e in expo)
-        return cls(len(expo), {expo: coeff})
-
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> "PolySymbol":

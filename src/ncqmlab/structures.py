@@ -173,18 +173,10 @@ def jacobi_residual(s: PoissonStructure, point) -> np.ndarray:
     domega = np.array(
         [dE[l] / den - E * dden[l] / den**2 for l in range(4)]
     )  # [L, J, K]
-    out = np.zeros((4, 4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                total = 0.0 + 0.0j
-                for l in range(4):
-                    total += (
-                        omega[i, l] * domega[l, j, k]
-                        + omega[j, l] * domega[l, k, i]
-                        + omega[k, l] * domega[l, i, j]
-                    )
-                out[i, j, k] = total
+    # T[I, J, K] = sum_L Omega^{IL} d_L Omega^{JK}; J adds its two cyclic
+    # shifts T[J, K, I] and T[K, I, J]
+    T = np.einsum("il,ljk->ijk", omega, domega)
+    out = T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)
     if np.max(np.abs(out.imag)) > 1e-12 * (1.0 + np.max(np.abs(out.real))):
         raise ValueError("Jacobi tensor should be real for real structures")
     return out.real

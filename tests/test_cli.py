@@ -337,6 +337,14 @@ class TestMainExitCodes:
         assert code == 2
         assert "curlyB" in capsys.readouterr().err
 
+    def test_bad_choice_flag_is_a_config_error(self, tmp_path, capsys):
+        # the config table checks a choice flag, not argparse: no SystemExit
+        code = main(["trajectory", "--B", "0", "--gauge", "x",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: gauge must be symmetric or landau" in \
+            capsys.readouterr().err
+
 
 class TestMainRuns:
     def test_spectrum_run_writes_table_and_manifest(self, tmp_path, capsys):
@@ -545,6 +553,20 @@ class TestConfigTable:
         assert manifest["config"] == {
             **self.NON_DEFAULT, "command": "check-algebra",
             "out": str(tmp_path / "out")}
+
+    def test_choice_flags_are_case_insensitive(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["star", "--format", "JSON", "--out", str(out)]) == 0
+        manifest = json.loads((out / "star_manifest.json").read_text())
+        assert manifest["config"]["format"] == "json"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "star.json", "star_manifest.json"]
+
+    def test_help_lists_the_choices(self):
+        text = build_parser().format_help()
+        for choices in ("{symmetric,landau}", "{weyl,normal,antinormal}",
+                        "{csv,json}"):
+            assert choices in text
 
     def test_removed_option_n_is_unknown(self, tmp_path, capsys):
         # N, hbar and c are no options: units put hbar = c = 1

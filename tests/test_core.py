@@ -107,6 +107,54 @@ def test_jacobi_dichotomy_position_dependent_field():
         assert np.max(np.abs(jacobi_residual(exo, point))) < 1e-10
 
 
+def jacobi_loop(s: PoissonStructure, point) -> np.ndarray:
+    """The Jacobi tensor summed term by term: the oracle of the
+    contraction in jacobi_residual."""
+    den = complex(s.denominator.eval(point))
+    dden = [complex(s.denominator.diff(l).eval(point)) for l in range(4)]
+    E = np.array([[complex(s.entries[i][j].eval(point)) for j in range(4)]
+                  for i in range(4)])
+    dE = np.array([[[complex(s.entries[i][j].diff(l).eval(point))
+                     for j in range(4)] for i in range(4)]
+                   for l in range(4)])
+    omega = E / den
+    domega = np.array([dE[l] / den - E * dden[l] / den**2
+                       for l in range(4)])
+    out = np.zeros((4, 4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                total = 0.0 + 0.0j
+                for l in range(4):
+                    total += (omega[i, l] * domega[l, j, k]
+                              + omega[j, l] * domega[l, k, i]
+                              + omega[k, l] * domega[l, i, j])
+                out[i, j, k] = total
+    return out.real
+
+
+unit = st.floats(-1, 1, allow_nan=False)
+
+
+@given(theta=unit, coeffs=st.lists(unit, min_size=6, max_size=6),
+       point=st.lists(unit, min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_jacobi_contraction_matches_loop(theta, coeffs, point):
+    """Random quadratic B(x) on both structures, at a random point."""
+    X1, X2 = x1(2), x2(2)
+    monomials = (1.0, X1, X2, X1 * X1, X1 * X2, X2 * X2)
+    B_field = sum((c * m for c, m in zip(coeffs, monomials)),
+                  PolySymbol.zero(2))
+    B_here = B_field.eval(point[:2]).real
+    for kind in ("standard", "exotic"):
+        if kind == "exotic" and abs(1.0 - theta * B_here) < 1e-3:
+            continue
+        s = symplectic_matrix_field(theta, B_field, kind)
+        got, want = jacobi_residual(s, point), jacobi_loop(s, point)
+        tol = 1e-14 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= tol
+
+
 def test_structure_entries_must_be_antisymmetric():
     one = PolySymbol.constant(4, 1.0)
     zero = PolySymbol.zero(4)

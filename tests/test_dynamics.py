@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import least_squares
 
-from ncqmlab.errors import (ArityMismatch, InsufficientData,
+from ncqmlab.errors import (ArityMismatch, ConfigError, InsufficientData,
                             SingularStructure, StepTooLarge)
 from ncqmlab.params import NCParams
 from ncqmlab.polysymbol import MonomialTable, PolySymbol, p1, p2, x1, x2
@@ -482,7 +482,7 @@ class TestMinimalCoupling:
 
     def test_requires_zero_algebra_field(self):
         p = NCParams(theta=0.25, B=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="curlyB"):
             minimal_coupling_trajectory(p, Gauge.SYMMETRIC, 2.0,
                                         (1, 0, 0, 0), T=1.0, h=1e-2)
 

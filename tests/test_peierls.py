@@ -413,9 +413,10 @@ class TestEffectivePotentialSpectrum:
     def test_squeezing_potential_starves_the_filter(self):
         # x1^2 spreads every eigenvector across the ladder; at dim=10
         # fewer than 8 survive the boundary screen.
-        with pytest.raises(ClusterAmbiguity):
+        with pytest.raises(ClusterAmbiguity, match="dim = 10") as err:
             effective_potential_spectrum(X1SYM * X1SYM, 0.1, self.PARAMS,
                                          8, dim=10)
+        assert isinstance(err.value, DomainError)
 
     def test_rejects_wrong_arity_potential(self):
         with pytest.raises(ValueError):
