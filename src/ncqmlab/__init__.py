@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArityMismatch,
-    ClusterAmbiguity,
     ConfigError,
     CurlMismatch,
     DomainError,
@@ -44,7 +43,7 @@ __all__ = [
     "NCQMError", "ConfigError", "DomainError",
     "SingularStructure", "NegativeKappa", "ZeroTheta", "ThetaNonPositive",
     "SingularDensity", "CurlMismatch", "NonHermitian", "StepTooLarge",
-    "InsufficientData", "ClusterAmbiguity", "UnresolvedSpectrum",
+    "InsufficientData", "UnresolvedSpectrum",
     "ArityMismatch",
     "InternalMismatch",
 ]

@@ -57,9 +57,12 @@ class ScenarioConfig:
                              choices=("weyl", "normal", "antinormal"))
     format: str = _key("csv", "table format", choices=("csv", "json"))
     potential: tuple = _key((1.0,), "radial coefficients c1,c2,... for "
-                            "V = sum c_k r^(2k)", items="coefficients")
-    xi0: tuple = _key((1.0, 0.0, 0.0, 0.0), "initial state x1,x2,p1,p2",
-                      items="components", length=4)
+                            "V = sum c_k r^(2k); a list that starts with a "
+                            "minus sign takes =, as --potential=-0.5,1",
+                            items="coefficients")
+    xi0: tuple = _key((1.0, 0.0, 0.0, 0.0), "initial state x1,x2,p1,p2; a "
+                      "list that starts with a minus sign takes =, as "
+                      "--xi0=-1,0,0,0", items="components", length=4)
     out: str = _key(".", "output directory")
 
     def params(self) -> NCParams:
@@ -407,8 +410,9 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every command: the command, --config and a flag for
-    each key of the config table (n_max as --n-max).  validate_config
-    checks a choice flag as it checks a config file, case-insensitively."""
+    each key of the config table (n_max as --n-max).  Every flag is read
+    as text; validate_config checks its type and choice as it checks a
+    config file."""
     parser = argparse.ArgumentParser(
         prog="ncqmlab",
         description="noncommutative quantum mechanics laboratory",
@@ -417,11 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of config keys; flags win")
     for key in KEYS:
-        kind = type(key.default)
         choices = key.metadata.get("choices")
         parser.add_argument(
-            "--" + key.name.replace("_", "-"),
-            type=kind if kind in (int, float) else str, default=None,
+            "--" + key.name.replace("_", "-"), default=None,
             metavar="{%s}" % ",".join(choices) if choices else None,
             help=f"{key.metadata['help']} (default {key.default!r})")
     return parser

@@ -65,16 +65,9 @@ class InsufficientData(DomainError):
     """Trajectory too short or non-oscillatory for frequency extraction."""
 
 
-class ClusterAmbiguity(NCQMError):
-    """Eigenvalue clustering could not meet the gap/spread criterion."""
-
-
-class UnresolvedSpectrum(ClusterAmbiguity, DomainError):
-    """The truncated basis is too small to resolve the requested levels.
-
-    A domain-class refusal (raise n_max), still a ``ClusterAmbiguity``
-    for callers that catch the clustering failure.
-    """
+class UnresolvedSpectrum(DomainError):
+    """The truncated basis is too small to resolve the requested levels
+    (raise n_max)."""
 
 
 class ArityMismatch(NCQMError):

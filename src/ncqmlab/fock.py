@@ -513,18 +513,23 @@ def spectral_sum(solve: BlockEigh, weights: np.ndarray) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
-def eigenvector_columns(solve: BlockEigh, positions) -> np.ndarray:
+def eigenvector_columns(solve: BlockEigh, positions) -> sp.csr_array:
     """The eigenvectors at the given positions of the ascending eigenvalue
-    list of a block solve (with vectors), as full dense columns."""
+    list of a block solve (with vectors), as CSR columns, each stored on
+    its own block's states only."""
+    dim = len(solve.eigenvalues)
+    owner = np.empty(dim, dtype=int)     # block of each position
+    local = np.empty(dim, dtype=int)     # its column within that block
+    for i, block in enumerate(solve.eigenvectors):
+        owner[block.positions] = i
+        local[block.positions] = np.arange(len(block.positions))
     positions = np.asarray(positions, dtype=int)
-    columns = np.zeros((len(solve.eigenvalues), len(positions)),
-                       dtype=complex)
-    for block in solve.eigenvectors:
-        hit = np.flatnonzero(np.isin(positions, block.positions))
-        if len(hit):
-            local = np.searchsorted(block.positions, positions[hit])
-            columns[np.ix_(block.states, hit)] = block.vectors[:, local]
-    return columns
+    blocks = [solve.eigenvectors[i] for i in owner[positions]]
+    rows = [block.states for block in blocks]
+    data = [block.vectors[:, j] for block, j in zip(blocks, local[positions])]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return sp.csc_array((np.concatenate(data), np.concatenate(rows), indptr),
+                        shape=(dim, len(positions))).tocsr()
 
 
 def unitary_from_hermitian(G: FockOperator) -> np.ndarray:

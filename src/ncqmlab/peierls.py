@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError, NonHermitian, UnresolvedSpectrum
 from .fock import (
@@ -98,8 +99,9 @@ def adapted_space(params: NCParams, n_max: int) -> FockSpace:
 class ProjectorSet:
     """Landau-level projectors P_0..P_N with guiding-ordered level bases.
 
-    ``bases[n]`` holds orthonormal columns spanning level n, ordered by
-    the guiding index; ``guiding_indices[n]`` holds the integer g of each
+    ``bases[n]`` holds orthonormal CSR columns spanning level n, each
+    stored on its own shell of the adapted basis and ordered by the
+    guiding index; ``guiding_indices[n]`` holds the integer g of each
     column.  ``cumulative`` is Pi_N = sum of the projectors.
     """
 
@@ -120,10 +122,10 @@ class ProjectorSet:
                   else self.guiding_indices[:N + 1])
         return min(int(g[-1]) for g in levels) // 2
 
-    def interior_columns(self, n: int, g_cut: int | None = None) -> np.ndarray:
-        if g_cut is None:
-            g_cut = self.interior_g_cut()
-        return self.bases[n][:, self.guiding_indices[n] <= g_cut]
+    def interior_columns(self, n: int) -> sp.csr_array:
+        """The columns of level n with g at or below interior_g_cut()."""
+        interior = self.guiding_indices[n] <= self.interior_g_cut()
+        return self.bases[n][:, np.flatnonzero(interior)]
 
 
 def landau_projectors(params: NCParams, space: FockSpace,
@@ -131,9 +133,11 @@ def landau_projectors(params: NCParams, space: FockSpace,
     """Build P_0..P_N by diagonalizing the symmetric-gauge Landau
     Hamiltonian and taking its levels from resolve_levels, as spectrum does.
 
-    Within each level cluster the basis is rotated to diagonalize the
-    guiding-center radius G1^2 + G2^2, whose eigenvalues (2g+1)/|b|
-    label orbit centers; b = eB.  A level whose cluster also holds an
+    On the adapted basis H and the guiding-center radius G1^2 + G2^2
+    both keep the shells n1 + n2, and each level has one state per shell,
+    so every level eigenvector is also a G1^2 + G2^2 eigenvector; its
+    eigenvalue (2g+1)/|b|, read on the vector's own shell, labels its
+    orbit center; b = eB.  A level whose cluster also holds an
     eigenvector of the truncated boundary shells (at every odd n_max the
     lowest level does) shows it as a guiding index off the integers, and
     is refused with UnresolvedSpectrum.
@@ -160,12 +164,9 @@ def landau_projectors(params: NCParams, space: FockSpace,
         )
 
     b = params.e * params.B
-    inv_b = 1.0 / b
-    G1 = ops.X1 + inv_b * ops.P2
-    G2 = ops.X2 - inv_b * ops.P1
+    G1 = ops.X1 + (1.0 / b) * ops.P2
+    G2 = ops.X2 - (1.0 / b) * ops.P1
     G_sq = (G1 @ G1 + G2 @ G2).stored
-    # free what is done with: the dense columns W below take the most room
-    del G1, G2
 
     def projector(members) -> FockOperator:
         indicator = np.zeros(len(evals))
@@ -179,8 +180,9 @@ def landau_projectors(params: NCParams, space: FockSpace,
     guidings = []
     for n, members in enumerate(levels[:N + 1]):
         W = eigenvector_columns(solve, members)
-        gvals, rot = np.linalg.eigh(W.conj().T @ (G_sq @ W))
-        g_index = (np.abs(b) * gvals - 1.0) / 2.0
+        gvals = (W.conj() * (G_sq @ W)).sum(axis=0).real
+        order = np.argsort(gvals)
+        g_index = (np.abs(b) * gvals[order] - 1.0) / 2.0
         g_int = np.rint(g_index).astype(int)
         off = np.abs(g_index - g_int) > 1e-6
         if np.any(off):
@@ -191,12 +193,10 @@ def landau_projectors(params: NCParams, space: FockSpace,
                 "shares the level energy, not a Landau state; the basis "
                 "does not resolve this level cleanly, choose another n_max"
             )
-        order = np.argsort(g_int)
         projectors.append(projector(members))
         energies.append(float(np.mean(evals[members])))
-        bases.append(W @ rot[:, order])
-        guidings.append(g_int[order])
-        del W
+        bases.append(W[:, order])
+        guidings.append(g_int)
 
     cumulative = projector([k for members in levels[:N + 1] for k in members])
     return ProjectorSet(tuple(projectors), tuple(energies), cumulative,
@@ -238,20 +238,20 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
 
     The work is done in the level basis: with the level bases stacked
     into W (so Pi_N = W W^dag and W^dag W = 1), W_n^dag [Pi A Pi, Pi B Pi]
-    W_m is the (n, m) row/column selection of [W^dag A W, W^dag B W], a
-    commutator of rank(Pi_N)-square compressions.  The report is
-    JSON-serializable.
+    W_m is the (n, m) row/column selection of [W^dag A W, W^dag B W].  W
+    is CSR; those rank(Pi_N)-square compressions are the only dense
+    arrays.  The report is JSON-serializable.
     """
     if N > ps.N:
         raise ValueError(f"N = {N} exceeds the ProjectorSet range {ps.N}")
-    W = np.hstack(ps.bases[:N + 1])
+    W = sp.hstack(ps.bases[:N + 1], format="csr")
     g_cut = ps.interior_g_cut(N)
     guiding = ps.guiding_indices[:N + 1]
     interior = np.flatnonzero(np.concatenate(guiding) <= g_cut)
     level = np.repeat(np.arange(N + 1), [len(g) for g in guiding])[interior]
 
     def compress(op):
-        return W.conj().T @ (op.stored @ W)
+        return (W.conj().T @ (op.stored @ W)).toarray()
 
     Xt = [compress(op) for op in X]
     Pt = [compress(op) for op in P]

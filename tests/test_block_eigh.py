@@ -90,7 +90,11 @@ def assert_matches_dense(matrix: np.ndarray) -> tuple:
     dim = len(matrix)
     positions = np.concatenate([b.positions for b in solve.eigenvectors])
     np.testing.assert_array_equal(np.sort(positions), np.arange(dim))
-    vecs = eigenvector_columns(solve, np.arange(dim))
+    columns = eigenvector_columns(solve, np.arange(dim))
+    assert columns.format == "csr"
+    # each column is stored on its own block's states, and only there
+    assert columns.nnz == sum(len(b.states) ** 2 for b in solve.eigenvectors)
+    vecs = columns.toarray()
     assert vecs.shape == matrix.shape
     for group in gap_groups(dense_vals, GROUP_GAP * norm):
         dense_P = dense_vecs[:, group] @ dense_vecs[:, group].conj().T
@@ -207,7 +211,7 @@ def test_zero_matrix():
     solve = block_eigh(np.zeros((5, 5)), vectors=True)
     np.testing.assert_array_equal(solve.eigenvalues, np.zeros(5))
     np.testing.assert_array_equal(
-        eigenvector_columns(solve, np.arange(5)), np.eye(5))
+        eigenvector_columns(solve, np.arange(5)).toarray(), np.eye(5))
     assert (solve.blocks, solve.error_bound) == (5, 0.0)
 
 

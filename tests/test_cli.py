@@ -256,6 +256,27 @@ class TestMergeCli:
         with pytest.raises(ConfigError, match="comma-separated number list"):
             merge_cli(args)
 
+    def test_number_flag_reads_as_the_config_file_does(self, tmp_path,
+                                                       capsys):
+        # the config table is the one type check of a number flag
+        def n_max(argv):
+            try:
+                return merge_cli(build_parser().parse_args(argv)).n_max
+            except ConfigError as exc:
+                return str(exc).split("; got")[0]
+
+        config_path = tmp_path / "run.json"
+        for text, expected in (("1e2", 100),
+                               ("2.5", "n_max must be an integer")):
+            config_path.write_text(json.dumps({"n_max": float(text)}))
+            assert n_max(["spectrum", "--n-max", text]) == expected
+            assert n_max(["spectrum", "--config", str(config_path)]) == \
+                expected
+        assert main(["spectrum", "--n-max", "2.5",
+                     "--out", str(tmp_path)]) == 2
+        assert "config error: n_max must be an integer; got '2.5'" in \
+            capsys.readouterr().err
+
 
 class TestMainExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):

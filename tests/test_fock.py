@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from ncqmlab.errors import (
-    ClusterAmbiguity,
     DomainError,
     NonHermitian,
     SingularDensity,
@@ -382,7 +381,7 @@ class TestSpectrumMachinery:
         space = FockSpace(4)
         H = FockOperator(np.diag(np.linspace(0.0, 5.0, 25)), space)
         res = spectrum(H, 10)
-        with pytest.raises(ClusterAmbiguity):
+        with pytest.raises(UnresolvedSpectrum):
             dominant_clusters(res, 3)
 
     def test_spectrum_requires_hermitian(self):
@@ -411,7 +410,7 @@ class TestSpectrumMachinery:
         # whole basis, so all of them carry weight on the boundary shells
         dim = space.dim
         mat = np.diag(np.ones(dim - 1), 1) + np.diag(np.ones(dim - 1), -1)
-        with pytest.raises(ClusterAmbiguity):
+        with pytest.raises(UnresolvedSpectrum):
             spectrum(FockOperator(mat, space), 3, pollution_tol=1e-6)
 
     def test_unresolved_levels_are_domain_refusals(self):

@@ -15,8 +15,7 @@ Oracles
   count and dropped-coupling bound of the same operator handed over dense.
 * The spectral outputs are made block by block: on the adapted basis at
   n_max = 40 (dim 1681), ``tracemalloc`` sees no call allocate an eighth
-  of one dense complex dim x dim array beyond the dense level bases that
-  ``landau_projectors`` returns.
+  of one dense complex dim x dim array, its result included.
 """
 
 import math
@@ -266,8 +265,8 @@ def test_block_eigh_on_csr_matches_dense_input(rep, space, trap):
         if vectors:
             every = np.arange(space.dim)
             np.testing.assert_array_equal(
-                eigenvector_columns(sparse, every),
-                eigenvector_columns(dense, every))
+                eigenvector_columns(sparse, every).toarray(),
+                eigenvector_columns(dense, every).toarray())
     exact = np.linalg.eigvalsh(H.matrix)
     assert np.max(np.abs(sparse.eigenvalues - exact)) <= \
         sparse.error_bound + RTOL * max(1.0, np.max(np.abs(exact)))
@@ -281,7 +280,8 @@ def dense_truncated_report(ps, N: int, X, P, params: NCParams) -> dict:
     Xt = [Pi @ op.matrix @ Pi for op in X]
     Pt = [Pi @ op.matrix @ Pi for op in P]
     g_cut = min(int(ps.guiding_indices[n][-1]) for n in range(N + 1)) // 2
-    cols = [ps.interior_columns(n, g_cut) for n in range(N + 1)]
+    cols = [ps.bases[n].toarray()[:, ps.guiding_indices[n] <= g_cut]
+            for n in range(N + 1)]
     hbar = 1.0
     report = {"N": N, "g_cut": g_cut}
     overall = 0.0
@@ -381,13 +381,11 @@ def test_spectral_calls_allocate_no_dense_square(large_landau, call):
     }[call]
     tracemalloc.start()
     try:
-        result = run()
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One dense complex dim x dim array is 16 dim^2 bytes (43 MiB here).
-    # landau_projectors returns its level bases as dense dim x multiplicity
-    # columns (about 3 MiB here).  Beyond those, each call must allocate
-    # less than an eighth of that array.
-    returned = sum(basis.nbytes for basis in getattr(result, "bases", ()))
-    assert peak - returned < 16 * space.dim ** 2 / 8
+    # One dense complex dim x dim array is 16 dim^2 bytes (43 MiB here);
+    # each call must allocate less than an eighth of it, its result
+    # included.
+    assert peak < 16 * space.dim ** 2 / 8
