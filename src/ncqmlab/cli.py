@@ -57,12 +57,9 @@ class ScenarioConfig:
                              choices=("weyl", "normal", "antinormal"))
     format: str = _key("csv", "table format", choices=("csv", "json"))
     potential: tuple = _key((1.0,), "radial coefficients c1,c2,... for "
-                            "V = sum c_k r^(2k); a list that starts with a "
-                            "minus sign takes =, as --potential=-0.5,1",
-                            items="coefficients")
-    xi0: tuple = _key((1.0, 0.0, 0.0, 0.0), "initial state x1,x2,p1,p2; a "
-                      "list that starts with a minus sign takes =, as "
-                      "--xi0=-1,0,0,0", items="components", length=4)
+                            "V = sum c_k r^(2k)", items="coefficients")
+    xi0: tuple = _key((1.0, 0.0, 0.0, 0.0), "initial state x1,x2,p1,p2",
+                      items="components", length=4)
     out: str = _key(".", "output directory")
 
     def params(self) -> NCParams:
@@ -71,6 +68,8 @@ class ScenarioConfig:
 
 KEYS = tuple(key for key in dataclasses.fields(ScenarioConfig)
              if key.name != "command")
+_LIST_FLAGS = tuple("--" + key.name.replace("_", "-") for key in KEYS
+                    if type(key.default) is tuple)
 _NUMBER_NAMES = ("zero", "one", "two", "three", "four")
 
 
@@ -214,8 +213,7 @@ def _run_spectrum(config: ScenarioConfig):
         "spread": [c.spread for c in clusters],
     }
     extra = {
-        "kappa": kappa(params),
-        "rep": type(rep).__name__,
+        "kappa": kappa(rep.params),
         "basis_scale": space.scale,
         "eigenvalue_error_bound": result.error_bound,
         "blocks": result.blocks,
@@ -355,7 +353,7 @@ def _run_check_algebra(config: ScenarioConfig):
     else:
         rows.append(("jacobi_exotic", jacobi_max(StructureKind.EXOTIC),
                      JACOBI_LIMIT))
-        if kappa(params) > 0 and params.theta != 0.0:
+        if kappa(params) > 0:
             rows.append(("symmetric_rep_residual",
                          table_residual(symmetric_gauge_rep(params)),
                          TABLE_LIMIT))
@@ -465,9 +463,23 @@ def merge_cli(args: argparse.Namespace) -> ScenarioConfig:
     return validate_config(raw)
 
 
+def join_list_values(argv) -> list:
+    """argv with ``--xi0 -1,0,0,0`` joined to ``--xi0=-1,0,0,0`` for each
+    list flag: argparse takes a separate ``-1,...`` for an option."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in _LIST_FLAGS and token.startswith("-")
+                and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(join_list_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         config = merge_cli(args)
         result = run_scenario(config)

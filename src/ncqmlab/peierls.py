@@ -25,7 +25,7 @@ non-radial V is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,8 +49,7 @@ from .fock import (
 )
 from .params import NCParams, require_coupling
 from .polysymbol import PolySymbol, x1, x2
-from .reps import (symmetric_gauge_rep, symmetric_vector_potential,
-                   vector_potential_rep)
+from .reps import symmetric_gauge_rep
 
 # peierls_spectrum drops eigenvectors with more than this probability
 # weight on the boundary shells before reading off full_E_n.
@@ -66,33 +65,20 @@ def _require_commutative_landau(params: NCParams) -> None:
     require_coupling(params.e, params.B, "B", "has no levels to truncate")
 
 
-def landau_rep(params: NCParams):
-    """The symmetric-gauge minimally coupled representation at theta = 0."""
-    _require_commutative_landau(params)
-    return vector_potential_rep(symmetric_vector_potential(params.B), params)
-
-
 def magnetic_rep(params: NCParams):
-    """landau_rep at theta = 0, else the symmetric-gauge representation,
-    which is written in units e = 1 and refuses any other charge.  A zero
-    coupling e B is refused at any theta."""
+    """The symmetric-gauge representation of charge e in the field B at
+    any theta, with the charge folded into the field: it realizes
+    [P1, P2] = i e B, kappa = 1 - theta e B.  A zero e B is refused."""
     require_coupling(params.e, params.B, "B",
                      "a truncated basis shows only artefact levels")
-    if params.theta == 0.0:
-        return landau_rep(params)
-    if params.e != 1.0:
-        raise DomainError(
-            "spectrum at theta != 0 uses the symmetric-gauge "
-            "representation, which realizes [P1, P2] = i B in units "
-            f"e = 1; got e = {params.e!r}"
-        )
-    return symmetric_gauge_rep(params)
+    return symmetric_gauge_rep(replace(params, B=params.e * params.B, e=1.0))
 
 
 def adapted_space(params: NCParams, n_max: int) -> FockSpace:
     """A FockSpace whose oscillator length matches the Landau problem,
     making level degeneracy exact at finite truncation."""
-    return FockSpace(n_max, scale=suggested_scale(landau_rep(params)))
+    _require_commutative_landau(params)
+    return FockSpace(n_max, scale=suggested_scale(magnetic_rep(params)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +136,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
             f"N = {N} too close to truncation (need N <= n_max/4 = "
             f"{space.n_max / 4:g})"
         )
-    ops = realize_rep(landau_rep(params), space)
+    ops = realize_rep(magnetic_rep(params), space)
     H = kinetic_hamiltonian(ops, params.m)
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")

@@ -55,8 +55,6 @@ class LinearRep:
     matrix: np.ndarray
     tag: str
     params: NCParams
-    a: float | None = None
-    branch: Branch | None = None
     c: float | None = None
     d: float | None = None
 
@@ -92,22 +90,25 @@ def symmetric_gauge_rep(
 ) -> LinearRep:
     """Two-parameter family with c = (1 +- sqrt(kappa))/(2a), d = (a/theta)(1 -+ sqrt(kappa)).
 
-    Requires theta != 0 and kappa >= 0 (real square root); both branches
-    reproduce the same commutator table and det = kappa.
+    Written without cancellation through r = 1 + sqrt(kappa) and
+    1 - kappa = theta B: (c, d) = (r/(2a), aB/r) on the plus branch, which
+    holds at theta = 0 too, and (theta B/(2a r), a r/theta) on the minus
+    branch.  Both need kappa >= 0 and give the same table and det = kappa.
     """
     if a == 0:
         raise ValueError("scale a must be nonzero")
     branch = Branch(branch)
-    th = params.theta
-    if th == 0:
-        raise ZeroTheta("symmetric gauge representation requires theta != 0")
+    th, B = params.theta, params.B
     k = kappa(params)
     if k < 0:
         raise NegativeKappa(f"kappa = {k} < 0: coefficients would be complex")
-    root = math.sqrt(k)
-    sign = 1.0 if branch is Branch.PLUS else -1.0
-    c = (1.0 + sign * root) / (2.0 * a)
-    d = (a / th) * (1.0 - sign * root)
+    r = 1.0 + math.sqrt(k)
+    if branch is Branch.PLUS:
+        c, d = r / (2.0 * a), a * B / r
+    elif th == 0:
+        raise ZeroTheta("the minus branch requires theta != 0")
+    else:
+        c, d = th * B / (2.0 * a * r), a * r / th
     M = np.array(
         [
             [a, 0.0, 0.0, -th / (2.0 * a)],
@@ -117,7 +118,7 @@ def symmetric_gauge_rep(
         ]
     )
     return LinearRep(M, f"symmetric(a={a}, branch={branch.value})", params,
-                     a=a, branch=branch, c=c, d=d)
+                     c=c, d=d)
 
 
 def commutator_table(rep: LinearRep) -> np.ndarray:

@@ -251,6 +251,18 @@ class TestMergeCli:
         assert config.xi0 == (1.0, 0.0, 0.5, 0.0)
         assert config.potential == (0.1, 0.05)
 
+    @pytest.mark.parametrize("flag, value", [("--xi0", "-1,0,0,0"),
+                                             ("--potential", "-0.5,1")])
+    def test_negative_list_flag_reads_as_the_equals_form(self, flag, value):
+        def config(argv):
+            return merge_cli(build_parser().parse_args(
+                cli.join_list_values(["trajectory", *argv, "--theta", "-1"])))
+
+        spaced = config([flag, value])
+        assert spaced == config([f"{flag}={value}"])
+        assert getattr(spaced, flag[2:])[0] == float(value.split(",")[0])
+        assert spaced.theta == -1.0
+
     def test_bad_list_flag(self):
         args = build_parser().parse_args(["trajectory", "--xi0", "1,a,0,0"])
         with pytest.raises(ConfigError, match="comma-separated number list"):
@@ -315,14 +327,6 @@ class TestMainExitCodes:
         code = main(argv + ["--out", str(tmp_path)])
         assert code == 3
         assert "no Landau structure" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_spectrum_refuses_charge_off_the_rep_units(self, tmp_path, capsys):
-        # the symmetric-gauge rep realizes [P1, P2] = i B whatever e
-        code = main(["spectrum", "--theta", "0.2", "--B", "1", "--e", "2",
-                     "--n-max", "12", "--k", "3", "--out", str(tmp_path)])
-        assert code == 3
-        assert "e = 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, where", [

@@ -62,6 +62,13 @@ _RUNS = (
     Scenario("spectrum-config", ("spectrum", "--k", "3"),
              config={"theta": 0.0, "B": 2.0, "e": 0.5, "n_max": 10,
                      "k": 2}),
+    # the charge is folded into the field: kappa = 1 - theta e B = 0.4
+    Scenario("spectrum-charge", ("spectrum", "--theta", "0.3", "--B", "1",
+                                 "--e", "2", "--n-max", "20", "--k", "3")),
+    # small theta B, where a subtractive form of the rep lost digits
+    Scenario("spectrum-small-theta", ("spectrum", "--theta", "1e-12",
+                                      "--B", "1", "--n-max", "10",
+                                      "--k", "3")),
     Scenario("star", ("star", "--theta", "0.2", "--B", "1", "--k", "3")),
     Scenario("star-charge", ("star", "--theta", "0.3", "--B", "1.5",
                              "--e", "2", "--m", "0.5", "--k", "4")),
@@ -109,6 +116,10 @@ _REFUSALS = (
              ("spectrum", "--theta", "0.3", "--B", "0", "--n-max", "8")),
     Scenario("spectrum-zero-field",
              ("spectrum", "--theta", "0", "--B", "0", "--n-max", "8")),
+    # kappa = 1 - theta e B = -0.2: the rep's coefficients would be complex
+    Scenario("spectrum-negative-kappa",
+             ("spectrum", "--theta", "0.3", "--B", "1", "--e", "4",
+              "--n-max", "8")),
     Scenario("peierls-unresolved",
              ("peierls", "--B", "1e-3", "--n-max", "10")),
     Scenario("peierls-partly-polluted",

@@ -36,6 +36,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncqmlab.errors import (
     DomainError,
+    NegativeKappa,
     NonHermitian,
     UnresolvedSpectrum,
 )
@@ -45,12 +46,14 @@ from ncqmlab.fock import (
     Prescription,
     block_eigh,
     build_canonical_ops,
+    dominant_clusters,
     eigenvector_columns,
     kinetic_hamiltonian,
     poly_of_commuting,
     realize_rep,
     resolve_levels,
     spectrum,
+    suggested_scale,
 )
 from ncqmlab.params import NCParams
 from ncqmlab.peierls import (
@@ -58,7 +61,6 @@ from ncqmlab.peierls import (
     adapted_space,
     effective_potential_spectrum,
     landau_projectors,
-    landau_rep,
     magnetic_rep,
     peierls_spectrum,
     projector_sinc,
@@ -67,6 +69,7 @@ from ncqmlab.peierls import (
     truncated_commutators,
 )
 from ncqmlab.polysymbol import PolySymbol
+from ncqmlab.star import bbar_of_B, star_landau_spectrum, sw_constant_field
 
 X1SYM = PolySymbol.variable(2, 0)
 X2SYM = PolySymbol.variable(2, 1)
@@ -83,21 +86,22 @@ def landau_setup():
 
 
 class TestPreconditions:
-    def test_landau_rep_rejects_noncommutative_plane(self):
-        with pytest.raises(DomainError):
-            landau_rep(NCParams(theta=0.3, B=1.0))
+    def test_landau_projectors_reject_noncommutative_plane(self):
+        with pytest.raises(DomainError, match="commutative plane"):
+            landau_projectors(NCParams(theta=0.3, B=1.0), FockSpace(8), 1)
 
-    def test_landau_rep_rejects_zero_field(self):
-        with pytest.raises(DomainError):
-            landau_rep(NCParams(theta=0.0, B=0.0))
+    def test_adapted_space_rejects_zero_field(self):
+        with pytest.raises(DomainError, match="no levels to truncate"):
+            adapted_space(NCParams(theta=0.0, B=0.0), 10)
 
     @pytest.mark.parametrize("params", [
         NCParams(theta=0.3, B=0.0),
         NCParams(theta=0.3, B=1.0, e=0.0),
+        NCParams(theta=0.0, B=0.0),
     ])
     def test_magnetic_rep_refuses_zero_coupling(self, params):
-        # the symmetric-gauge rep at theta != 0 exists at B = 0, but a
-        # free particle has no Landau levels to realize
+        # the symmetric-gauge rep exists at B = 0, but a free particle has
+        # no Landau levels to realize
         with pytest.raises(DomainError, match="no Landau structure"):
             magnetic_rep(params)
 
@@ -138,6 +142,52 @@ class TestPreconditions:
         # so no cluster is fat enough to count as a level
         with pytest.raises(UnresolvedSpectrum, match="raise n_max"):
             landau_projectors(NCParams(theta=0.0, B=1.0), FockSpace(12), 1)
+
+
+def _signed(magnitudes):
+    return st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                     magnitudes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.one_of(st.just(0.0), st.sampled_from([0.5, -0.5]),
+                       _signed(st.floats(1e-14, 1e-3))),
+       B=_signed(st.floats(0.25, 3.0)), e=_signed(st.floats(0.25, 3.0)),
+       m=st.floats(0.5, 2.0), pole=st.one_of(st.none(),
+                                              st.floats(-0.05, 1e-3)))
+@example(theta=0.3, B=1.0, e=2.0, m=1.0, pole=None)
+@example(theta=0.5, B=1.0, e=2.0, m=1.0, pole=0.0)
+@example(theta=-0.5, B=1.0, e=-2.0, m=0.5, pole=1e-9)
+@example(theta=0.3, B=1.0, e=4.0, m=1.0, pole=None)
+def test_magnetic_rep_levels_agree_with_every_route(theta, B, e, m, pole):
+    # the charge folded into the field: at every theta, on the adapted
+    # basis, the levels are |eB|/m (n + 1/2) with multiplicity n_max - n,
+    # and they are star's and sw's wherever those routes answer; with
+    # |theta| = 1/2, ``pole`` moves B to put kappa = 1 - theta e B there
+    if pole is not None and abs(theta) == 0.5:
+        B = (1.0 - pole) / (theta * e)
+    params = NCParams(theta=theta, B=B, e=e, m=m)
+    if 1.0 - e * B * theta < 0.0:
+        with pytest.raises(NegativeKappa):
+            magnetic_rep(params)
+        return
+    rep = magnetic_rep(params)
+    space = FockSpace(12, scale=suggested_scale(rep))
+    H = kinetic_hamiltonian(realize_rep(rep, space), m)
+    levels = dominant_clusters(spectrum(H, 3), 3)
+    energies = [level.mean for level in levels]
+    np.testing.assert_allclose(energies, abs(e * B) / m * (np.arange(3) + 0.5),
+                               rtol=1e-13, atol=0.0)
+    assert [level.multiplicity for level in levels] == [12, 11, 10]
+    routes = (lambda: star_landau_spectrum(params, bbar_of_B(B, params).Bbar,
+                                           3),
+              lambda: sw_constant_field(B, params, 3)[1])
+    for route in routes:
+        try:
+            other = route()
+        except DomainError:
+            continue
+        np.testing.assert_allclose(energies, other, rtol=1e-13, atol=0.0)
 
 
 class TestProjectors:
@@ -234,7 +284,7 @@ def test_projectors_and_spectrum_share_one_level_rule(n_max, B, e):
         ps = landau_projectors(params, space, N)
     except UnresolvedSpectrum:
         return
-    H = kinetic_hamiltonian(realize_rep(landau_rep(params), space), params.m)
+    H = kinetic_hamiltonian(realize_rep(magnetic_rep(params), space), params.m)
     levels = spectrum(H, 1).levels[:N + 1]
     np.testing.assert_allclose(ps.level_energies,
                                [level.mean for level in levels], rtol=1e-12)
@@ -257,7 +307,7 @@ def rotation_guiding_indices(params: NCParams, space: FockSpace, N: int):
     ascending guiding indices of levels 0..N as floats, or None where
     landau_projectors must refuse (too few levels, or an index off the
     integers)."""
-    ops = realize_rep(landau_rep(params), space)
+    ops = realize_rep(magnetic_rep(params), space)
     solve = block_eigh(kinetic_hamiltonian(ops, params.m).stored)
     levels = resolve_levels(solve.eigenvalues)
     if len(levels) < N + 1:
@@ -609,7 +659,7 @@ def cartesian_full_spectrum(V: PolySymbol, lam: float, params: NCParams,
     basis, V from poly_of_commuting on X1 and X2, through the same
     pollution filter; H splits into two parity blocks only."""
     space = adapted_space(params, n_max)
-    ops = realize_rep(landau_rep(params), space)
+    ops = realize_rep(magnetic_rep(params), space)
     H = kinetic_hamiltonian(ops, params.m)
     H = H + lam * poly_of_commuting(V, ops.X1, ops.X2)
     return spectrum(H, k, pollution_tol=POLLUTION_TOL).eigenvalues

@@ -149,8 +149,31 @@ class TestSymmetricGaugeRep:
             )
 
     def test_zero_theta_rejected(self):
+        # d = a r / theta of the minus branch has no theta = 0 limit
         with pytest.raises(ZeroTheta):
-            symmetric_gauge_rep(NCParams(theta=0.0, B=1.0))
+            symmetric_gauge_rep(NCParams(theta=0.0, B=1.0),
+                                branch=Branch.MINUS)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_plus_branch_at_zero_theta_is_the_symmetric_potential(self, a):
+        # c = 1/a, d = a B / 2: on the canonical pair (a X_j, P_j / a) the
+        # rep is X_j, P_j - A_j(X) with A = (-B x2/2, B x1/2)
+        p = NCParams(theta=0.0, B=-1.5)
+        rep = symmetric_gauge_rep(p, a=a)
+        assert (rep.c, rep.d) == (1.0 / a, a * p.B / 2.0)
+        assert table_residual(rep) == 0.0
+        assert rep.det == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-5, 1e-9, 1e-12, -1e-9])
+    def test_small_theta_loses_no_digits(self, theta):
+        # the form (a/theta)(1 - sqrt(kappa)) loses about |log10 theta B|
+        # digits of d to cancellation: a table residual of 8.2e-8 at
+        # theta = 1e-9, B = 1
+        p = NCParams(theta=theta, B=2.0)
+        rep = symmetric_gauge_rep(p)
+        assert table_residual(rep) <= 4e-16
+        d = p.B / (1.0 + np.sqrt(kappa(p)))
+        assert rep.d == pytest.approx(d, rel=1e-15)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(NegativeKappa):

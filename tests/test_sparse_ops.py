@@ -42,8 +42,8 @@ from ncqmlab.fock import (
     spectrum,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import adapted_space, landau_projectors, landau_rep, \
-    projector_sinc, truncated_commutators
+from ncqmlab.peierls import adapted_space, landau_projectors, \
+    magnetic_rep, projector_sinc, truncated_commutators
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import (
     LinearRep,
@@ -365,7 +365,7 @@ def test_ladder_built_operators_stay_sparse():
 def large_landau():
     params = NCParams(theta=0.0, B=1.3)
     space = adapted_space(params, 40)
-    H = kinetic_hamiltonian(realize_rep(landau_rep(params), space), params.m)
+    H = kinetic_hamiltonian(realize_rep(magnetic_rep(params), space), params.m)
     assert H.hermitian_flag     # validated (and cached) before tracing
     return params, space, H
 
