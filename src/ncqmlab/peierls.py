@@ -4,13 +4,13 @@ approximation.
 
 Everything here works in the symmetric gauge at theta = 0: the Landau
 eigenstates are then Gaussian-localized and truncate cleanly in the number
-basis.  Level membership is resolved by eigenvalue clustering; *within* a
-level, states are labeled by the guiding-center index g (the eigenvalue
-quantum number of G1^2 + G2^2), which measures how far a state's orbit
-center sits from the origin.  Truncation artifacts live at large g, so
-"interior" always means small guiding index here — occupation-number
-cutoffs cannot isolate the physical block because circular eigenstates
-spread binomially across the occupation diagonal.
+basis.  The levels are read off the shells s = n1 + n2 that truncation
+leaves exact: shell s holds one state of each level n <= s, labeled by the
+guiding-center index g = s - n (the quantum number of G1^2 + G2^2), which
+measures how far a state's orbit center sits from the origin.  Truncation
+artifacts live at large g, so "interior" always means small guiding index
+here — occupation-number cutoffs cannot isolate the physical block because
+circular eigenstates spread binomially across the occupation diagonal.
 
 The projectors and commutator laws work on the Cartesian two-mode basis of
 adapted_space.  peierls_spectrum does not: it writes H = Pi^2/2m + lam V
@@ -42,7 +42,6 @@ from .fock import (
     ladder,
     quantize_matrix_pair,
     realize_rep,
-    resolve_levels,
     spectral_sum,
     spectrum,
     suggested_scale,
@@ -85,10 +84,9 @@ def adapted_space(params: NCParams, n_max: int) -> FockSpace:
 class ProjectorSet:
     """Landau-level projectors P_0..P_N with guiding-ordered level bases.
 
-    ``bases[n]`` holds orthonormal CSR columns spanning level n, each
-    stored on its own shell of the adapted basis and ordered by the
-    guiding index; ``guiding_indices[n]`` holds the integer g of each
-    column.  ``cumulative`` is Pi_N = sum of the projectors.
+    ``bases[n]`` holds orthonormal CSR columns spanning level n; column g
+    is the state of guiding index g, stored on its shell n + g of the
+    adapted basis.  ``cumulative`` is Pi_N = sum of the projectors.
     """
 
     projectors: tuple
@@ -96,37 +94,35 @@ class ProjectorSet:
     cumulative: FockOperator
     N: int
     bases: tuple
-    guiding_indices: tuple
     space: FockSpace
     ops: RealizedOps
 
     def interior_g_cut(self, N: int | None = None) -> int:
-        """Half the smallest maximum guiding index of levels 0..N (all
-        levels by default): columns with g at or below this are far from
-        the truncation boundary."""
-        levels = (self.guiding_indices if N is None
-                  else self.guiding_indices[:N + 1])
-        return min(int(g[-1]) for g in levels) // 2
+        """Half of n_max - 1 - N, the largest guiding index of level N (of
+        the top level by default) and so the smallest among levels 0..N:
+        columns with g at or below this are far from the truncation
+        boundary."""
+        top = self.N if N is None else N
+        return (self.space.n_max - 1 - top) // 2
 
     def interior_columns(self, n: int) -> sp.csr_array:
         """The columns of level n with g at or below interior_g_cut()."""
-        interior = self.guiding_indices[n] <= self.interior_g_cut()
-        return self.bases[n][:, np.flatnonzero(interior)]
+        return self.bases[n][:, :self.interior_g_cut() + 1]
 
 
 def landau_projectors(params: NCParams, space: FockSpace,
                       N: int) -> ProjectorSet:
-    """Build P_0..P_N by diagonalizing the symmetric-gauge Landau
-    Hamiltonian and taking its levels from resolve_levels, as spectrum does.
+    """Build P_0..P_N from the exact shell blocks of the symmetric-gauge
+    Landau Hamiltonian.
 
-    On the adapted basis H and the guiding-center radius G1^2 + G2^2
-    both keep the shells n1 + n2, and each level has one state per shell,
-    so every level eigenvector is also a G1^2 + G2^2 eigenvector; its
-    eigenvalue (2g+1)/|b|, read on the vector's own shell, labels its
-    orbit center; b = eB.  A level whose cluster also holds an
-    eigenvector of the truncated boundary shells (at every odd n_max the
-    lowest level does) shows it as a guiding index off the integers, and
-    is refused with UnresolvedSpectrum.
+    On the adapted basis each shell s = n1 + n2 is one coupling block of
+    H, and H's products reach one shell outward, so the shells s < n_max
+    are exact: their eigenvalues are omega_B (n + 1/2), n = 0..s, and the
+    n-th lowest eigenvector of shell s is the level-n state of guiding
+    index g = s - n.  Level n is one state from each of the shells
+    n..n_max - 1; the shells s >= n_max touch the truncation and are never
+    read.  A basis whose shells are not single blocks of H (the unit
+    scale) is refused with UnresolvedSpectrum.
     """
     _require_commutative_landau(params)
     if N < 0:
@@ -141,18 +137,22 @@ def landau_projectors(params: NCParams, space: FockSpace,
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
     solve = block_eigh(H.stored)
-    evals = solve.eigenvalues
-    levels = resolve_levels(evals)
-    if len(levels) < N + 1:
+    shell = space.occupations.sum(axis=1)
+    exact = {}      # whole shell s -> its eigenvalue positions, ascending
+    for block in solve.eigenvectors:
+        s = shell[block.states[0]]
+        if len(block.states) == s + 1 and np.all(shell[block.states] == s):
+            exact[s] = block.positions
+    missing = [s for s in range(space.n_max) if s not in exact]
+    if missing:
         raise UnresolvedSpectrum(
-            f"only {len(levels)} Landau levels resolved at n_max = "
-            f"{space.n_max}, need {N + 1}; raise n_max"
+            f"shell n1 + n2 = {missing[0]} at n_max = {space.n_max} is not "
+            "one coupling block of the Landau Hamiltonian, so its levels "
+            "cannot be read off; build the space with adapted_space"
         )
-
-    b = params.e * params.B
-    G1 = ops.X1 + (1.0 / b) * ops.P2
-    G2 = ops.X2 - (1.0 / b) * ops.P1
-    G_sq = (G1 @ G1 + G2 @ G2).stored
+    levels = [[exact[s][n] for s in range(n, space.n_max)]
+              for n in range(N + 1)]
+    evals = solve.eigenvalues
 
     def projector(members) -> FockOperator:
         indicator = np.zeros(len(evals))
@@ -160,33 +160,12 @@ def landau_projectors(params: NCParams, space: FockSpace,
         return FockOperator(spectral_sum(solve, indicator), space,
                             degree=H.degree)
 
-    projectors = []
-    energies = []
-    bases = []
-    guidings = []
-    for n, members in enumerate(levels[:N + 1]):
-        W = eigenvector_columns(solve, members)
-        gvals = (W.conj() * (G_sq @ W)).sum(axis=0).real
-        order = np.argsort(gvals)
-        g_index = (np.abs(b) * gvals[order] - 1.0) / 2.0
-        g_int = np.rint(g_index).astype(int)
-        off = np.abs(g_index - g_int) > 1e-6
-        if np.any(off):
-            raise UnresolvedSpectrum(
-                f"level {n} at n_max = {space.n_max} holds a state whose "
-                f"guiding-center index reads {g_index[off][0]:.4g}, not an "
-                "integer: a state of the truncated boundary shells that "
-                "shares the level energy, not a Landau state; the basis "
-                "does not resolve this level cleanly, choose another n_max"
-            )
-        projectors.append(projector(members))
-        energies.append(float(np.mean(evals[members])))
-        bases.append(W[:, order])
-        guidings.append(g_int)
-
-    cumulative = projector([k for members in levels[:N + 1] for k in members])
-    return ProjectorSet(tuple(projectors), tuple(energies), cumulative,
-                        N, tuple(bases), tuple(guidings), space, ops)
+    projectors = tuple(projector(members) for members in levels)
+    energies = tuple(float(np.mean(evals[members])) for members in levels)
+    bases = tuple(eigenvector_columns(solve, members) for members in levels)
+    cumulative = projector([k for members in levels for k in members])
+    return ProjectorSet(projectors, energies, cumulative, N, bases, space,
+                        ops)
 
 
 def sinc_profile(h, n: int):
@@ -232,9 +211,10 @@ def truncated_commutators(ps: ProjectorSet, N: int, X, P,
         raise ValueError(f"N = {N} exceeds the ProjectorSet range {ps.N}")
     W = sp.hstack(ps.bases[:N + 1], format="csr")
     g_cut = ps.interior_g_cut(N)
-    guiding = ps.guiding_indices[:N + 1]
-    interior = np.flatnonzero(np.concatenate(guiding) <= g_cut)
-    level = np.repeat(np.arange(N + 1), [len(g) for g in guiding])[interior]
+    ranks = [basis.shape[1] for basis in ps.bases[:N + 1]]
+    guiding = np.concatenate([np.arange(rank) for rank in ranks])
+    interior = np.flatnonzero(guiding <= g_cut)
+    level = np.repeat(np.arange(N + 1), ranks)[interior]
 
     def compress(op):
         return (W.conj().T @ (op.stored @ W)).toarray()

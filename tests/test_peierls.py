@@ -20,9 +20,10 @@ Oracles
   two decoupled oscillators of frequencies Omega +- omega_B/2 with
   Omega = sqrt(omega_B^2/4 + 2 lam c1/m); its lowest branch runs
   E_n = Omega + n*(Omega - omega_B/2).
-* landau_projectors reads each guiding index off the member's own shell
-  block; the per-level guiding-center eigensolve it replaced
-  (rotation_guiding_indices) is kept here as its oracle.
+* landau_projectors reads its levels off the exact shell blocks of the
+  adapted basis; the clustering route it replaced (resolve_levels on the
+  block solve, each guiding index read back from G1^2 + G2^2) is kept
+  here as its oracle (clustering_levels).
 * peierls_spectrum solves on the Landau-level basis; the Cartesian route
   (the minimally coupled representation on the adapted two-mode basis,
   with V from poly_of_commuting) is kept here as its oracle.
@@ -32,6 +33,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from ncqmlab.errors import (
@@ -52,6 +54,7 @@ from ncqmlab.fock import (
     poly_of_commuting,
     realize_rep,
     resolve_levels,
+    spectral_sum,
     spectrum,
     suggested_scale,
 )
@@ -119,29 +122,43 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             landau_projectors(params, space, 6)  # needs N <= n_max/4
 
-    def test_unresolvable_guiding_structure_raises(self, landau_setup):
-        # N=4 passes the cheap bound but its guiding indices are already
-        # corrupted by the boundary at n_max=20; the builder must notice.
-        params, space, _ = landau_setup
-        with pytest.raises(UnresolvedSpectrum):
-            landau_projectors(params, space, 4)
-
-    @pytest.mark.parametrize("n_max", [9, 13])
-    def test_odd_truncation_is_a_domain_refusal(self, n_max):
-        # at odd n_max a boundary-shell eigenvector shares the lowest
-        # level's energy; its guiding index is off the integers
-        params = NCParams(theta=0.0, B=1.0)
+    def test_unresolved_levels_are_a_domain_refusal(self):
+        # the unit-scale basis joins the shells into two parity blocks,
+        # so no shell is exact on its own
         with pytest.raises(UnresolvedSpectrum,
-                           match=f"level 0 at n_max = {n_max} holds a "
-                                 "state whose guiding-center index") as err:
-            landau_projectors(params, adapted_space(params, n_max), 1)
+                           match="build the space with adapted_space") as err:
+            landau_projectors(NCParams(theta=0.0, B=1.0), FockSpace(12), 1)
         assert isinstance(err.value, DomainError)
 
-    def test_unresolved_levels_are_a_domain_refusal(self):
-        # the unit-scale basis splits every level into drifted copies,
-        # so no cluster is fat enough to count as a level
-        with pytest.raises(UnresolvedSpectrum, match="raise n_max"):
-            landau_projectors(NCParams(theta=0.0, B=1.0), FockSpace(12), 1)
+
+class TestExactShells:
+    """Level n holds one state from each exact shell n..n_max - 1: rank
+    n_max - n at every n_max, with no boundary-shell state admitted."""
+
+    @staticmethod
+    def ranks(B: float, n_max: int, N: int):
+        params = NCParams(theta=0.0, B=B)
+        ps = landau_projectors(params, adapted_space(params, n_max), N)
+        np.testing.assert_allclose(ps.level_energies,
+                                   abs(B) * (np.arange(N + 1) + 0.5),
+                                   rtol=1e-13, atol=0.0)
+        return [basis.shape[1] for basis in ps.bases]
+
+    @pytest.mark.parametrize("B, n_max", [(1.3, 36), (1.3, 40), (1.0, 60)])
+    def test_boundary_shells_join_no_level(self, B, n_max):
+        # clustering_levels admits boundary-shell states here: ranks
+        # [37, 35, 34] and [42, 40, 38] at B = 1.3, [69, 66, 63] at B = 1
+        assert self.ranks(B, n_max, 2) == [n_max, n_max - 1, n_max - 2]
+
+    @pytest.mark.parametrize("n_max", [9, 13, 31])
+    def test_odd_truncation_answers(self, n_max):
+        # clustering_levels refuses every odd n_max: a boundary-shell
+        # eigenvector shares the lowest level's energy
+        assert self.ranks(1.0, n_max, 1) == [n_max, n_max - 1]
+
+    def test_levels_up_to_n_max_over_four_answer(self):
+        # N = 4 at n_max = 20, where clustering_levels refuses
+        assert self.ranks(1.0, 20, 4) == [20, 19, 18, 17, 16]
 
 
 def _signed(magnitudes):
@@ -227,17 +244,24 @@ class TestProjectors:
         assert np.trace(Pi).real == pytest.approx(expected_rank, abs=1e-8)
 
     def test_guiding_indices_consecutive_from_zero(self, landau_setup):
-        _, _, ps = landau_setup
-        for g in ps.guiding_indices:
-            np.testing.assert_array_equal(g, np.arange(len(g)))
+        # column g of each level basis reads <v|G^2|v> = (2g+1)/|b|
+        params, _, ps = landau_setup
+        b = params.e * params.B
+        G_sq = guiding_radius(ps.ops, b)
+        for basis in ps.bases:
+            radius = (basis.conj().multiply(G_sq @ basis)).sum(axis=0).real
+            np.testing.assert_allclose((abs(b) * radius - 1.0) / 2.0,
+                                       np.arange(basis.shape[1]),
+                                       rtol=0, atol=1e-10)
 
     def test_interior_g_cut_and_columns(self, landau_setup):
-        _, _, ps = landau_setup
+        _, space, ps = landau_setup
         cut = ps.interior_g_cut()
-        assert cut == min(int(g[-1]) for g in ps.guiding_indices) // 2
+        # the top level, n = 2, reaches g = n_max - 3
+        assert cut == (space.n_max - 3) // 2
         for n in range(3):
             cols = ps.interior_columns(n)
-            assert cols.shape[1] == int(np.sum(ps.guiding_indices[n] <= cut))
+            assert cols.shape[1] == cut + 1
             # columns stay orthonormal
             gram = (cols.conj().T @ cols).toarray()
             assert np.max(np.abs(gram - np.eye(cols.shape[1]))) <= 1e-10
@@ -263,50 +287,25 @@ class TestProjectors:
         b = params.e * params.B
         G_sq = guiding_radius(ps.ops, b)
         W = ps.interior_columns(1)
-        block = W.conj().T @ G_sq @ W
-        g = ps.guiding_indices[1][ps.guiding_indices[1]
-                                  <= ps.interior_g_cut()]
+        block = (W.conj().T @ G_sq @ W).toarray()
+        g = np.arange(W.shape[1])
         expected = np.diag((1.0 / abs(b)) * (2.0 * g + 1.0))
         np.testing.assert_allclose(block, expected, rtol=0, atol=1e-8)
 
 
-@settings(max_examples=40, deadline=None)
-@given(n_max=st.integers(8, 24), B=st.floats(0.3, 3.0),
-       e=st.sampled_from([0.5, 1.0, 2.0]))
-def test_projectors_and_spectrum_share_one_level_rule(n_max, B, e):
-    # landau_projectors and spectrum both read their levels off
-    # fock.resolve_levels: whenever the projectors answer, their energies
-    # and ranks are the spectrum's levels
-    params = NCParams(theta=0.0, B=B, e=e)
-    space = adapted_space(params, n_max)
-    N = n_max // 4
-    try:
-        ps = landau_projectors(params, space, N)
-    except UnresolvedSpectrum:
-        return
-    H = kinetic_hamiltonian(realize_rep(magnetic_rep(params), space), params.m)
-    levels = spectrum(H, 1).levels[:N + 1]
-    np.testing.assert_allclose(ps.level_energies,
-                               [level.mean for level in levels], rtol=1e-12)
-    for P, level in zip(ps.projectors, levels):
-        assert np.trace(P.matrix).real == pytest.approx(level.multiplicity,
-                                                        abs=1e-9)
-
-
-def guiding_radius(ops, b: float) -> np.ndarray:
-    """G1^2 + G2^2 as a dense matrix, G1 = X1 + P2/b, G2 = X2 - P1/b."""
+def guiding_radius(ops, b: float) -> sp.csr_array:
+    """G1^2 + G2^2 in CSR, G1 = X1 + P2/b, G2 = X2 - P1/b."""
     G1 = ops.X1 + (1.0 / b) * ops.P2
     G2 = ops.X2 - (1.0 / b) * ops.P1
-    return (G1 @ G1 + G2 @ G2).matrix
+    return (G1 @ G1 + G2 @ G2).stored
 
 
-def rotation_guiding_indices(params: NCParams, space: FockSpace, N: int):
-    """The oracle: the per-level guiding-center eigensolve that
-    landau_projectors replaced.  The eigenvectors of each level, as dense
-    columns W, are rotated to diagonalize W^dag G^2 W.  Returns the
-    ascending guiding indices of levels 0..N as floats, or None where
-    landau_projectors must refuse (too few levels, or an index off the
-    integers)."""
+def clustering_levels(params: NCParams, space: FockSpace, N: int):
+    """The oracle: the clustering route landau_projectors replaced.  The
+    levels are resolve_levels of the block solve, and each member's
+    guiding index is read back from <v|G^2|v> = (2g+1)/|b|.  Returns the
+    solve and the member positions of levels 0..N, or None where that
+    route refused (too few levels, or an index off the integers)."""
     ops = realize_rep(magnetic_rep(params), space)
     solve = block_eigh(kinetic_hamiltonian(ops, params.m).stored)
     levels = resolve_levels(solve.eigenvalues)
@@ -314,41 +313,56 @@ def rotation_guiding_indices(params: NCParams, space: FockSpace, N: int):
         return None
     b = params.e * params.B
     G_sq = guiding_radius(ops, b)
-    indices = []
     for members in levels[:N + 1]:
-        W = eigenvector_columns(solve, members).toarray()
-        g = (abs(b) * np.linalg.eigvalsh(W.conj().T @ G_sq @ W) - 1.0) / 2.0
+        W = eigenvector_columns(solve, members)
+        radius = (W.conj().multiply(G_sq @ W)).sum(axis=0).real
+        g = (abs(b) * radius - 1.0) / 2.0
         if np.any(np.abs(g - np.rint(g)) > 1e-6):
             return None
-        indices.append(g)
-    return indices
+    return solve, levels[:N + 1]
 
 
-@pytest.mark.parametrize("e", [0.5, 1.0])
-@pytest.mark.parametrize("B", [0.6, 1.0, 1.3, 2.0, -1.5])
-def test_guiding_indices_match_the_rotation_oracle(B, e):
-    # each level eigenvector of the shell solve is already a G^2
-    # eigenvector: <v|G^2|v> is an eigenvalue of the rotation, and the two
-    # routes answer or refuse together
-    params = NCParams(theta=0.0, B=B, e=e)
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(4, 40), B=_signed(st.floats(0.05, 20.0)),
+       e=_signed(st.floats(0.25, 3.0)), m=st.floats(0.5, 2.0),
+       N=st.integers(0, 10))
+@example(n_max=36, B=1.3, e=1.0, m=1.0, N=9)
+@example(n_max=31, B=-1.0, e=2.0, m=0.5, N=7)
+def test_projectors_read_the_exact_shells(n_max, B, e, m, N):
+    # rank n_max - n, energy omega_B (n + 1/2), each column an eigenvector
+    # of H and of G^2 with g its column index; wherever the clustering
+    # oracle finds n_max - n members, it builds the same projector
+    N = min(N, n_max // 4)
+    params = NCParams(theta=0.0, B=B, e=e, m=m)
+    space = adapted_space(params, n_max)
+    ps = landau_projectors(params, space, N)
+    omega = params.omega_B
     b = params.e * params.B
-    for n_max in range(4, 27):
-        space = adapted_space(params, n_max)
-        N = n_max // 4
-        oracle = rotation_guiding_indices(params, space, N)
-        try:
-            ps = landau_projectors(params, space, N)
-        except UnresolvedSpectrum:
-            assert oracle is None, n_max
+    assert [basis.shape[1] for basis in ps.bases] == \
+        [n_max - n for n in range(N + 1)]
+    np.testing.assert_allclose(ps.level_energies,
+                               omega * (np.arange(N + 1) + 0.5),
+                               rtol=0.0, atol=1e-12 * omega)
+    H = kinetic_hamiltonian(ps.ops, m).stored
+    G_sq = guiding_radius(ps.ops, b)
+    for E, basis in zip(ps.level_energies, ps.bases):
+        residual = (H @ basis - E * basis).toarray()
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12 * omega
+        g = np.arange(basis.shape[1])
+        radius = (basis.conj().T @ (G_sq @ basis)).toarray()
+        defect = np.max(np.abs(radius - np.diag((2.0 * g + 1.0) / abs(b))))
+        assert defect <= 1e-12 * (2 * n_max + 1) / abs(b)
+    oracle = clustering_levels(params, space, N)
+    if oracle is None:
+        return
+    solve, levels = oracle
+    for n, members in enumerate(levels):
+        if len(members) != n_max - n:
             continue
-        assert oracle is not None, n_max
-        G_sq = guiding_radius(ps.ops, b)
-        for basis, g_int, g in zip(ps.bases, ps.guiding_indices, oracle):
-            W = basis.toarray()
-            radius = np.einsum("ij,ij->j", W.conj(), G_sq @ W).real
-            np.testing.assert_allclose((abs(b) * radius - 1.0) / 2.0, g,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(g_int, np.rint(g))
+        indicator = np.zeros(space.dim)
+        indicator[members] = 1.0
+        difference = spectral_sum(solve, indicator) - ps.projectors[n].stored
+        assert abs(difference).max() <= 1e-12, n
 
 
 class TestSincProfile:

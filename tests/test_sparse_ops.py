@@ -279,9 +279,9 @@ def dense_truncated_report(ps, N: int, X, P, params: NCParams) -> dict:
     Pi = sum(ps.projectors[n].matrix for n in range(N + 1))
     Xt = [Pi @ op.matrix @ Pi for op in X]
     Pt = [Pi @ op.matrix @ Pi for op in P]
-    g_cut = min(int(ps.guiding_indices[n][-1]) for n in range(N + 1)) // 2
-    cols = [ps.bases[n].toarray()[:, ps.guiding_indices[n] <= g_cut]
-            for n in range(N + 1)]
+    # column g of each level basis has guiding index g
+    g_cut = min(ps.bases[n].shape[1] - 1 for n in range(N + 1)) // 2
+    cols = [ps.bases[n].toarray()[:, :g_cut + 1] for n in range(N + 1)]
     hbar = 1.0
     report = {"N": N, "g_cut": g_cut}
     overall = 0.0
