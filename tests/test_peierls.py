@@ -23,7 +23,8 @@ Oracles
 * landau_projectors reads its levels off the exact shell blocks of the
   adapted basis; the clustering route it replaced (resolve_levels on the
   block solve, each guiding index read back from G1^2 + G2^2) is kept
-  here as its oracle (clustering_levels).
+  here as its oracle (clustering_levels), with its per-level rotation of
+  W^dag G^2 W as a second (rotation_guiding_indices).
 * peierls_spectrum solves on the Landau-level basis; the Cartesian route
   (the minimally coupled representation on the adapted two-mode basis,
   with V from poly_of_commuting) is kept here as its oracle.
@@ -363,6 +364,76 @@ def test_projectors_read_the_exact_shells(n_max, B, e, m, N):
         indicator[members] = 1.0
         difference = spectral_sum(solve, indicator) - ps.projectors[n].stored
         assert abs(difference).max() <= 1e-12, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(8, 24), B=st.floats(0.3, 3.0),
+       e=st.sampled_from([0.5, 1.0, 2.0]))
+def test_projectors_and_spectrum_share_one_level_rule(n_max, B, e):
+    # spectrum reads its levels off fock.resolve_levels, landau_projectors
+    # off the exact shells: the energies agree, and each resolved level
+    # holds the projector's n_max - n states (more only where boundary-shell
+    # states share its energy)
+    params = NCParams(theta=0.0, B=B, e=e)
+    space = adapted_space(params, n_max)
+    N = n_max // 4
+    ps = landau_projectors(params, space, N)
+    H = kinetic_hamiltonian(realize_rep(magnetic_rep(params), space), params.m)
+    levels = spectrum(H, 1).levels[:N + 1]
+    np.testing.assert_allclose(ps.level_energies[:len(levels)],
+                               [level.mean for level in levels], rtol=1e-12)
+    for n, (P, level) in enumerate(zip(ps.projectors, levels)):
+        assert np.trace(P.matrix).real == pytest.approx(n_max - n, abs=1e-9)
+        assert level.multiplicity >= n_max - n
+
+
+def rotation_guiding_indices(params: NCParams, space: FockSpace, N: int):
+    """The second oracle: the per-level guiding-center eigensolve of the
+    clustering route.  The eigenvectors of each resolve_levels level, as
+    dense columns W, are rotated to diagonalize W^dag G^2 W.  Returns the
+    ascending guiding indices of levels 0..N as floats, or None where that
+    route refused (too few levels, or an index off the integers)."""
+    ops = realize_rep(magnetic_rep(params), space)
+    solve = block_eigh(kinetic_hamiltonian(ops, params.m).stored)
+    levels = resolve_levels(solve.eigenvalues)
+    if len(levels) < N + 1:
+        return None
+    b = params.e * params.B
+    G_sq = guiding_radius(ops, b).toarray()
+    indices = []
+    for members in levels[:N + 1]:
+        W = eigenvector_columns(solve, members).toarray()
+        g = (abs(b) * np.linalg.eigvalsh(W.conj().T @ G_sq @ W) - 1.0) / 2.0
+        if np.any(np.abs(g - np.rint(g)) > 1e-6):
+            return None
+        indices.append(g)
+    return indices
+
+
+@pytest.mark.parametrize("e", [0.5, 1.0])
+@pytest.mark.parametrize("B", [0.6, 1.0, 1.3, 2.0, -1.5])
+def test_guiding_indices_match_the_rotation_oracle(B, e):
+    # column g of each level basis is a G^2 eigenvector: <v|G^2|v> reads g,
+    # and wherever the rotation oracle answers, it finds every one of these
+    # indices (its levels may also hold boundary-shell states)
+    params = NCParams(theta=0.0, B=B, e=e)
+    b = params.e * params.B
+    for n_max in range(4, 27):
+        space = adapted_space(params, n_max)
+        N = n_max // 4
+        ps = landau_projectors(params, space, N)
+        oracle = rotation_guiding_indices(params, space, N)
+        G_sq = guiding_radius(ps.ops, b)
+        for n, basis in enumerate(ps.bases):
+            radius = (basis.conj().multiply(G_sq @ basis)).sum(axis=0).real
+            g = (abs(b) * np.asarray(radius).ravel() - 1.0) / 2.0
+            np.testing.assert_array_equal(np.rint(g),
+                                          np.arange(basis.shape[1]))
+            if oracle is None:
+                continue
+            nearest = oracle[n][np.abs(g[:, None] - oracle[n]).argmin(axis=1)]
+            np.testing.assert_allclose(g, nearest, rtol=0, atol=1e-12,
+                                       err_msg=f"n_max = {n_max}, n = {n}")
 
 
 class TestSincProfile:
