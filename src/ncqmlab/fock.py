@@ -14,7 +14,10 @@ from the ladders are low-degree polynomials in banded matrices, O(n_max^2)
 entries each.  Spectral outputs (projectors, selectors) are functions of a
 Hermitian operator, block-diagonal in its coupling blocks, and spectral_sum
 assembles them block by block.  Dense arrays appear only one block at a time
-inside block_eigh and spectral_sum.
+inside block_eigh and spectral_sum.  A uniform field keeps time reversal
+composed with the mirror x1 -> -x1, so the magnetic Hamiltonians are real
+up to a diagonal gauge of powers of i; block_eigh finds that gauge with the
+blocks and solves such blocks in real arithmetic.
 """
 
 from __future__ import annotations
@@ -388,16 +391,18 @@ class BlockEigh(NamedTuple):
     eigenvectors: tuple | None       # one EigenBlock per coupling block
     error_bound: float               # Frobenius norm of dropped couplings
     blocks: int
+    real_blocks: int                 # blocks solved in real arithmetic
 
 
-def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
-    """(count, labels 0..count-1) of the connected components of the
-    undirected graph on n nodes with edges (rows[i], cols[i]).
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The label of each of n nodes in the undirected graph with edges
+    (rows[i], cols[i]): the smallest node of its connected component.
 
     Min-label propagation with pointer jumping: every node takes the
     smallest label among itself and its neighbours, then the label of
-    that label, until nothing changes; each component ends labelled by
-    its smallest node.  Written out rather than taken from
+    that label, until nothing changes.  block_eigh runs it on a doubled
+    graph, two copies of each basis state, to find the coupling blocks
+    and a real gauge of each at once.  Written out rather than taken from
     scipy.sparse.csgraph: importing that package adds about 1 MB of
     resident memory to every process that loads this module.
     """
@@ -408,13 +413,14 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
         np.minimum.at(lowest, rows, labels[cols])
         lowest = lowest[lowest]
         if np.array_equal(lowest, labels):
-            roots, labels = np.unique(labels, return_inverse=True)
-            return len(roots), labels
+            return labels
         labels = lowest
 
 
 def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
-    """Hermitian eigensolve that diagonalizes each coupling block alone.
+    """Hermitian eigensolve that diagonalizes each coupling block alone,
+    in real arithmetic where a diagonal gauge of powers of i makes the
+    block real.
 
     The input, sparse or dense, is read as COO with duplicates summed.
     Basis states are joined when a stored |H_ij| exceeds
@@ -430,14 +436,40 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     between blocks form a Hermitian perturbation E, so by Weyl's
     inequality every eigenvalue differs from that of the full matrix by
     at most ||E||_2 <= ||E||_F = ``error_bound``.
+
+    The blocks and a real gauge come from one pass of _components over a
+    doubled graph with two copies (j, 0) and (j, 1) of each state: a
+    joining entry with a nonzero real part joins equal copies, one with a
+    nonzero imaginary part joins crossed copies, one with both joins both
+    pairs.  A block is balanced when (j, 0) and (j, 1) land in different
+    components; then each state takes the phase i^phi_j, phi_j = 1 where
+    (j, 0) shares its component with the first state's (s, 1), and every
+    joining entry of i^-phi_j H_jk i^phi_k is real.  Multiplying by 1, i
+    or -i is exact in floating point, so a block whose phased entries,
+    sub-threshold ones included, are all exactly real is solved by a real
+    eigh, with its eigenvector rows turned back by i^phi_j.  Any other
+    block (a frustrated cycle, or a remnant imaginary part) is solved as
+    stored.  ``real_blocks`` counts the real solves.
     """
     coo = sp.coo_array(matrix)
     coo.sum_duplicates()
     mags = np.abs(coo.data)
     threshold = BLOCK_COUPLING_TOL * np.max(mags, initial=0.0)
     coupled = mags > threshold
-    n_blocks, labels = _components(coo.row[coupled], coo.col[coupled],
-                                   coo.shape[0])
+    # state j is node 2j + c of the doubled graph, c its copy
+    real_part = coupled & (coo.data.real != 0)
+    imag_part = coupled & (coo.data.imag != 0)
+    row2, col2 = 2 * coo.row, 2 * coo.col
+    roots = _components(
+        np.concatenate([row2[real_part], row2[real_part] + 1,
+                        row2[imag_part], row2[imag_part] + 1]),
+        np.concatenate([col2[real_part], col2[real_part] + 1,
+                        col2[imag_part] + 1, col2[imag_part]]),
+        2 * coo.shape[0])
+    lo, hi = roots[0::2], roots[1::2]
+    firsts, labels = np.unique(np.minimum(lo, hi), return_inverse=True)
+    n_blocks = len(firsts)
+    phase = lo > hi
     row_labels = labels[coo.row]
     dropped = row_labels != labels[coo.col]
     # np.sum, not np.linalg.norm: a long BLAS dot is threaded and slower
@@ -453,17 +485,34 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     local[order] = np.arange(len(order)) - starts[labels[order]]
     kept = np.flatnonzero(~dropped)
     kept = kept[np.argsort(row_labels[kept], kind="stable")]
+    # i^-phi_j H_jk i^phi_k, each entry times -i, 1 or i
+    turn = phase[coo.col[kept]].astype(int) - phase[coo.row[kept]]
+    phased = coo.data[kept] * np.array([-1j, 1, 1j])[turn + 1]
+    real = np.bincount(row_labels[kept], weights=phased.imag != 0,
+                       minlength=n_blocks) == 0
+    phase &= real[labels]       # only real solves are turned back
     cuts = np.cumsum(np.bincount(row_labels[kept], minlength=n_blocks))[:-1]
     entries = zip(*(np.split(x, cuts) for x in (
-        local[coo.row[kept]], local[coo.col[kept]], coo.data[kept])))
+        local[coo.row[kept]], local[coo.col[kept]],
+        np.where(real[row_labels[kept]], phased, coo.data[kept]))))
     values, blocks = [], []
-    for size, (rows, cols, data) in zip(sizes, entries):
-        # the dense block, as H[states][:, states].toarray() would give it
-        sub = np.zeros((size, size), dtype=coo.dtype)
-        sub[rows, cols] = data
+    for size, start, stop, real_block, (rows, cols, data) in zip(
+            sizes, starts, stops, real, entries):
+        # the dense block, as H[states][:, states].toarray() would give it,
+        # or its real phased form
+        if real_block:
+            sub = np.zeros((size, size))
+            sub[rows, cols] = data.real
+        else:
+            sub = np.zeros((size, size), dtype=coo.dtype)
+            sub[rows, cols] = data
         if vectors:
             w, v = np.linalg.eigh(sub)
-            blocks.append(v)
+            turned = phase[order[start:stop]]
+            if turned.any():
+                v = v.astype(complex)
+                v[turned] *= 1j
+            blocks.append(v.astype(coo.dtype, copy=False))
         else:
             w = np.linalg.eigvalsh(sub)
         values.append(w)
@@ -475,7 +524,7 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
         blocks = tuple(EigenBlock(order[start:stop], position[start:stop], v)
                        for start, stop, v in zip(starts, stops, blocks))
     return BlockEigh(values[rank], blocks if vectors else None, error_bound,
-                     n_blocks)
+                     n_blocks, int(np.count_nonzero(real)))
 
 
 def spectral_sum(solve: BlockEigh, weights: np.ndarray) -> sp.csr_array:

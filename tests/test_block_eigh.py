@@ -10,6 +10,10 @@ which is basis-independent inside degenerate levels.  By Davis-Kahan the
 projectors then differ by at most about (dropped norm + roundoff) / gap,
 below 1e-10 for dropped norms up to 1e-12 * ||H||.
 
+Blocks that a diagonal gauge of 1, i, -1, -i makes exactly real are solved
+in real arithmetic and must pass the same oracle; ``real_blocks`` is
+checked against the block structure planted in each case.
+
 ``spectral_sum`` is checked against ``(V * f(w)) @ V^dag`` from the same
 dense eigh, for f(x) = exp(ix) and for the sinc level selector.  A function
 with Lipschitz constant L moves f(H) by at most about L times the error of
@@ -19,6 +23,7 @@ the eigenvalues (for exp(ix) exactly: ||exp(iA) - exp(iB)||_2 <=
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +42,13 @@ from ncqmlab.fock import (
     suggested_scale,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import sinc_profile
+from ncqmlab.peierls import (
+    adapted_space,
+    landau_basis_hamiltonian,
+    landau_projectors,
+    magnetic_rep,
+    sinc_profile,
+)
 from ncqmlab.polysymbol import x1, x2
 from ncqmlab.reps import (
     symmetric_gauge_rep,
@@ -56,6 +67,18 @@ SINC_SLOPE = 2.5
 def random_hermitian(rng, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def random_symmetric(rng, n: int) -> np.ndarray:
+    a = rng.normal(size=(n, n))
+    return 0.5 * (a + a.T)
+
+
+def random_chain(rng, n: int) -> np.ndarray:
+    """A real symmetric tridiagonal matrix with every bond nonzero."""
+    hop = rng.uniform(0.5, 1.5, n - 1)
+    return np.diag(rng.uniform(-1.0, 1.0, n)) + np.diag(hop, 1) \
+        + np.diag(hop, -1)
 
 
 def gap_groups(evals: np.ndarray, gap: float) -> list:
@@ -83,6 +106,7 @@ def assert_matches_dense(matrix: np.ndarray) -> tuple:
     values_only = block_eigh(matrix, vectors=False)
     assert values_only.eigenvectors is None
     assert values_only.blocks == solve.blocks
+    assert values_only.real_blocks == solve.real_blocks
     assert values_only.error_bound == solve.error_bound
     tol = solve.error_bound + EIGENVALUE_RTOL * norm
     for values in (solve.eigenvalues, values_only.eigenvalues):
@@ -94,6 +118,8 @@ def assert_matches_dense(matrix: np.ndarray) -> tuple:
     assert columns.format == "csr"
     # each column is stored on its own block's states, and only there
     assert columns.nnz == sum(len(b.states) ** 2 for b in solve.eigenvectors)
+    for block in solve.eigenvectors:
+        assert block.vectors.dtype == matrix.dtype
     vecs = columns.toarray()
     assert vecs.shape == matrix.shape
     for group in gap_groups(dense_vals, GROUP_GAP * norm):
@@ -149,11 +175,14 @@ def test_planted_blocks_under_permutation(case):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(2, 40), st.integers(0, 2**32 - 1))
-def test_fully_coupled_matrix_is_one_block(dim, seed):
-    solve = assert_matches_dense(
-        random_hermitian(np.random.default_rng(seed), dim))
-    assert solve.blocks == 1
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_fully_coupled_matrix_is_one_block(dim, seed, real):
+    # a real input solves real; random complex entries, each with both a
+    # real and an imaginary part, leave no real gauge
+    rng = np.random.default_rng(seed)
+    solve = assert_matches_dense(random_symmetric(rng, dim) if real
+                                 else random_hermitian(rng, dim))
+    assert (solve.blocks, solve.real_blocks) == (1, int(real))
     assert solve.error_bound == 0.0
 
 
@@ -225,3 +254,154 @@ def test_bound_covers_a_coupling_just_below_threshold():
     assert solve.error_bound == pytest.approx(math.sqrt(2.0) * eps)
     exact = np.array([1.0 - eps, 1.0 + eps])
     assert np.max(np.abs(solve.eigenvalues - exact)) <= solve.error_bound
+
+
+# --- the real gauge ------------------------------------------------------
+
+# i^k for k = 0..3
+PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def gauged(matrix: np.ndarray, powers) -> np.ndarray:
+    """D^dag matrix D for D = diag(i^powers): exact, each entry is only
+    multiplied by 1, i, -1 or -i."""
+    d = PHASES[np.asarray(powers) % 4]
+    return d.conj()[:, None] * matrix * d[None, :]
+
+
+@st.composite
+def gauged_real_blocks(draw):
+    """Random real symmetric blocks under a random diagonal gauge of 1, i,
+    -1, -i and a random permutation, with optional complex couplings
+    between blocks below the coupling threshold; returns (matrix, block
+    count)."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(sizes)
+    matrix = np.zeros((dim, dim))
+    start = 0
+    for size in sizes:
+        matrix[start:start + size, start:start + size] = \
+            random_symmetric(rng, size)
+        start += size
+    matrix = gauged(matrix, rng.integers(0, 4, dim))
+    if draw(st.booleans()):
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        noise = random_hermitian(rng, dim)
+        noise *= 0.1 * BLOCK_COUPLING_TOL * np.max(np.abs(matrix)) \
+            / np.max(np.abs(noise))
+        matrix = matrix + np.where(labels[:, None] != labels[None, :],
+                                   noise, 0.0)
+    perm = rng.permutation(dim)
+    return matrix[np.ix_(perm, perm)], len(sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauged_real_blocks())
+def test_gauged_real_blocks_solve_real(case):
+    matrix, count = case
+    solve = assert_matches_dense(matrix)
+    assert solve.blocks == solve.real_blocks == count
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.booleans(), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_triangle_is_real_unless_frustrated(imaginary, seed):
+    # the product of the three bonds around the triangle is real exactly
+    # when an even number of them are imaginary; no gauge of powers of i
+    # can make a frustrated triangle real
+    rng = np.random.default_rng(seed)
+    bonds = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
+    bonds = np.where(imaginary, 1j * bonds, bonds)
+    matrix = np.diag(rng.uniform(-1.0, 1.0, 3)).astype(complex)
+    for (j, k), bond in zip(((0, 1), (1, 2), (2, 0)), bonds):
+        matrix[j, k], matrix[k, j] = bond, np.conj(bond)
+    solve = assert_matches_dense(matrix)
+    assert solve.blocks == 1
+    assert solve.real_blocks == (sum(imaginary) % 2 == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_bond_with_both_parts_stays_complex(n, seed):
+    # a real chain under a random gauge beside a second chain with one
+    # bond that has both a real and an imaginary part
+    rng = np.random.default_rng(seed)
+    mixed = random_chain(rng, n).astype(complex)
+    bond = int(rng.integers(0, n - 1))
+    mixed[bond, bond + 1] *= np.exp(1j * rng.uniform(0.1, 1.4))
+    mixed[bond + 1, bond] = np.conj(mixed[bond, bond + 1])
+    matrix = np.zeros((2 * n, 2 * n), dtype=complex)
+    matrix[:n, :n] = gauged(random_chain(rng, n), rng.integers(0, 4, n))
+    matrix[n:, n:] = mixed
+    perm = rng.permutation(2 * n)
+    solve = assert_matches_dense(matrix[np.ix_(perm, perm)])
+    assert (solve.blocks, solve.real_blocks) == (2, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+def test_remnant_imaginary_part_keeps_block_complex(n, seed):
+    # a gauged real chain plus an entry inside the block, below the
+    # coupling threshold, whose phased value is not real: the block is
+    # solved as stored, and the remnant is no dropped coupling
+    rng = np.random.default_rng(seed)
+    powers = rng.integers(0, 4, n)
+    clean = gauged(random_chain(rng, n), powers)
+    remnant = np.zeros((n, n), dtype=complex)
+    remnant[0, n - 1] = 0.5 * BLOCK_COUPLING_TOL * (1.0 + 1.0j)
+    remnant[n - 1, 0] = np.conj(remnant[0, n - 1])
+    perm = rng.permutation(n)
+    matrix = (clean + gauged(remnant, powers))[np.ix_(perm, perm)]
+    solve = assert_matches_dense(matrix)
+    assert (solve.blocks, solve.real_blocks) == (1, 0)
+    assert solve.error_bound == 0.0
+    reference = block_eigh(clean[np.ix_(perm, perm)], vectors=False)
+    assert (reference.blocks, reference.real_blocks) == (1, 1)
+    assert reference.error_bound == 0.0
+
+
+# Time reversal composed with the mirror x1 -> -x1 maps every uniform-field
+# Hamiltonian below to itself, so each of its blocks is real in a gauge of
+# powers of i and must take the real solve.
+
+
+@pytest.mark.parametrize("e", [-1.0, 1.0, 2.0])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("adapted", [False, True])
+@pytest.mark.parametrize("gauge", ["symmetric", "vector-potential"])
+def test_magnetic_hamiltonians_solve_every_block_real(gauge, adapted, theta,
+                                                      e):
+    params = NCParams(theta=theta, B=1.3, e=e)
+    if gauge == "symmetric":
+        rep = magnetic_rep(params)
+    else:
+        # minimal coupling is the theta = 0 representation
+        rep = vector_potential_rep(symmetric_vector_potential(params.B),
+                                   replace(params, theta=0.0))
+    scale = suggested_scale(rep) if adapted else 1.0
+    H = kinetic_hamiltonian(realize_rep(rep, FockSpace(12, scale=scale)),
+                            params.m)
+    for vectors in (False, True):
+        solve = block_eigh(H.stored, vectors=vectors)
+        assert solve.real_blocks == solve.blocks
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0), (0.0, 0.5, 1.0)],
+                         ids=["quadratic", "quartic"])
+def test_peierls_hamiltonians_solve_every_block_real(coeffs):
+    for e in (-1.0, 2.0):
+        params = NCParams(theta=0.0, B=3.0, e=e)
+        H = landau_basis_hamiltonian(coeffs, 0.1, params, 12)
+        solve = block_eigh(H.stored)
+        assert solve.blocks == 25
+        assert solve.real_blocks == solve.blocks
+
+
+def test_landau_projector_hamiltonian_solves_every_block_real():
+    params = NCParams(theta=0.0, B=1.3, e=-1.0)
+    ps = landau_projectors(params, adapted_space(params, 16), 2)
+    solve = block_eigh(kinetic_hamiltonian(ps.ops, params.m).stored)
+    assert solve.blocks == 33
+    assert solve.real_blocks == solve.blocks
