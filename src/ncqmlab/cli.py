@@ -161,20 +161,37 @@ def _atomic_write(path: str, text: str) -> None:
         raise NCQMError(f"failed writing {path}: {exc}") from exc
 
 
+def _json_column(cells: list) -> str:
+    """One column as ``json.dumps(..., indent=2)`` lays it out one level
+    down, built by the C encoder: ``json`` uses it only without ``indent``,
+    so the item separator carries the newline and indentation instead."""
+    if not cells:
+        return "[]"
+    return "[\n    " + json.dumps(cells, separators=(",\n    ", ": "))[1:-1] \
+        + "\n  ]"
+
+
 def emit_table(columns: dict, fmt: str, path: str) -> str:
     """Write named equal-length arrays as CSV (header row, '.' decimals,
     newline-terminated; repr of each float, str of anything else) or JSON
-    (flat object of arrays); byte-stable."""
+    (flat object of arrays, the text of ``json.dumps(..., indent=2)``);
+    byte-stable."""
     arrays = [np.asarray(column) for column in columns.values()]
     if len({len(values) for values in arrays}) > 1:
         raise NCQMError("table columns must have equal length")
+    if any(values.ndim != 1 for values in arrays):
+        raise NCQMError("table columns must be one-dimensional")
     cells = [values.tolist() for values in arrays]
     if fmt == "csv":
         rows = zip(*(map(repr if values.dtype.kind == "f" else str, column)
                      for values, column in zip(arrays, cells)))
         text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    elif columns:
+        text = "{\n  " + ",\n  ".join(
+            f"{json.dumps(name)}: {_json_column(column)}"
+            for name, column in zip(columns, cells)) + "\n}\n"
     else:
-        text = json.dumps(dict(zip(columns, cells)), indent=2) + "\n"
+        text = "{}\n"
     _atomic_write(path, text)
     return path
 

@@ -7,11 +7,14 @@ structure denominator and H once into a ``MonomialTable``.  An affine flow
 (every numerator of degree <= 1 over a constant denominator) is stepped by
 the RK4 step matrix R(hA): for a linear ODE one RK4 step is exactly that
 product.  It is not the exact propagator expm(hA), so the trajectory and
-its energy drift are RK4's.  Any other flow runs the RK4 stages on plain
+its energy drift are RK4's.  Each affine step writes the next state in
+place, one product of R(hA)'s first four rows with the previous (xi, 1),
+and allocates no memory.  Any other flow runs the RK4 stages on plain
 floats, calling the table's straight-line ``scalar()`` function once per
 stage, which avoids numpy call overhead on 4-vectors.  Velocities and
-energy are read from the table over all states; a state or energy that is
-not finite means the orbit diverged, and is refused.
+energy are read from the table over all states at once, each variable
+raised to each of its exponents once per state; a state or energy that
+is not finite means the orbit diverged, and is refused.
 """
 
 from __future__ import annotations
@@ -113,10 +116,14 @@ def _rk4_states(table: MonomialTable, xi0: np.ndarray, h: float,
     states[0] = xi0
     step = _affine_step(table, h)
     if step is not None:
-        xi = np.append(xi0, 1.0)
-        for n in range(n_steps):
-            xi = step @ xi
-            states[n + 1] = xi[:4]
+        # each step writes the next state in place from carry = (xi, 1),
+        # then copies it into carry's head; np.dot makes the same BLAS
+        # dgemv call as matmul, with less call overhead
+        carry, advance = np.append(xi0, 1.0), step[:4]
+        head = carry[:4]
+        for row in states[1:]:
+            np.dot(advance, carry, out=row)
+            head[...] = row
         return states
 
     # the stages read the flow rows only; the energy row is read in bulk

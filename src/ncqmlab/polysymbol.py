@@ -249,8 +249,29 @@ class PolySymbol:
 
 
 # Bulk evaluation runs over blocks of this many points, so the
-# (points, monomials, arity) power array stays small on long trajectories.
+# (points, monomials) factor and product arrays stay small on long
+# trajectories.
 _BLOCK = 1024
+
+
+def _power_plan(exponents: np.ndarray) -> tuple:
+    """(v, powers, index) for each variable v that some monomial raises to
+    a nonzero power: its distinct exponents and 0, and per monomial the
+    position of that monomial's exponent among them.
+
+    With 0 always among them, each power call runs along at least two
+    exponents.  A lone exponent would reach numpy's ``power`` loop with
+    stride 0, where it takes a scalar fast path (x * x for x ** 2) that is
+    not bitwise the array power the other exponents get.
+    """
+    plan = []
+    for v, column in enumerate(exponents.T.tolist()):
+        if any(column):
+            powers = sorted({0, *column})
+            position = {e: i for i, e in enumerate(powers)}
+            plan.append((v, np.array(powers),
+                         np.array([position[e] for e in column])))
+    return tuple(plan)
 
 
 class MonomialTable:
@@ -261,9 +282,15 @@ class MonomialTable:
     sum_m coeffs[r, m] * prod_v xi_v ** exponents[m, v].  A row with a
     non-finite or non-real coefficient is refused with ValueError: take
     ``.real()`` first where only the real part is wanted.
+
+    Bulk evaluation raises each variable to each of its distinct exponents
+    once per point, with numpy's array-exponent ``power`` (which is not
+    bitwise repeated multiplication), gathers those powers to the monomials
+    and multiplies them in variable order.  A variable that every monomial
+    raises to the power 0 contributes the exact factor 1.0 and is skipped.
     """
 
-    __slots__ = ("exponents", "coeffs")
+    __slots__ = ("exponents", "coeffs", "_plan")
 
     def __init__(self, rows: Sequence[PolySymbol]):
         arities = {row.arity for row in rows}
@@ -282,6 +309,7 @@ class MonomialTable:
         for r, row in enumerate(rows):
             for expo, coeff in row.terms.items():
                 self.coeffs[r, column[expo]] = coeff.real
+        self._plan = _power_plan(self.exponents)
 
     def __call__(self, points) -> np.ndarray:
         """Every row at one point (shape (arity,) -> (rows,)) or at each of
@@ -294,8 +322,9 @@ class MonomialTable:
         if points.ndim == 2 and len(points) > _BLOCK:
             return np.concatenate([self(points[start:start + _BLOCK])
                                    for start in range(0, len(points), _BLOCK)])
-        monomials = np.multiply.reduce(points[..., None, :] ** self.exponents,
-                                       axis=-1)
+        monomials = np.ones(points.shape[:-1] + self.exponents.shape[:1])
+        for v, powers, index in self._plan:
+            monomials *= (points[..., v, None] ** powers)[..., index]
         return monomials @ self.coeffs.T
 
     def __getitem__(self, rows: slice) -> "MonomialTable":
@@ -303,6 +332,7 @@ class MonomialTable:
         scalar() computes those rows exactly as the whole table's does."""
         table = object.__new__(MonomialTable)
         table.exponents, table.coeffs = self.exponents, self.coeffs[rows]
+        table._plan = self._plan
         return table
 
     def scalar(self) -> Callable[..., tuple]:

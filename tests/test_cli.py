@@ -207,10 +207,36 @@ class TestEmitTable:
         assert json.loads((tmp_path / "t.json").read_text())["v"] == \
             [0.0, 1.0, 2.0]
 
+    @pytest.mark.parametrize("columns", [
+        {"n": [0, 1, -7, 2 ** 62]},
+        {"x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]},
+        {"s": ['say "hi"', "back\\slash", "θ ≥ 0", "tab\tand\nline", "é"]},
+        {"empty": []},
+        {"a": [], "b": []},
+        {},
+        {"n": np.arange(3), "E_n": np.array([0.5, math.nan, -0.0]),
+         "label": np.array(["a", 'b"c', "ü"]), "ok": [True, False, True]},
+    ], ids=["int", "float", "str", "empty-column", "empty-columns",
+            "no-columns", "mixed"])
+    def test_json_is_the_indent_2_dump(self, tmp_path, columns):
+        # the JSON text is assembled per column by the C encoder; it must
+        # be exactly what the pure-Python indent=2 encoder writes
+        path = tmp_path / "t.json"
+        emit_table(columns, "json", str(path))
+        want = json.dumps({name: np.asarray(column).tolist()
+                           for name, column in columns.items()}, indent=2)
+        assert path.read_text(encoding="utf-8") == want + "\n"
+
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(NCQMError, match="equal length"):
             emit_table({"a": [1], "b": [1, 2]}, "csv",
                        str(tmp_path / "t.csv"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nested_columns_rejected(self, tmp_path, fmt):
+        with pytest.raises(NCQMError, match="one-dimensional"):
+            emit_table({"a": [[1, 2], [3, 4]]}, fmt,
+                       str(tmp_path / f"t.{fmt}"))
 
     def test_no_stale_temp_file_left(self, tmp_path):
         emit_table(self.COLUMNS, "csv", str(tmp_path / "t.csv"))

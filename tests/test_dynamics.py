@@ -15,6 +15,11 @@ Oracles
 * ``oracle_integrate`` is the per-stage ``PolySymbol.eval`` RK4 loop the
   compiled steppers replace.  The step-matrix route for affine flows and
   the compiled-table route for every other flow must agree with it.
+* ``former_route`` runs the classical route as it was before the affine
+  stepper wrote its states in place and tables raised each variable once
+  per point: the loop ``xi = step @ xi`` and the broadcast-and-reduce
+  evaluation.  Affine orbits, their velocities, energies and deformed
+  Newton-law residuals must equal it bit for bit.
 * ``oracle_fit`` is scipy's Levenberg-Marquardt ``least_squares`` over all
   four parameters, started from the orbit's predicted frequency.  The
   variable-projection fit minimizes the same sum of squares, so on
@@ -22,6 +27,7 @@ Oracles
   FIT_OMEGA_RTOL.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -32,11 +38,14 @@ from scipy.optimize import least_squares
 from ncqmlab.errors import (ArityMismatch, ConfigError, InsufficientData,
                             SingularStructure, StepTooLarge)
 from ncqmlab.params import NCParams
-from ncqmlab.polysymbol import MonomialTable, PolySymbol, p1, p2, x1, x2
+from ncqmlab.polysymbol import (_BLOCK, MonomialTable, PolySymbol, p1, p2,
+                                x1, x2)
 from ncqmlab.structures import (PoissonStructure, StructureKind,
                                 symplectic_matrix, symplectic_matrix_field)
+from ncqmlab import dynamics
 from ncqmlab.dynamics import (
     _ENERGY,
+    _affine_step,
     _flow_table,
     Gauge,
     Trajectory,
@@ -385,6 +394,97 @@ class TestCompiledSteppers:
             integrate(s, H, (0.5, 0.0, 0.0, 0.3), T=T, h=1e-3)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+rk4_states = dynamics._rk4_states
+
+
+def step_loop_states(table, xi0, h, n_steps):
+    """The affine stepper's former loop, one new 5-vector per step; any
+    other flow goes to the general stepper."""
+    step = _affine_step(table, h)
+    if step is None:
+        return rk4_states(table, xi0, h, n_steps)
+    states = np.empty((n_steps + 1, 4))
+    states[0] = xi0
+    xi = np.append(xi0, 1.0)
+    for n in range(n_steps):
+        xi = step @ xi
+        states[n + 1] = xi[:4]
+    return states
+
+
+def reduce_evaluation(table, points):
+    """The former bulk evaluation of a table, over the same blocks."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 2 and len(points) > _BLOCK:
+        return np.concatenate([reduce_evaluation(table, points[i:i + _BLOCK])
+                               for i in range(0, len(points), _BLOCK)])
+    monomials = np.multiply.reduce(points[..., None, :] ** table.exponents,
+                                   axis=-1)
+    return monomials @ table.coeffs.T
+
+
+@contextlib.contextmanager
+def former_route():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_rk4_states", step_loop_states)
+        patch.setattr(MonomialTable, "__call__", reduce_evaluation)
+        yield
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_trajectory(got, want):
+    for name in ("times", "states", "velocities", "energy"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+class TestAffineOrbitsAreBitwise:
+    """In-place affine stepping and per-variable powers against the former
+    route, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(list(Gauge)), st.floats(0.0, 0.4),
+           st.floats(0.5, 2.0), st.sampled_from([1.0, -1.0, 2.0, 0.5]),
+           st.floats(0.5, 2.0), st.tuples(*[small] * 4))
+    def test_minimal_coupling_orbits(self, gauge, theta, curlyB, e, m, xi0):
+        params = NCParams(theta=theta, B=0.0, e=e, m=m)
+        traj = minimal_coupling_trajectory(params, gauge, curlyB, xi0,
+                                           T=4.0, h=5e-3)
+        with former_route():
+            want = minimal_coupling_trajectory(params, gauge, curlyB, xi0,
+                                               T=4.0, h=5e-3)
+        assert_same_trajectory(traj, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.booleans(), st.data(), small, small,
+           st.sampled_from([StructureKind.STANDARD, StructureKind.EXOTIC]),
+           st.tuples(*[small] * 4))
+    def test_quadratic_hamiltonians(self, linear, data, theta, B, kind, xi0):
+        if kind is StructureKind.EXOTIC and abs(1.0 - theta * B) < 0.2:
+            theta = 0.0
+        H = data.draw(quadratic_hamiltonians(linear))
+        s = symplectic_matrix(NCParams(theta=theta, B=B), kind)
+        traj = integrate(s, H, xi0, 2.0, 1e-2, max_energy_drift=None)
+        with former_route():
+            want = integrate(s, H, xi0, 2.0, 1e-2, max_energy_drift=None)
+        assert_same_trajectory(traj, want)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(0.05, 0.4), st.floats(-0.9, 0.9), st.floats(0.5, 1.5),
+           st.tuples(*[small] * 4))
+    def test_eom_residual(self, theta, B, omega0, xi0):
+        p, s, H, V = harmonic_setup(theta, B, omega0)
+        traj = integrate(s, H, xi0, T=6.0, h=1e-3)
+        got = eom_residual(traj, p, V)
+        with former_route():
+            want = eom_residual(integrate(s, H, xi0, T=6.0, h=1e-3), p, V)
+        assert_same_bits(got.series, want.series)
+        assert got.max_abs == want.max_abs
 
 
 class TestTrajectoryRecord:

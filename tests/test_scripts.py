@@ -1,8 +1,10 @@
 """Smoke tests of the scripts/ studies: each main() on tiny inputs writes
-its table with the documented columns."""
+its table with the documented columns.  The scenario digest must print the
+same lines on every run, with no temporary path in them."""
 
 import csv
 import importlib.util
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,28 @@ def test_script_writes_its_table(tmp_path, name, argv, columns, rows):
     assert table[0] == columns
     assert len(table) == rows + 1
     assert all(len(row) == len(columns) for row in table[1:])
+
+
+def test_scenario_digest_is_stable_and_path_free(capsys):
+    digest = load_script("scenario_digest")
+    names = ["star-csv", "star-json", "n-max-too-small", "out-is-a-file"]
+    assert digest.main(names) == 0
+    first = capsys.readouterr().out
+    # a second run writes into other temporary directories, same bytes
+    assert digest.main(names) == 0
+    assert capsys.readouterr().out == first
+    lines = first.splitlines()
+    assert [line for line in lines if line.startswith("== ")] == \
+        [f"== {name}" for name in names]
+    assert [line for line in lines if line.startswith("exit ")] == \
+        ["exit 0", "exit 0", "exit 2", "exit 1"]
+    files = [line.split() for line in lines if line.startswith("file ")]
+    assert [name for _, name, _ in files] == [
+        "star.csv", "star_manifest.json", "star.json", "star_manifest.json"]
+    assert all(len(sha) == 64 and int(sha, 16) >= 0 for _, _, sha in files)
+    assert "<out>" in first and tempfile.gettempdir() not in first
+
+
+def test_scenario_digest_refuses_unknown_names(capsys):
+    assert load_script("scenario_digest").main(["no-such-scenario"]) == 2
+    assert "no-such-scenario" in capsys.readouterr().err
