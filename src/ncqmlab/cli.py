@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -493,9 +494,14 @@ def join_list_values(argv) -> list:
     return joined
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main reads every command line with."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(join_list_values(
+    args = _parser().parse_args(join_list_values(
         sys.argv[1:] if argv is None else argv))
     try:
         config = merge_cli(args)

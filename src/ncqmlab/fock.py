@@ -18,12 +18,17 @@ inside block_eigh and spectral_sum.  A uniform field keeps time reversal
 composed with the mirror x1 -> -x1, so the magnetic Hamiltonians are real
 up to a diagonal gauge of powers of i; block_eigh finds that gauge with the
 blocks and solves such blocks in real arithmetic.
+
+Operators are immutable, so each piece of work is done once per object:
+FockOperator.solve keeps its block_eigh result per eigenvector flag,
+kinetic_hamiltonian keeps one operator per (RealizedOps, m) on the record,
+and ladder keeps one read-only CSR per (n_max, mode) for the process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -108,9 +113,12 @@ class FockOperator:
     ``stored`` is the operator as a CSR array (a dense argument is
     converted); sums and products of CSR operators stay CSR.  ``matrix`` is
     the dense ndarray, made from CSR on each access and not kept.
+
+    An operator is never changed after it is made: hermitian_flag and
+    solve keep what they compute on it.
     """
 
-    __slots__ = ("stored", "space", "degree", "_herm")
+    __slots__ = ("stored", "space", "degree", "_herm", "_solves")
 
     def __init__(self, matrix, space: FockSpace, degree: int = 1):
         matrix = sp.csr_array(matrix, dtype=complex)
@@ -120,6 +128,7 @@ class FockOperator:
         self.space = space
         self.degree = int(degree)
         self._herm: bool | None = None
+        self._solves: dict = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -135,6 +144,15 @@ class FockOperator:
             scale = max(1.0, float(abs(A).max()))
             self._herm = bool(defect <= HERMITICITY_TOL * scale)
         return self._herm
+
+    def solve(self, vectors: bool = True) -> "BlockEigh":
+        """block_eigh of the stored matrix, made on the first call for each
+        ``vectors`` flag and returned on every later one.  The flags are
+        kept apart: eigh and eigvalsh values differ in the last bits."""
+        solve = self._solves.get(vectors)
+        if solve is None:
+            solve = self._solves[vectors] = block_eigh(self.stored, vectors)
+        return solve
 
     def _binary(self, other, matrix, degree) -> "FockOperator":
         if isinstance(other, FockOperator) and other.space is not self.space:
@@ -205,25 +223,42 @@ def _identity_like(matrix):
 
 @dataclass(frozen=True)
 class RealizedOps:
-    """The four realized operators of a representation."""
+    """The four realized operators of a representation.
+
+    ``_hamiltonians`` holds the kinetic_hamiltonian of each mass asked of
+    this record."""
 
     X1: FockOperator
     P1: FockOperator
     X2: FockOperator
     P2: FockOperator
+    _hamiltonians: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     def as_tuple(self):
         return (self.X1, self.P1, self.X2, self.P2)
 
 
+# (n_max, mode) -> the read-only CSR ladder, filled by ladder on first use
+_LADDERS: dict = {}
+
+
 def ladder(space: FockSpace, mode: int) -> FockOperator:
     """Annihilation operator of the given mode (0 or 1), in CSR:
-    a_mode |.., n, ..> = sqrt(n) |.., n - 1, ..>."""
-    n = space.occupations[:, mode]
-    cols = np.flatnonzero(n > 0)
-    rows = cols - (space.n_max + 1 if mode == 0 else 1)
-    mat = sp.csr_array((np.sqrt(n[cols]), (rows, cols)),
-                       shape=(space.dim, space.dim), dtype=complex)
+    a_mode |.., n, ..> = sqrt(n) |.., n - 1, ..>.
+
+    A ladder does not depend on the scale, so its CSR is built once per
+    (n_max, mode) and shared, with its arrays read-only."""
+    mat = _LADDERS.get((space.n_max, mode))
+    if mat is None:
+        n = space.occupations[:, mode]
+        cols = np.flatnonzero(n > 0)
+        rows = cols - (space.n_max + 1 if mode == 0 else 1)
+        mat = sp.csr_array((np.sqrt(n[cols]), (rows, cols)),
+                           shape=(space.dim, space.dim), dtype=complex)
+        for part in (mat.data, mat.indices, mat.indptr):
+            part.flags.writeable = False
+        _LADDERS[space.n_max, mode] = mat
     return FockOperator(mat, space, degree=1)
 
 
@@ -372,8 +407,13 @@ def quantize_poly(V: PolySymbol, X1: FockOperator, X2: FockOperator,
 
 
 def kinetic_hamiltonian(ops: RealizedOps, m: float = 1.0) -> FockOperator:
-    """H = (P1^2 + P2^2) / (2m) on realized operators."""
-    return (1.0 / (2.0 * m)) * (ops.P1 @ ops.P1 + ops.P2 @ ops.P2)
+    """H = (P1^2 + P2^2) / (2m) on realized operators: one operator per
+    (ops, m), so its checks and solves are made once."""
+    H = ops._hamiltonians.get(m)
+    if H is None:
+        H = (1.0 / (2.0 * m)) * (ops.P1 @ ops.P1 + ops.P2 @ ops.P2)
+        ops._hamiltonians[m] = H
+    return H
 
 
 class EigenBlock(NamedTuple):
@@ -474,7 +514,13 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     dropped = row_labels != labels[coo.col]
     # np.sum, not np.linalg.norm: a long BLAS dot is threaded and slower
     dropped_mags = mags[dropped]
-    error_bound = float(np.sqrt(np.sum(dropped_mags * dropped_mags)))
+    with np.errstate(over="ignore"):
+        error_bound = float(np.sqrt(np.sum(dropped_mags * dropped_mags)))
+    if not math.isfinite(error_bound):
+        # the squares overflowed (|H| above about 1e154): scale by the
+        # largest dropped entry first
+        top = np.max(dropped_mags)
+        error_bound = float(top * np.sqrt(np.sum((dropped_mags / top) ** 2)))
     # The states of each block, ascending, each state's index in its block,
     # and the kept entries split by block.
     order = np.argsort(labels, kind="stable")
@@ -585,7 +631,7 @@ def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
     """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
     if not G.hermitian_flag:
         raise NonHermitian("generator must be Hermitian")
-    solve = block_eigh(G.stored)
+    solve = G.solve()
     return spectral_sum(solve, np.exp(1.0j * solve.eigenvalues)).toarray()
 
 
@@ -674,7 +720,7 @@ def spectrum(H: FockOperator, k: int,
     """
     if not H.hermitian_flag:
         raise NonHermitian("spectrum requires a validated Hermitian operator")
-    solve = block_eigh(H.stored, vectors=pollution_tol is not None)
+    solve = H.solve(vectors=pollution_tol is not None)
     evals = solve.eigenvalues
     if pollution_tol is not None:
         boundary = ~H.space.interior_mask(H.degree)

@@ -36,7 +36,6 @@ from .fock import (
     FockSpace,
     Prescription,
     RealizedOps,
-    block_eigh,
     eigenvector_columns,
     kinetic_hamiltonian,
     ladder,
@@ -122,7 +121,9 @@ def landau_projectors(params: NCParams, space: FockSpace,
     index g = s - n.  Level n is one state from each of the shells
     n..n_max - 1; the shells s >= n_max touch the truncation and are never
     read.  A basis whose shells are not single blocks of H (the unit
-    scale) is refused with UnresolvedSpectrum.
+    scale) is refused with UnresolvedSpectrum.  H is the
+    kinetic_hamiltonian of the returned ``ops``, so a caller that asks for
+    it gets this operator with its solve already made.
     """
     _require_commutative_landau(params)
     if N < 0:
@@ -136,7 +137,7 @@ def landau_projectors(params: NCParams, space: FockSpace,
     H = kinetic_hamiltonian(ops, params.m)
     if not H.hermitian_flag:
         raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
-    solve = block_eigh(H.stored)
+    solve = H.solve()
     shell = space.occupations.sum(axis=1)
     exact = {}      # whole shell s -> its eigenvalue positions, ascending
     for block in solve.eigenvectors:
@@ -179,10 +180,10 @@ def sinc_profile(h, n: int):
 
 def projector_sinc(H: FockOperator, n: int, E_n: float) -> FockOperator:
     """Apply the sinc-type level selector spectrally: f(H/E_n), made block
-    by block by spectral_sum."""
+    by block by spectral_sum from H's one solve (FockOperator.solve)."""
     if not H.hermitian_flag:
         raise NonHermitian("projector_sinc requires a Hermitian operator")
-    solve = block_eigh(H.stored)
+    solve = H.solve()
     f = sinc_profile(solve.eigenvalues / E_n, n)
     return FockOperator(spectral_sum(solve, f), H.space, degree=H.degree)
 

@@ -23,6 +23,7 @@ the eigenvalues (for exp(ix) exactly: ||exp(iA) - exp(iB)||_2 <=
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,26 @@ def test_bound_covers_a_coupling_just_below_threshold():
     assert solve.error_bound == pytest.approx(math.sqrt(2.0) * eps)
     exact = np.array([1.0 - eps, 1.0 + eps])
     assert np.max(np.abs(solve.eigenvalues - exact)) <= solve.error_bound
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_bound_scales_past_the_square_overflow(vectors):
+    # dropped couplings near 1e166 square past the float range; the bound
+    # must still scale exactly with H (2^600 is exact in floating point)
+    rng = np.random.default_rng(7)
+    labels = np.repeat([0, 1], [3, 4])
+    noise = random_hermitian(rng, 7)
+    noise *= 0.1 * BLOCK_COUPLING_TOL / np.max(np.abs(noise))
+    matrix = np.where(labels[:, None] == labels[None, :],
+                      random_hermitian(rng, 7), noise)
+    base = block_eigh(matrix, vectors).error_bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = block_eigh(matrix * 2.0 ** 600, vectors)
+    assert scaled.blocks == 2 and base > 0.0
+    assert math.isfinite(scaled.error_bound)
+    assert scaled.error_bound / 2.0 ** 600 == pytest.approx(base, rel=1e-14,
+                                                            abs=0.0)
 
 
 # --- the real gauge ------------------------------------------------------

@@ -613,6 +613,29 @@ class TestConfigTable:
         assert sorted(p.name for p in out.iterdir()) == [
             "star.json", "star_manifest.json"]
 
+    def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch,
+                                                capsys):
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for fmt in ("csv", "json"):
+                assert main(["star", "--format", fmt,
+                             "--out", str(tmp_path / fmt)]) == 0
+            with pytest.raises(SystemExit):
+                main(["--help"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        # build_parser still makes a fresh parser, with the same help
+        assert build_parser() is not build_parser()
+        assert capsys.readouterr().out.endswith(build_parser().format_help())
+
     def test_help_lists_the_choices(self):
         text = build_parser().format_help()
         for choices in ("{symmetric,landau}", "{weyl,normal,antinormal}",

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncqmlab import fock
 from ncqmlab.fock import (
     FockOperator,
     FockSpace,
@@ -205,6 +206,35 @@ def test_ladder_matches_kron(space, mode):
                  np.kron(a, eye) if mode == 0 else np.kron(eye, a))
 
 
+def test_cached_ladders_match_a_fresh_build_and_are_read_only():
+    for n_max in (4, 7, 12):
+        space = FockSpace(n_max, scale=1.7)
+        for mode in (0, 1):
+            first = ladder(space, mode)
+            cached = ladder(FockSpace(n_max), mode)
+            n = space.occupations[:, mode]
+            cols = np.flatnonzero(n > 0)
+            rows = cols - (n_max + 1 if mode == 0 else 1)
+            fresh = sp.csr_array((np.sqrt(n[cols]), (rows, cols)),
+                                 shape=(space.dim, space.dim), dtype=complex)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(cached.stored, part),
+                                              getattr(fresh, part))
+                assert np.shares_memory(getattr(cached.stored, part),
+                                        getattr(first.stored, part))
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(cached.stored, part)[0] = 1
+
+
+def test_kinetic_hamiltonian_is_one_operator_per_ops_and_mass():
+    ops = build_canonical_ops(FockSpace(6))
+    H = kinetic_hamiltonian(ops, 1.5)
+    assert kinetic_hamiltonian(ops, 1.5) is H
+    assert kinetic_hamiltonian(ops, 2.0) is not H
+    assert kinetic_hamiltonian(build_canonical_ops(FockSpace(6)), 1.5) \
+        is not H
+
+
 @settings(max_examples=60, deadline=None)
 @given(representations(), spaces(), st.floats(0.5, 2.0))
 def test_realize_rep_and_kinetic_hamiltonian(rep, space, m):
@@ -270,6 +300,72 @@ def test_block_eigh_on_csr_matches_dense_input(rep, space, trap):
     exact = np.linalg.eigvalsh(H.matrix)
     assert np.max(np.abs(sparse.eigenvalues - exact)) <= \
         sparse.error_bound + RTOL * max(1.0, np.max(np.abs(exact)))
+
+
+def assert_same_bits(a, b) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(representations(), spaces(), polynomials(max_degree=2),
+       st.booleans())
+def test_memoized_solve_is_bitwise_a_fresh_block_eigh(rep, space, trap,
+                                                      vectors_first):
+    ops = realize_rep(rep, space)
+    H = kinetic_hamiltonian(ops) + 0.1 * poly_of_commuting(
+        trap, ops.X1, ops.X2, hermitian=False)
+    H = 0.5 * (H + H.dagger())
+    for vectors in ((True, False) if vectors_first else (False, True)):
+        memo = H.solve(vectors)
+        assert H.solve(vectors) is memo
+        fresh = block_eigh(H.stored, vectors)
+        assert_same_bits(memo.eigenvalues, fresh.eigenvalues)
+        for field in ("error_bound", "blocks", "real_blocks"):
+            assert_same_bits(getattr(memo, field), getattr(fresh, field))
+        if not vectors:
+            assert memo.eigenvectors is fresh.eigenvectors is None
+            continue
+        assert len(memo.eigenvectors) == len(fresh.eigenvectors)
+        for ours, theirs in zip(memo.eigenvectors, fresh.eigenvectors):
+            for part, other in zip(ours, theirs):
+                assert_same_bits(part, other)
+
+
+@pytest.fixture
+def block_eigh_calls(monkeypatch):
+    """The vectors flag of every block_eigh call made in the test."""
+    calls = []
+
+    def counted(matrix, vectors=True):
+        calls.append(vectors)
+        return block_eigh(matrix, vectors)
+
+    monkeypatch.setattr(fock, "block_eigh", counted)
+    return calls
+
+
+def test_truncation_pass_solves_its_hamiltonian_once(block_eigh_calls):
+    params = NCParams(theta=0.0, B=1.3)
+    ps = landau_projectors(params, adapted_space(params, 12), 2)
+    H = kinetic_hamiltonian(ps.ops, params.m)
+    for n in range(3):
+        projector_sinc(H, n, ps.level_energies[n])
+    assert block_eigh_calls == [True]
+
+
+def test_spectrum_solves_once_per_eigenvector_flag(block_eigh_calls):
+    params = NCParams(theta=0.0, B=1.3)
+    realized = realize_rep(magnetic_rep(params), adapted_space(params, 8))
+    H = kinetic_hamiltonian(realized, params.m)
+    spectrum(H, 3)
+    spectrum(H, 3)
+    assert block_eigh_calls == [False]
+    G = kinetic_hamiltonian(realized, 2.0)
+    spectrum(G, 3)
+    projector_sinc(G, 0, 0.5 * params.omega_B)
+    assert block_eigh_calls == [False, False, True]
 
 
 # --- truncated commutators in the level basis -----------------------------
@@ -366,7 +462,6 @@ def large_landau():
     params = NCParams(theta=0.0, B=1.3)
     space = adapted_space(params, 40)
     H = kinetic_hamiltonian(realize_rep(magnetic_rep(params), space), params.m)
-    assert H.hermitian_flag     # validated (and cached) before tracing
     return params, space, H
 
 
@@ -374,6 +469,10 @@ def large_landau():
                                   "landau_projectors"])
 def test_spectral_calls_allocate_no_dense_square(large_landau, call):
     params, space, H = large_landau
+    # a fresh operator, so that each call makes its own solve; validated
+    # (and cached) before tracing
+    H = FockOperator(H.stored, space, H.degree)
+    assert H.hermitian_flag
     run = {
         "spectrum": lambda: spectrum(H, 3, pollution_tol=1e-6),
         "projector_sinc": lambda: projector_sinc(H, 0, 0.5 * params.omega_B),
