@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ArityMismatch, ConfigError, InsufficientData,
                      SingularStructure, StepTooLarge)
-from .params import NCParams
+from .params import NCParams, kappa
 from .polysymbol import MonomialTable, PolySymbol, p1, p2
 from .reps import landau_vector_potential, symmetric_vector_potential
 from .structures import PoissonStructure, StructureKind, symplectic_matrix
@@ -229,7 +229,6 @@ def eom_residual(traj: Trajectory, params: NCParams,
     if V.arity != 4:
         raise ArityMismatch("potential must be arity 2 or 4")
     m, theta, B = params.m, params.theta, params.B
-    kap = 1.0 - theta * B
     h = traj.h
     x = traj.states[:, :2]
     xdot = (x[2:] - x[:-2]) / (2.0 * h)
@@ -241,7 +240,7 @@ def eom_residual(traj: Trajectory, params: NCParams,
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
     series = (
         m * xddot
-        + kap * gradV[1:-1]
+        + kappa(params) * gradV[1:-1]
         - B * xdot @ eps.T
         - m * theta * dt_gradV @ eps.T
     )

@@ -74,8 +74,8 @@ class FockSpace:
     The two modes are whatever ladders a caller builds on them: the
     Cartesian oscillators (n1, n2) of build_canonical_ops, or the Landau
     level n and guiding index g of peierls.landau_basis_hamiltonian.
-    interior_mask and the boundary shells of spectrum's pollution filter
-    are those of the two occupations either way.
+    interior_mask, and the boundary shells outside it that peierls's
+    pollution filter weighs, are those of the two occupations either way.
     """
 
     n_max: int
@@ -148,9 +148,12 @@ class FockOperator:
     def solve(self, vectors: bool = True) -> "BlockEigh":
         """block_eigh of the stored matrix, made on the first call for each
         ``vectors`` flag and returned on every later one.  The flags are
-        kept apart: eigh and eigvalsh values differ in the last bits."""
+        kept apart: eigh and eigvalsh values differ in the last bits.  A
+        non-Hermitian operator is refused with NonHermitian."""
         solve = self._solves.get(vectors)
         if solve is None:
+            if not self.hermitian_flag:
+                raise NonHermitian("eigensolve requires a Hermitian operator")
             solve = self._solves[vectors] = block_eigh(self.stored, vectors)
         return solve
 
@@ -514,12 +517,13 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     dropped = row_labels != labels[coo.col]
     # np.sum, not np.linalg.norm: a long BLAS dot is threaded and slower
     dropped_mags = mags[dropped]
+    top = np.max(dropped_mags, initial=0.0)
     with np.errstate(over="ignore"):
-        error_bound = float(np.sqrt(np.sum(dropped_mags * dropped_mags)))
-    if not math.isfinite(error_bound):
-        # the squares overflowed (|H| above about 1e154): scale by the
-        # largest dropped entry first
-        top = np.max(dropped_mags)
+        squares = np.sum(dropped_mags * dropped_mags)
+    error_bound = float(np.sqrt(squares))
+    if top and not np.finfo(float).tiny <= squares < math.inf:
+        # the squares overflowed (|H| above about 1e154) or underflowed
+        # (below about 1e-154): scale by the largest dropped entry first
         error_bound = float(top * np.sqrt(np.sum((dropped_mags / top) ** 2)))
     # The states of each block, ascending, each state's index in its block,
     # and the kept entries split by block.
@@ -629,8 +633,6 @@ def eigenvector_columns(solve: BlockEigh, positions) -> sp.csr_array:
 
 def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
     """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
-    if not G.hermitian_flag:
-        raise NonHermitian("generator must be Hermitian")
     solve = G.solve()
     return spectral_sum(solve, np.exp(1.0j * solve.eigenvalues)).toarray()
 
@@ -706,39 +708,16 @@ def resolve_levels(evals: np.ndarray) -> list[list[int]]:
     return levels
 
 
-def spectrum(H: FockOperator, k: int,
-             pollution_tol: float | None = None) -> SpectrumResult:
+def spectrum(H: FockOperator, k: int) -> SpectrumResult:
     """Lowest-k eigenvalues of a Hermitian operator, with its Landau
     levels as resolve_levels reads them.
 
-    With `pollution_tol` set, eigenvectors carrying more than that
-    probability weight on the boundary shells are dropped first: products
-    of truncated operators corrupt edge states, and at strong fields the
-    corrupted eigenvalues can dive below the physical ground state; fewer
-    than k survivors is an UnresolvedSpectrum.  The eigensolve is
-    block_eigh; its dropped-coupling bound and block count are reported.
+    Levels only: the eigensolve is H.solve(vectors=False), whose
+    dropped-coupling bound and block count are reported.  Boundary
+    pollution is peierls's concern (peierls.lowest_unpolluted).
     """
-    if not H.hermitian_flag:
-        raise NonHermitian("spectrum requires a validated Hermitian operator")
-    solve = H.solve(vectors=pollution_tol is not None)
+    solve = H.solve(vectors=False)
     evals = solve.eigenvalues
-    if pollution_tol is not None:
-        boundary = ~H.space.interior_mask(H.degree)
-        weight = np.empty(len(evals))
-        for block in solve.eigenvectors:
-            edge = block.vectors[boundary[block.states]]
-            weight[block.positions] = np.sum(np.abs(edge) ** 2, axis=0)
-        evals = evals[weight <= pollution_tol]
-        if len(evals) == 0:
-            raise UnresolvedSpectrum(
-                "every eigenvector is boundary-polluted at n_max = "
-                f"{H.space.n_max}; raise n_max"
-            )
-        if len(evals) < k:
-            raise UnresolvedSpectrum(
-                f"only {len(evals)} of {k} eigenvectors are free of boundary "
-                f"pollution at n_max = {H.space.n_max}; raise n_max"
-            )
     return SpectrumResult(evals[:k].copy(),
                           tuple(cluster_of(evals[m])
                                 for m in resolve_levels(evals)),

@@ -19,7 +19,8 @@ where a radial V conserves the angular momentum l = g - n.  H then splits
 into 2 n_max + 1 small blocks of fixed l instead of the two parity blocks
 of the Cartesian basis, so the solve costs O(n_max^4) rather than
 O(n_max^6) and no dense (n_max+1)^2-square matrix is ever made.  A
-non-radial V is refused.
+non-radial V is refused.  Both Peierls spectra drop truncation artefacts
+by one rule, lowest_unpolluted.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, NonHermitian, UnresolvedSpectrum
+from .errors import DomainError, UnresolvedSpectrum
 from .fock import (
     FockOperator,
     FockSpace,
@@ -42,15 +43,14 @@ from .fock import (
     quantize_matrix_pair,
     realize_rep,
     spectral_sum,
-    spectrum,
     suggested_scale,
 )
 from .params import NCParams, require_coupling
 from .polysymbol import PolySymbol, x1, x2
 from .reps import symmetric_gauge_rep
 
-# peierls_spectrum drops eigenvectors with more than this probability
-# weight on the boundary shells before reading off full_E_n.
+# The most probability weight an eigenvector may carry on the boundary and
+# still count as physical (see lowest_unpolluted).
 POLLUTION_TOL = 1e-6
 
 
@@ -85,16 +85,20 @@ class ProjectorSet:
 
     ``bases[n]`` holds orthonormal CSR columns spanning level n; column g
     is the state of guiding index g, stored on its shell n + g of the
-    adapted basis.  ``cumulative`` is Pi_N = sum of the projectors.
+    adapted basis, and P_n = W_n W_n^dag for W_n = bases[n].
     """
 
     projectors: tuple
     level_energies: tuple
-    cumulative: FockOperator
     N: int
     bases: tuple
     space: FockSpace
     ops: RealizedOps
+
+    @property
+    def cumulative(self) -> FockOperator:
+        """Pi_N, the sum of the projectors, made on each access."""
+        return sum(self.projectors[1:], self.projectors[0])
 
     def interior_g_cut(self, N: int | None = None) -> int:
         """Half of n_max - 1 - N, the largest guiding index of level N (of
@@ -135,8 +139,6 @@ def landau_projectors(params: NCParams, space: FockSpace,
         )
     ops = realize_rep(magnetic_rep(params), space)
     H = kinetic_hamiltonian(ops, params.m)
-    if not H.hermitian_flag:
-        raise NonHermitian("Landau Hamiltonian failed the Hermiticity check")
     solve = H.solve()
     shell = space.occupations.sum(axis=1)
     exact = {}      # whole shell s -> its eigenvalue positions, ascending
@@ -153,20 +155,12 @@ def landau_projectors(params: NCParams, space: FockSpace,
         )
     levels = [[exact[s][n] for s in range(n, space.n_max)]
               for n in range(N + 1)]
-    evals = solve.eigenvalues
-
-    def projector(members) -> FockOperator:
-        indicator = np.zeros(len(evals))
-        indicator[members] = 1.0
-        return FockOperator(spectral_sum(solve, indicator), space,
-                            degree=H.degree)
-
-    projectors = tuple(projector(members) for members in levels)
-    energies = tuple(float(np.mean(evals[members])) for members in levels)
     bases = tuple(eigenvector_columns(solve, members) for members in levels)
-    cumulative = projector([k for members in levels for k in members])
-    return ProjectorSet(projectors, energies, cumulative, N, bases, space,
-                        ops)
+    projectors = tuple(FockOperator(W @ W.conj().T, space, degree=H.degree)
+                       for W in bases)
+    energies = tuple(float(np.mean(solve.eigenvalues[members]))
+                     for members in levels)
+    return ProjectorSet(projectors, energies, N, bases, space, ops)
 
 
 def sinc_profile(h, n: int):
@@ -181,8 +175,6 @@ def sinc_profile(h, n: int):
 def projector_sinc(H: FockOperator, n: int, E_n: float) -> FockOperator:
     """Apply the sinc-type level selector spectrally: f(H/E_n), made block
     by block by spectral_sum from H's one solve (FockOperator.solve)."""
-    if not H.hermitian_flag:
-        raise NonHermitian("projector_sinc requires a Hermitian operator")
     solve = H.solve()
     f = sinc_profile(solve.eigenvalues / E_n, n)
     return FockOperator(spectral_sum(solve, f), H.space, degree=H.degree)
@@ -274,11 +266,42 @@ class PeierlsResult:
         return (self.full_E_n - 0.5 * self.omega_B) - self.epsilon_n
 
 
+def lowest_unpolluted(evals: np.ndarray, weights: np.ndarray, k: int,
+                      size: str, value: int) -> np.ndarray:
+    """The lowest k of ascending eigenvalues whose eigenvectors carry at
+    most POLLUTION_TOL of their probability (``weights``) on the boundary.
+
+    Products of truncated operators corrupt the states near the cutoff,
+    and at strong fields their eigenvalues can dive below the physical
+    ground state.  Fewer than k clean ones is an UnresolvedSpectrum that
+    names the truncation ``size`` ("n_max" or "dim") at its ``value``.
+    """
+    evals = evals[weights <= POLLUTION_TOL]
+    if len(evals) < k:
+        found = (f"only {len(evals)} of {k} eigenvectors are free of "
+                 "boundary pollution" if len(evals) else
+                 "every eigenvector is boundary-polluted")
+        raise UnresolvedSpectrum(f"{found} at {size} = {value}; raise {size}")
+    return evals[:k]
+
+
+def boundary_weights(H: FockOperator) -> np.ndarray:
+    """Each eigenvector's probability weight on the boundary shells of
+    H's space (those outside interior_mask(H.degree)), in the ascending
+    order of H.solve(), read block by block."""
+    solve = H.solve()
+    boundary = ~H.space.interior_mask(H.degree)
+    weights = np.empty(len(solve.eigenvalues))
+    for block in solve.eigenvectors:
+        edge = block.vectors[boundary[block.states]]
+        weights[block.positions] = np.sum(np.abs(edge) ** 2, axis=0)
+    return weights
+
+
 def effective_potential_spectrum(V: PolySymbol, lam: float,
                                  params: NCParams, k: int,
                                  prescription=Prescription.ANTINORMAL,
-                                 dim: int | None = None,
-                                 boundary_tol: float = 1e-8) -> np.ndarray:
+                                 dim: int | None = None) -> np.ndarray:
     """Eigenvalues of lam * V(X1^t, X2^t) on the one-mode lowest-level
     system with [X1^t, X2^t] = -i/(eB).
 
@@ -288,9 +311,10 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     comparison; they differ at relative order 1/B.
 
     Ladder truncation corrupts the top shells (anti-normal products even
-    leave a spurious zero mode in the last basis state), so eigenvectors
-    with more than ``boundary_tol`` weight on the top quarter of the
-    ladder are discarded before the lowest k eigenvalues are read off.
+    leave a spurious zero mode in the last basis state), so the lowest k
+    eigenvalues are read off by lowest_unpolluted, with the top quarter
+    of the ladder as the boundary.  The solve is a dense eigh on purpose:
+    at a few dozen states, block_eigh's block search costs more than it.
     """
     if V.arity != 2:
         raise ValueError("V must be an arity-2 polynomial")
@@ -312,14 +336,8 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     Q = quantize_matrix_pair(poly, U2, U1, prescription, theta=abs(s))
     evals, vecs = np.linalg.eigh(lam * Q)
     boundary = slice(dim - max(1, dim // 4), dim)
-    weight = np.sum(np.abs(vecs[boundary, :]) ** 2, axis=0)
-    evals = evals[weight <= boundary_tol]
-    if len(evals) < k:
-        raise UnresolvedSpectrum(
-            f"only {len(evals)} boundary-clean eigenvectors at dim = {dim}, "
-            f"need {k}; raise dim"
-        )
-    return evals[:k]
+    weights = np.sum(np.abs(vecs[boundary, :]) ** 2, axis=0)
+    return lowest_unpolluted(evals, weights, k, "dim", dim)
 
 
 def radial_potential(coefficients) -> PolySymbol:
@@ -392,19 +410,21 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     """Peierls approximation against the exact truncated-space spectrum.
 
     epsilon_n comes from the one-mode effective system; full_E_n is the
-    pollution-filtered spectrum of H = Pi^2/2m + lam V on the Landau-level
-    basis of landau_basis_hamiltonian.  V must be radial (DomainError
+    lowest k eigenvalues of H = Pi^2/2m + lam V on the Landau-level basis
+    of landau_basis_hamiltonian, through lowest_unpolluted with the
+    boundary_weights of H (the boundary shells are those of the level
+    index n and the guiding index g).  V must be radial (DomainError
     otherwise); H then splits into 2 n_max + 1 blocks of fixed angular
-    momentum, with a zero dropped-coupling bound.  The boundary shells of
-    the pollution filter are those of the level index n and the guiding
-    index g.  In the strong-field regime full_E_n approaches
-    omega_B/2 + epsilon_n.
+    momentum, with a zero dropped-coupling bound.  In the strong-field
+    regime full_E_n approaches omega_B/2 + epsilon_n.
     """
     _require_commutative_landau(params)
     coeffs = radial_coefficients(V)
     epsilon = effective_potential_spectrum(V, lam, params, k, prescription)
     H = landau_basis_hamiltonian(coeffs, lam, params, n_max)
-    full = spectrum(H, k, pollution_tol=POLLUTION_TOL)
-    return PeierlsResult(epsilon, full.eigenvalues[:k], params.omega_B,
-                         Prescription(prescription), full.error_bound,
-                         full.blocks)
+    solve = H.solve()
+    full = lowest_unpolluted(solve.eigenvalues, boundary_weights(H), k,
+                             "n_max", n_max)
+    return PeierlsResult(epsilon, full, params.omega_B,
+                         Prescription(prescription), solve.error_bound,
+                         solve.blocks)

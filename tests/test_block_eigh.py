@@ -257,10 +257,10 @@ def test_bound_covers_a_coupling_just_below_threshold():
     assert np.max(np.abs(solve.eigenvalues - exact)) <= solve.error_bound
 
 
-@pytest.mark.parametrize("vectors", [False, True])
-def test_bound_scales_past_the_square_overflow(vectors):
-    # dropped couplings near 1e166 square past the float range; the bound
-    # must still scale exactly with H (2^600 is exact in floating point)
+def assert_bound_scales(exponent: int, vectors: bool) -> None:
+    """Two blocks of 3 and 4 states, coupled at a tenth of the threshold:
+    scaling H by 2^exponent (exact in floating point) must scale the bound
+    by the same factor, without a floating-point warning."""
     rng = np.random.default_rng(7)
     labels = np.repeat([0, 1], [3, 4])
     noise = random_hermitian(rng, 7)
@@ -270,11 +270,25 @@ def test_bound_scales_past_the_square_overflow(vectors):
     base = block_eigh(matrix, vectors).error_bound
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = block_eigh(matrix * 2.0 ** 600, vectors)
+        scaled = block_eigh(matrix * 2.0 ** exponent, vectors)
     assert scaled.blocks == 2 and base > 0.0
     assert math.isfinite(scaled.error_bound)
-    assert scaled.error_bound / 2.0 ** 600 == pytest.approx(base, rel=1e-14,
-                                                            abs=0.0)
+    assert scaled.error_bound / 2.0 ** exponent == pytest.approx(
+        base, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_bound_scales_past_the_square_overflow(vectors):
+    # dropped couplings near 1e166 square past the float range
+    assert_bound_scales(600, vectors)
+
+
+@pytest.mark.parametrize("exponent", [-400, -500, -560])
+def test_bound_scales_past_the_square_underflow(exponent):
+    # at 2^-500 and 2^-560 the squares of the dropped couplings (near
+    # 1e-165 and 1e-183) fall below the smallest float; at 2^-400 they
+    # do not, and the plain sum is kept
+    assert_bound_scales(exponent, False)
 
 
 # --- the real gauge ------------------------------------------------------

@@ -26,6 +26,7 @@ from ncqmlab.errors import (
     UnresolvedSpectrum,
 )
 from ncqmlab.params import NCParams
+from ncqmlab.peierls import boundary_weights, lowest_unpolluted
 from ncqmlab.polysymbol import PolySymbol, x1, x2
 from ncqmlab.fock import (
     Cluster,
@@ -54,6 +55,12 @@ from ncqmlab.reps import (
     symmetric_vector_potential,
     vector_potential_rep,
 )
+
+
+def unpolluted(H: FockOperator, k: int) -> np.ndarray:
+    """H's lowest k eigenvalues through the one pollution rule."""
+    return lowest_unpolluted(H.solve().eigenvalues, boundary_weights(H), k,
+                             "n_max", H.space.n_max)
 
 
 def weyl_average_reference(e1: int, e2: int, X1: np.ndarray,
@@ -180,6 +187,17 @@ class TestFockOperatorAlgebra:
         mat = np.zeros((space.dim, space.dim))
         mat[0, 1] = 1.0
         assert not FockOperator(mat, space).hermitian_flag
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_solve_refuses_non_hermitian(self, vectors):
+        space = FockSpace(4)
+        mat = np.zeros((space.dim, space.dim))
+        mat[0, 1] = 1.0
+        op = FockOperator(mat, space)
+        for _ in range(2):
+            with pytest.raises(NonHermitian):
+                op.solve(vectors)
+        assert op._solves == {}
 
     def test_interior_residual_scalar_and_matrix_targets(self):
         space = FockSpace(6)
@@ -400,9 +418,9 @@ class TestSpectrumMachinery:
         space = FockSpace(12, scale=suggested_scale(rep))
         H = kinetic_hamiltonian(realize_rep(rep, space))
         raw = np.linalg.eigvalsh(H.matrix)
-        filtered = spectrum(H, 6, pollution_tol=1e-6)
+        filtered = unpolluted(H, 6)
         assert raw[0] < 0.95 * (B / 2.0)  # artifact present below E_0
-        assert filtered.eigenvalues[0] == pytest.approx(B / 2.0, rel=1e-9)
+        assert filtered[0] == pytest.approx(B / 2.0, rel=1e-9)
 
     def test_everything_polluted_raises(self):
         space = FockSpace(4)
@@ -410,8 +428,9 @@ class TestSpectrumMachinery:
         # whole basis, so all of them carry weight on the boundary shells
         dim = space.dim
         mat = np.diag(np.ones(dim - 1), 1) + np.diag(np.ones(dim - 1), -1)
-        with pytest.raises(UnresolvedSpectrum):
-            spectrum(FockOperator(mat, space), 3, pollution_tol=1e-6)
+        with pytest.raises(UnresolvedSpectrum,
+                           match="every eigenvector is boundary-polluted"):
+            unpolluted(FockOperator(mat, space), 3)
 
     def test_unresolved_levels_are_domain_refusals(self):
         space = FockSpace(4)
@@ -421,7 +440,7 @@ class TestSpectrumMachinery:
         assert isinstance(err.value, DomainError)
         chain = np.diag(np.ones(24), 1) + np.diag(np.ones(24), -1)
         with pytest.raises(UnresolvedSpectrum, match="n_max = 4"):
-            spectrum(FockOperator(chain, space), 3, pollution_tol=1e-6)
+            unpolluted(FockOperator(chain, space), 3)
 
     def test_fewer_clean_eigenvectors_than_asked_is_refused(self):
         # a diagonal operator's eigenvectors are basis states; the 9 with
@@ -429,8 +448,8 @@ class TestSpectrumMachinery:
         H = FockOperator(np.diag(np.arange(25.0)), FockSpace(4))
         with pytest.raises(UnresolvedSpectrum,
                            match="only 9 of 10 eigenvectors .* n_max = 4"):
-            spectrum(H, 10, pollution_tol=1e-6)
-        assert len(spectrum(H, 9, pollution_tol=1e-6).eigenvalues) == 9
+            unpolluted(H, 10)
+        assert len(unpolluted(H, 9)) == 9
 
     def test_drifted_copies_count_as_one_level(self):
         # a pair of drifted ground-level copies 3e-7 above the level

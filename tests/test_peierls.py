@@ -61,10 +61,11 @@ from ncqmlab.fock import (
 )
 from ncqmlab.params import NCParams
 from ncqmlab.peierls import (
-    POLLUTION_TOL,
     adapted_space,
+    boundary_weights,
     effective_potential_spectrum,
     landau_projectors,
+    lowest_unpolluted,
     magnetic_rep,
     peierls_spectrum,
     projector_sinc,
@@ -566,6 +567,16 @@ class TestTruncatedCommutators:
 
 class TestEffectivePotentialSpectrum:
     PARAMS = NCParams(theta=0.0, B=1.0)
+    DIM = 26    # the default dim for k = 3 and a quadratic V
+
+    @staticmethod
+    def antinormal_r2(dim: int):
+        """The eigenvalues of anti-normal R2 at |s| = 1 on a dim-state
+        ladder, 2 c c^dag, and each eigenvector's weight on the top quarter
+        of the ladder: the unfiltered system, written out."""
+        c = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        evals, vecs = np.linalg.eigh(2.0 * c @ c.T)
+        return evals, np.sum(vecs[dim - dim // 4:] ** 2, axis=0)
 
     def test_antinormal_matches_exact_lowest_level_compression(self):
         # s = 1 here, so eps_n = 2*lam*(n+1).
@@ -605,17 +616,23 @@ class TestEffectivePotentialSpectrum:
 
     def test_huge_boundary_tolerance_leaks_spurious_zero_mode(self):
         # Anti-normal ladder truncation parks a fake null vector in the
-        # top basis state; disabling the filter lets it into the window.
-        ev = effective_potential_spectrum(R2, 0.1, self.PARAMS, 3,
-                                          boundary_tol=2.0)
-        assert abs(ev[0]) <= 1e-12
-        assert ev[1] == pytest.approx(0.2, abs=1e-12)
+        # top basis state: the raw eigenvalues show it, the filter drops it.
+        evals, weights = self.antinormal_r2(self.DIM)
+        raw = 0.1 * evals
+        assert abs(raw[0]) <= 1e-12 and weights[0] == pytest.approx(1.0)
+        assert raw[1] == pytest.approx(0.2, abs=1e-12)
+        clean = lowest_unpolluted(raw, weights, 3, "dim", self.DIM)
+        np.testing.assert_allclose(clean, [0.2, 0.4, 0.6], rtol=0, atol=1e-12)
+        ev = effective_potential_spectrum(R2, 0.1, self.PARAMS, 3)
+        np.testing.assert_allclose(ev, clean, rtol=0, atol=1e-12)
 
     def test_radial_eigenvectors_carry_no_boundary_weight(self):
-        # Number states are exact eigenvectors for radial V, so even a
-        # zero tolerance keeps the physical window intact.
-        ev = effective_potential_spectrum(R2, 0.1, self.PARAMS, 3,
-                                          boundary_tol=0.0)
+        # Number states are exact eigenvectors for radial V, so the
+        # physical window carries no boundary weight at all: no tolerance
+        # could cut into it.
+        _, weights = self.antinormal_r2(self.DIM)
+        assert np.all(weights[1:self.DIM - self.DIM // 4 + 1] == 0.0)
+        ev = effective_potential_spectrum(R2, 0.1, self.PARAMS, 3)
         np.testing.assert_allclose(ev, [0.2, 0.4, 0.6], rtol=0, atol=1e-12)
 
     def test_squeezing_potential_starves_the_filter(self):
@@ -747,7 +764,8 @@ def cartesian_full_spectrum(V: PolySymbol, lam: float, params: NCParams,
     ops = realize_rep(magnetic_rep(params), space)
     H = kinetic_hamiltonian(ops, params.m)
     H = H + lam * poly_of_commuting(V, ops.X1, ops.X2)
-    return spectrum(H, k, pollution_tol=POLLUTION_TOL).eigenvalues
+    return lowest_unpolluted(H.solve().eigenvalues, boundary_weights(H), k,
+                             "n_max", n_max)
 
 
 # The Cartesian basis converges more slowly at weak fields than the
