@@ -366,15 +366,15 @@ def _run_check_algebra(config: ScenarioConfig):
     if singular:
         warnings.append(
             "kappa = 0: singular (degenerate) noncommutative phase space; "
-            "exotic structure and symmetric-gauge representation undefined"
+            "exotic structure undefined, representations not invertible"
         )
     else:
         rows.append(("jacobi_exotic", jacobi_max(StructureKind.EXOTIC),
                      JACOBI_LIMIT))
-        if kappa(params) > 0:
-            rows.append(("symmetric_rep_residual",
-                         table_residual(symmetric_gauge_rep(params)),
-                         TABLE_LIMIT))
+    if kappa(params) >= 0:
+        rows.append(("symmetric_rep_residual",
+                     table_residual(symmetric_gauge_rep(params)),
+                     TABLE_LIMIT))
     checks, values, limits = zip(*rows)
     statuses = [("singular" if singular else "ok") if limit is None
                 else "ok" if value <= limit else "fail"

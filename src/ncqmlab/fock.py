@@ -42,7 +42,7 @@ from .errors import (
     ThetaNonPositive,
     UnresolvedSpectrum,
 )
-from .params import NCParams, kappa
+from .params import NCParams, is_singular, kappa
 from .polysymbol import PolySymbol
 from .reps import LinearRep, MomentumGaugeRep, VectorPotentialRep
 
@@ -226,20 +226,21 @@ def _identity_like(matrix):
 
 @dataclass(frozen=True)
 class RealizedOps:
-    """The four realized operators of a representation.
+    """The four realized operators of a representation, in the phase-space
+    order xi = (x1, x2, p1, p2) of the structures module.
 
     ``_hamiltonians`` holds the kinetic_hamiltonian of each mass asked of
     this record."""
 
     X1: FockOperator
-    P1: FockOperator
     X2: FockOperator
+    P1: FockOperator
     P2: FockOperator
     _hamiltonians: dict = field(default_factory=dict, init=False,
                                compare=False, repr=False)
 
     def as_tuple(self):
-        return (self.X1, self.P1, self.X2, self.P2)
+        return (self.X1, self.X2, self.P1, self.P2)
 
 
 # (n_max, mode) -> the read-only CSR ladder, filled by ladder on first use
@@ -266,16 +267,15 @@ def ladder(space: FockSpace, mode: int) -> FockOperator:
 
 
 def build_canonical_ops(space: FockSpace) -> RealizedOps:
-    """Canonical X1, P1, X2, P2 from the two-mode ladder construction."""
+    """Canonical X1, X2, P1, P2 from the two-mode ladder construction."""
     s = space.scale
-    out = []
+    xs, ps = [], []
     for mode in (0, 1):
         a = ladder(space, mode)
         ad = a.dagger()
-        X = (s / math.sqrt(2.0)) * (a + ad)
-        P = (1.0 / (s * math.sqrt(2.0))) * (-1.0j) * (a - ad)
-        out.extend([X, P])
-    return RealizedOps(out[0], out[1], out[2], out[3])
+        xs.append((s / math.sqrt(2.0)) * (a + ad))
+        ps.append((1.0 / (s * math.sqrt(2.0))) * (-1.0j) * (a - ad))
+    return RealizedOps(*xs, *ps)
 
 
 def _power_sum(terms, mats):
@@ -327,7 +327,10 @@ def poly_of_commuting(poly: PolySymbol, A: FockOperator, B: FockOperator,
 
 
 def realize_rep(rep, space: FockSpace) -> RealizedOps:
-    """Realize a representation as CSR matrices on the truncated space."""
+    """Realize a representation as CSR matrices on the truncated space.
+
+    A LinearRep's row i combines the canonical operators of as_tuple(),
+    both in the xi order of the structures module."""
     ops = build_canonical_ops(space)
     if isinstance(rep, LinearRep):
         canon = [op.stored for op in ops.as_tuple()]
@@ -337,16 +340,16 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
             for j in range(1, 4):
                 mat = mat + rep.matrix[i, j] * canon[j]
             rows.append(FockOperator(mat, space, degree=1))
-        return RealizedOps(rows[0], rows[1], rows[2], rows[3])
+        return RealizedOps(*rows)
     if isinstance(rep, MomentumGaugeRep):
         shift1 = poly_of_commuting(rep.Atilde[0], ops.P1, ops.P2)
         shift2 = poly_of_commuting(rep.Atilde[1], ops.P1, ops.P2)
-        return RealizedOps(ops.X1 - shift1, ops.P1, ops.X2 - shift2, ops.P2)
+        return RealizedOps(ops.X1 - shift1, ops.X2 - shift2, ops.P1, ops.P2)
     if isinstance(rep, VectorPotentialRep):
         e = rep.params.e
         a1 = poly_of_commuting(rep.A[0], ops.X1, ops.X2)
         a2 = poly_of_commuting(rep.A[1], ops.X1, ops.X2)
-        return RealizedOps(ops.X1, ops.P1 - e * a1, ops.X2, ops.P2 - e * a2)
+        return RealizedOps(ops.X1, ops.X2, ops.P1 - e * a1, ops.P2 - e * a2)
     raise TypeError(f"unsupported representation type {type(rep).__name__}")
 
 
@@ -767,12 +770,11 @@ class LandauClosedForms:
 def landau_closed_forms(params: NCParams, k: int = 5) -> LandauClosedForms:
     """E_n = omega_B (n + 1/2), omega_B, and rho = |B/(1-B theta)|/2pi.
 
-    The density diverges at kappa = 0 (SingularDensity).
+    The density diverges where is_singular holds (SingularDensity).
     """
     n = np.arange(k)
     energies = params.omega_B * (n + 0.5)
-    kap = kappa(params)
-    if kap == 0:
+    if is_singular(params):
         raise SingularDensity("density of states diverges at kappa = 0")
-    rho = abs(params.B / kap) / (2.0 * math.pi)
+    rho = abs(params.B / kappa(params)) / (2.0 * math.pi)
     return LandauClosedForms(energies, params.omega_B, rho)

@@ -42,7 +42,8 @@ def kappa(params: NCParams) -> float:
 
 
 def is_singular(params: NCParams) -> bool:
-    """True when kappa vanishes (degenerate phase space)."""
+    """True when kappa vanishes exactly (degenerate phase space): the one
+    kappa = 0 test of the package."""
     return kappa(params) == 0.0
 
 

@@ -1,11 +1,14 @@
 """Linear and gauge representations of the deformed algebra.
 
-A ``LinearRep`` expresses (X1h, P1h, X2h, P2h) as real linear combinations
-of canonical (X1, P1, X2, P2); that row ordering is fixed here and differs
-from the xi = (x1, x2, p1, p2) ordering of the structures module.
-Momentum-gauge and vector-potential representations substitute polynomials
-of the commuting momenta / coordinates instead and are realized at the
-matrix level by the Fock module.
+A ``LinearRep`` expresses the deformed operators as real linear
+combinations of the canonical ones, both in the phase-space order
+xi = (x1, x2, p1, p2) of the structures module: row i of ``matrix`` is
+xi_hat_i over canonical xi.  Its commutator table is M Omega M^T with the
+canonical Omega of that module, and its target is the constant table of the
+standard structure there.  Momentum-gauge and vector-potential
+representations substitute polynomials of the commuting momenta /
+coordinates instead and are realized at the matrix level by the Fock
+module.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import CurlMismatch, NegativeKappa, ZeroTheta
 from .params import NCParams, kappa
 from .polysymbol import PolySymbol, x1, x2
+from .structures import StructureKind, canonical_omega, symplectic_matrix
 
 
 class Branch(str, Enum):
@@ -26,34 +30,17 @@ class Branch(str, Enum):
     MINUS = "minus"
 
 
-def canonical_omega_rep() -> np.ndarray:
-    """Canonical Omega in representation row-ordering (X1, P1, X2, P2)."""
-    J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = J2
-    out[2:, 2:] = J2
-    return out
-
-
 def target_table(params: NCParams) -> np.ndarray:
-    """Commutator targets in rep ordering: theta, B and delta slots."""
-    th, B = params.theta, params.B
-    return np.array(
-        [
-            [0.0, 1.0, th, 0.0],
-            [-1.0, 0.0, 0.0, B],
-            [-th, 0.0, 0.0, 1.0],
-            [0.0, -B, -1.0, 0.0],
-        ]
-    )
+    """Commutator targets in xi order: the standard structure's table."""
+    standard = symplectic_matrix(params, StructureKind.STANDARD)
+    return standard.matrix_at((0.0, 0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
 class LinearRep:
-    """Rows give X1h, P1h, X2h, P2h over canonical (X1, P1, X2, P2)."""
+    """Rows give X1h, X2h, P1h, P2h over canonical (X1, X2, P1, P2)."""
 
     matrix: np.ndarray
-    tag: str
     params: NCParams
     c: float | None = None
     d: float | None = None
@@ -68,7 +55,7 @@ class LinearRep:
 
 
 def landau_gauge_rep(params: NCParams) -> LinearRep:
-    """Minimal representation: X1h=X1, P1h=P1+B X2, X2h=X2+theta P1, P2h=P2.
+    """Minimal representation: X1h=X1, X2h=X2+theta P1, P1h=P1+B X2, P2h=P2.
 
     Defined for every kappa; det = kappa, so the map is non-invertible at
     kappa = 0 (reported through ``invertible``, not raised).
@@ -77,12 +64,12 @@ def landau_gauge_rep(params: NCParams) -> LinearRep:
     M = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, B, 0.0],
-            [0.0, th, 1.0, 0.0],
+            [0.0, 1.0, th, 0.0],
+            [0.0, B, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    return LinearRep(M, "landau", params)
+    return LinearRep(M, params)
 
 
 def symmetric_gauge_rep(
@@ -112,19 +99,18 @@ def symmetric_gauge_rep(
     M = np.array(
         [
             [a, 0.0, 0.0, -th / (2.0 * a)],
-            [0.0, c, d, 0.0],
-            [0.0, th / (2.0 * a), a, 0.0],
+            [0.0, a, th / (2.0 * a), 0.0],
+            [0.0, d, c, 0.0],
             [-d, 0.0, 0.0, c],
         ]
     )
-    return LinearRep(M, f"symmetric(a={a}, branch={branch.value})", params,
-                     c=c, d=d)
+    return LinearRep(M, params, c=c, d=d)
 
 
 def commutator_table(rep: LinearRep) -> np.ndarray:
     """M . Omega_can . M^T — the realized commutator coefficients."""
     M = rep.matrix
-    return M @ canonical_omega_rep() @ M.T
+    return M @ canonical_omega() @ M.T
 
 
 def table_residual(rep: LinearRep) -> float:
@@ -134,7 +120,7 @@ def table_residual(rep: LinearRep) -> float:
 
 @dataclass(frozen=True)
 class DecoupleResult:
-    K_rows: np.ndarray          # 2x4, K1h and K2h over canonical variables
+    K_rows: np.ndarray          # 2x4, K1h and K2h over canonical xi
     KK_commutator: float        # coefficient of i in [K1h, K2h]
     XK_commutators: np.ndarray  # 2x2 residuals [Xih, Kjh], identically 0
 
@@ -150,11 +136,10 @@ def decouple(params: NCParams, rep: LinearRep | None = None) -> DecoupleResult:
     if rep is None:
         rep = landau_gauge_rep(params)
     th = params.theta
-    M = rep.matrix
-    x1h, p1h, x2h, p2h = M
+    x1h, x2h, p1h, p2h = rep.matrix
     k1 = p1h - x2h / th
     k2 = p2h + x1h / th
-    omega = canonical_omega_rep()
+    omega = canonical_omega()
     kk = float(k1 @ omega @ k2)
     xk = np.array(
         [

@@ -1,9 +1,11 @@
 """Symplectic / Poisson structures on the four-dimensional phase space.
 
-Phase-space ordering is fixed as xi = (x1, x2, p1, p2).  A structure holds
-a 4x4 antisymmetric matrix of polynomial entries together with a scalar
-polynomial denominator (constant 1 for the standard case), so the exotic
-structure entries theta/kappa(x), ... are represented exactly.
+Phase-space ordering is fixed as xi = (x1, x2, p1, p2), for the whole
+package.  A structure holds a 4x4 antisymmetric matrix of polynomial
+entries together with a scalar polynomial denominator (constant 1 for the
+standard case), so the exotic structure entries theta/kappa(x), ... are
+represented exactly.  ``_standard_entries`` is the one table of the algebra:
+the canonical Omega and the commutator targets of ``reps`` are its values.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArityMismatch, SingularStructure
-from .params import NCParams, kappa
+from .params import NCParams
 from .polysymbol import PolySymbol
 
 class StructureKind(str, Enum):
@@ -64,14 +66,6 @@ class PoissonStructure:
         return out
 
 
-def canonical_omega() -> np.ndarray:
-    """Canonical Omega in xi-ordering: {x_i, p_j} = delta_ij."""
-    J = np.zeros((4, 4))
-    J[0, 2] = J[1, 3] = 1.0
-    J[2, 0] = J[3, 1] = -1.0
-    return J
-
-
 def _standard_entries(theta: float, B_poly: PolySymbol):
     zero = PolySymbol.zero(4)
     th = _const4(theta)
@@ -87,14 +81,18 @@ def _standard_entries(theta: float, B_poly: PolySymbol):
 def symplectic_matrix(params: NCParams, variant: StructureKind | str) -> PoissonStructure:
     """Constant standard or exotic structure for the given parameters.
 
-    Standard has det = kappa^2; exotic is standard divided by kappa and
-    requires kappa != 0.
+    Standard has det = kappa^2; exotic is standard divided by kappa.  Its
+    denominator 1 - theta B is the IEEE expression of ``kappa``, so it is
+    refused exactly where ``is_singular`` holds.
     """
-    variant = StructureKind(variant)
-    if variant is StructureKind.EXOTIC and abs(kappa(params)) <= 1e-14 * (
-            1.0 + abs(params.B * params.theta)):
-        raise SingularStructure("exotic structure undefined at kappa = 0")
     return symplectic_matrix_field(params.theta, _const4(params.B), variant)
+
+
+def canonical_omega() -> np.ndarray:
+    """Canonical Omega in xi order, {x_i, p_j} = delta_ij: the standard
+    table at theta = B = 0."""
+    return symplectic_matrix(NCParams(), StructureKind.STANDARD).matrix_at(
+        (0.0, 0.0, 0.0, 0.0))
 
 
 def symplectic_matrix_field(
@@ -117,7 +115,9 @@ def symplectic_matrix_field(
     if variant is StructureKind.EXOTIC:
         den = _const4(1.0) - _const4(theta) * B_poly
         if den.is_zero:
-            raise SingularStructure("kappa(x) vanishes identically")
+            raise SingularStructure(
+                "exotic structure undefined: kappa = 1 - theta B vanishes "
+                "identically")
         return PoissonStructure(StructureKind.EXOTIC, entries, den)
     raise ValueError("variant must be standard or exotic")
 

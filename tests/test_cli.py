@@ -492,18 +492,21 @@ class TestMainRuns:
         assert manifest["eigenvalue_error_bound"] == 0.0
 
     def test_check_algebra_regular(self, tmp_path):
-        code = main([
-            "check-algebra", "--theta", "0.3", "--B", "1.0", "--seed", "7",
-            "--format", "json", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        table = json.loads((tmp_path / "check_algebra.json").read_text())
-        assert "jacobi_exotic" in table["check"]
-        assert "symmetric_rep_residual" in table["check"]
-        assert all(s == "ok" for s in table["status"])
-        manifest = json.loads(
-            (tmp_path / "check_algebra_manifest.json").read_text())
-        assert manifest["singular"] is False
+        # the second point has kappa = 1 - theta B = 1.1e-16: tiny, not 0
+        for B in ("1.0", "3.333333333333333"):
+            out = tmp_path / B
+            code = main([
+                "check-algebra", "--theta", "0.3", "--B", B, "--seed", "7",
+                "--format", "json", "--out", str(out),
+            ])
+            assert code == 0
+            table = json.loads((out / "check_algebra.json").read_text())
+            assert "jacobi_exotic" in table["check"]
+            assert "symmetric_rep_residual" in table["check"]
+            assert all(s == "ok" for s in table["status"])
+            manifest = json.loads(
+                (out / "check_algebra_manifest.json").read_text())
+            assert manifest["singular"] is False
 
     def test_check_algebra_singular_warns_but_succeeds(self, tmp_path,
                                                        capsys):
@@ -516,6 +519,9 @@ class TestMainRuns:
         table = json.loads((tmp_path / "check_algebra.json").read_text())
         assert "jacobi_exotic" not in table["check"]
         assert table["status"][table["check"].index("kappa")] == "singular"
+        # the symmetric-gauge rep exists at kappa = 0, with det = 0
+        assert table["value"][table["check"].index(
+            "symmetric_rep_residual")] == 0.0
         manifest = json.loads(
             (tmp_path / "check_algebra_manifest.json").read_text())
         assert manifest["singular"] is True

@@ -50,11 +50,18 @@ def test_standard_structure_matrix():
 
 
 def test_exotic_structure_is_standard_over_kappa():
-    params = NCParams(theta=0.3, B=2.0)
+    # the exotic structure exists at every nonzero kappa, however small:
+    # 1 - theta B rounds to 1.1e-16 and to -2.2e-16 at the last two points
     origin = (0, 0, 0, 0)
-    std = symplectic_matrix(params, "standard").matrix_at(origin)
-    exo = symplectic_matrix(params, StructureKind.EXOTIC).matrix_at(origin)
-    np.testing.assert_allclose(exo, std / 0.4, atol=1e-14)
+    for theta, B, want in [(0.3, 2.0, 0.4),
+                           (0.3, 3.333333333333333, 1.1e-16),
+                           (0.1, 10.000000000000002, -2.2e-16)]:
+        params = NCParams(theta=theta, B=B)
+        k = kappa(params)
+        assert k == pytest.approx(want, rel=0.01)
+        std = symplectic_matrix(params, "standard").matrix_at(origin)
+        exo = symplectic_matrix(params, StructureKind.EXOTIC).matrix_at(origin)
+        np.testing.assert_allclose(exo, std / k, rtol=1e-14, atol=0.0)
 
 
 def test_exotic_rejects_singular_kappa():

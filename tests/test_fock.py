@@ -49,6 +49,8 @@ from ncqmlab.fock import (
     unitary_from_hermitian,
 )
 from ncqmlab.reps import (
+    LinearRep,
+    commutator_table,
     landau_gauge_rep,
     symmetric_gauge_rep,
     symmetric_momentum_gauge,
@@ -210,9 +212,27 @@ class TestFockOperatorAlgebra:
 
 class TestRealizeRep:
     def test_linear_rep_realizes_algebra(self):
+        """reps and fock share the xi = (x1, x2, p1, p2) order: every
+        interior commutator of the realized operators is i times the
+        entry of reps.commutator_table, for the gauge reps and for random
+        real maps alike."""
         p = NCParams(theta=0.3, B=2.0)
-        space = FockSpace(10)
-        for rep in (landau_gauge_rep(p), symmetric_gauge_rep(p)):
+        space = FockSpace(10, scale=1.3)
+        rng = np.random.default_rng(11)
+        reps = [landau_gauge_rep(p), symmetric_gauge_rep(p),
+                symmetric_gauge_rep(p, a=0.7, branch="minus")]
+        reps += [LinearRep(rng.uniform(-2.0, 2.0, (4, 4)), p)
+                 for _ in range(4)]
+        for rep in reps:
+            ops = realize_rep(rep, space).as_tuple()
+            table = commutator_table(rep)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    residual = ops[i].commutator(ops[j]).interior_residual(
+                        1.0j * table[i, j])
+                    assert residual <= 1e-12 * max(1.0, abs(table[i, j]))
+        # the named fields of both gauge reps read the algebra itself
+        for rep in reps[:2]:
             ops = realize_rep(rep, space)
             assert ops.X1.commutator(ops.X2).interior_residual(0.3j) <= 1e-12
             assert ops.P1.commutator(ops.P2).interior_residual(2.0j) <= 1e-12

@@ -5,7 +5,7 @@ Oracles
 * The commutator table of any faithful representation must equal the
   deformed-algebra target entrywise, and its matrix determinant must equal
   kappa = 1 - theta*B (computed here from first principles for a
-  4x4 linear map acting on canonical (X1, P1, X2, P2)).
+  4x4 linear map acting on canonical xi = (X1, X2, P1, P2)).
 * Decoupled generators K_i = P_hat_i -/+ X_hat_j / theta must commute with
   the X_hat pair and satisfy [K1, K2] = -i*kappa/theta.
 * Momentum-gauge representations X_hat_i = X_i - A_tilde_i(P) realize
@@ -40,12 +40,13 @@ from ncqmlab.reps import (
     vector_potential_rep,
 )
 
+# [x_i, p_j] = i delta_ij in xi = (x1, x2, p1, p2) order
 CANONICAL_OMEGA = np.array(
     [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
     ]
 )
 
@@ -59,12 +60,13 @@ class TestTargetTable:
     def test_layout(self):
         p = NCParams(theta=0.3, B=2.0)
         t = target_table(p)
+        # rows and columns in xi = (X1, X2, P1, P2) order
         expected = np.array(
             [
-                [0.0, 1.0, 0.3, 0.0],
-                [-1.0, 0.0, 0.0, 2.0],
+                [0.0, 0.3, 1.0, 0.0],
                 [-0.3, 0.0, 0.0, 1.0],
-                [0.0, -2.0, -1.0, 0.0],
+                [-1.0, 0.0, 0.0, 2.0],
+                [0.0, -1.0, -2.0, 0.0],
             ]
         )
         np.testing.assert_allclose(t, expected, atol=0.0)
@@ -78,7 +80,7 @@ class TestTargetTable:
         # entry is B, regardless of the charge used in dynamics
         p = NCParams(theta=0.2, B=3.0, e=2.0)
         t = target_table(p)
-        assert t[1, 3] == pytest.approx(3.0, abs=0.0)
+        assert t[2, 3] == pytest.approx(3.0, abs=0.0)
 
 
 class TestLandauGaugeRep:

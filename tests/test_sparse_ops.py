@@ -60,17 +60,17 @@ RTOL = 1e-12
 # --- the dense oracles --------------------------------------------------
 
 def dense_canonical(space: FockSpace) -> list:
-    """[X1, P1, X2, P2] from np.kron ladders."""
+    """[X1, X2, P1, P2] from np.kron ladders."""
     n = space.n_max + 1
     a1 = np.diag(np.sqrt(np.arange(1, n)), k=1)
     eye = np.eye(n)
     s = space.scale
-    out = []
+    xs, ps = [], []
     for a in (np.kron(a1, eye), np.kron(eye, a1)):
         ad = a.conj().T
-        out += [(s / math.sqrt(2.0)) * (a + ad),
-                (1.0 / (s * math.sqrt(2.0))) * (-1.0j) * (a - ad)]
-    return out
+        xs.append((s / math.sqrt(2.0)) * (a + ad))
+        ps.append((1.0 / (s * math.sqrt(2.0))) * (-1.0j) * (a - ad))
+    return xs + ps
 
 
 def dense_poly_of_commuting(poly: PolySymbol, A: np.ndarray,
@@ -124,21 +124,21 @@ def dense_quantize(V: PolySymbol, m1: np.ndarray, m2: np.ndarray,
 
 
 def dense_realize(rep, space: FockSpace) -> list:
-    X1, P1, X2, P2 = dense_canonical(space)
+    canon = dense_canonical(space)
+    X1, X2, P1, P2 = canon
     if isinstance(rep, LinearRep):
-        canon = (X1, P1, X2, P2)
         return [sum(rep.matrix[i, j] * canon[j] for j in range(4))
                 for i in range(4)]
     if isinstance(rep, MomentumGaugeRep):
-        return [X1 - dense_poly_of_commuting(rep.Atilde[0], P1, P2), P1,
-                X2 - dense_poly_of_commuting(rep.Atilde[1], P1, P2), P2]
+        return [X1 - dense_poly_of_commuting(rep.Atilde[0], P1, P2),
+                X2 - dense_poly_of_commuting(rep.Atilde[1], P1, P2), P1, P2]
     e = rep.params.e
-    return [X1, P1 - e * dense_poly_of_commuting(rep.A[0], X1, X2),
-            X2, P2 - e * dense_poly_of_commuting(rep.A[1], X1, X2)]
+    return [X1, X2, P1 - e * dense_poly_of_commuting(rep.A[0], X1, X2),
+            P2 - e * dense_poly_of_commuting(rep.A[1], X1, X2)]
 
 
 def dense_kinetic(ops: list, m: float) -> np.ndarray:
-    P1, P2 = ops[1], ops[3]
+    P1, P2 = ops[2], ops[3]
     return (1.0 / (2.0 * m)) * (P1 @ P1 + P2 @ P2)
 
 
@@ -182,7 +182,7 @@ def representations(draw):
     if kind == "linear":
         matrix = np.array(draw(st.lists(coefficients, min_size=16,
                                         max_size=16))).reshape(4, 4)
-        return LinearRep(matrix, "random", params)
+        return LinearRep(matrix, params)
     if kind == "momentum":
         # symmetric gauge plus a gradient keeps curl(Atilde) = theta
         alpha = draw(polynomials(max_degree=5))
@@ -259,11 +259,12 @@ def test_poly_of_commuting(poly, space, momenta):
 @given(polynomials(), st.sampled_from(list(Prescription)),
        st.floats(0.05, 0.8), st.floats(0.2, 2.0), st.integers(4, 12))
 def test_quantize_matrix_pair(V, prescription, theta, B, n_max):
+    # rows X1h, X2h, P1h, P2h over canonical (X1, X2, P1, P2)
     rep = LinearRep(np.array([[1.0, 0.0, 0.0, -theta / 2.0],
-                              [0.0, 1.0, B / 2.0, 0.0],
-                              [0.0, theta / 2.0, 1.0, 0.0],
+                              [0.0, 1.0, theta / 2.0, 0.0],
+                              [0.0, B / 2.0, 1.0, 0.0],
                               [-B / 2.0, 0.0, 0.0, 1.0]]),
-                    "central pair", NCParams(theta=theta, B=B))
+                    NCParams(theta=theta, B=B))
     ops = realize_rep(rep, FockSpace(n_max))
     m1, m2 = ops.X1.stored, ops.X2.stored
     quantized = quantize_matrix_pair(V, m1, m2, prescription, theta=theta)
