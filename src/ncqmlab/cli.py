@@ -302,6 +302,7 @@ def _run_trajectory(config: ScenarioConfig):
     extra = {
         "F12": traj.F12,
         "omega_predicted": traj.omega,
+        "omega_step": traj.omega_step,
         "omega_fitted": fit.omega,
         "fit_residual_rms": fit.residual_rms,
         "fit_crossings": fit.n_crossings,

@@ -9,8 +9,9 @@ phase space); mixed-arity arithmetic is rejected.
 
 ``MonomialTable`` compiles a list of real-valued symbols for numeric work:
 one exponent matrix shared by every row and one real coefficient matrix,
-evaluated at a point or over an array of points with numpy, or written out
-by ``scalar()`` as one straight-line float function for point-by-point use.
+written out once as a straight-line function (``scalar()``).  That one
+function evaluates a point of floats, or an array of points column by
+column with numpy, so bulk values have the bits of point-by-point ones.
 """
 
 from __future__ import annotations
@@ -249,29 +250,8 @@ class PolySymbol:
 
 
 # Bulk evaluation runs over blocks of this many points, so the
-# (points, monomials) factor and product arrays stay small on long
-# trajectories.
+# temporaries of the straight-line function stay small on long trajectories.
 _BLOCK = 1024
-
-
-def _power_plan(exponents: np.ndarray) -> tuple:
-    """(v, powers, index) for each variable v that some monomial raises to
-    a nonzero power: its distinct exponents and 0, and per monomial the
-    position of that monomial's exponent among them.
-
-    With 0 always among them, each power call runs along at least two
-    exponents.  A lone exponent would reach numpy's ``power`` loop with
-    stride 0, where it takes a scalar fast path (x * x for x ** 2) that is
-    not bitwise the array power the other exponents get.
-    """
-    plan = []
-    for v, column in enumerate(exponents.T.tolist()):
-        if any(column):
-            powers = sorted({0, *column})
-            position = {e: i for i, e in enumerate(powers)}
-            plan.append((v, np.array(powers),
-                         np.array([position[e] for e in column])))
-    return tuple(plan)
 
 
 class MonomialTable:
@@ -283,14 +263,13 @@ class MonomialTable:
     non-finite or non-real coefficient is refused with ValueError: take
     ``.real()`` first where only the real part is wanted.
 
-    Bulk evaluation raises each variable to each of its distinct exponents
-    once per point, with numpy's array-exponent ``power`` (which is not
-    bitwise repeated multiplication), gathers those powers to the monomials
-    and multiplies them in variable order.  A variable that every monomial
-    raises to the power 0 contributes the exact factor 1.0 and is skipped.
+    One point or many, every evaluation runs the straight-line function of
+    ``scalar()``, compiled once per table: on floats, or on the coordinate
+    columns of an array of points with numpy's elementwise arithmetic, which
+    rounds each product and sum as float arithmetic does.
     """
 
-    __slots__ = ("exponents", "coeffs", "_plan")
+    __slots__ = ("exponents", "coeffs", "_function")
 
     def __init__(self, rows: Sequence[PolySymbol]):
         arities = {row.arity for row in rows}
@@ -309,11 +288,12 @@ class MonomialTable:
         for r, row in enumerate(rows):
             for expo, coeff in row.terms.items():
                 self.coeffs[r, column[expo]] = coeff.real
-        self._plan = _power_plan(self.exponents)
+        self._function = None
 
     def __call__(self, points) -> np.ndarray:
         """Every row at one point (shape (arity,) -> (rows,)) or at each of
-        n points (shape (n, arity) -> (n, rows))."""
+        n points (shape (n, arity) -> (n, rows)); each value has the bits
+        ``scalar()`` gives at that point."""
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != self.exponents.shape[1:]:
             raise ArityMismatch(
@@ -322,30 +302,34 @@ class MonomialTable:
         if points.ndim == 2 and len(points) > _BLOCK:
             return np.concatenate([self(points[start:start + _BLOCK])
                                    for start in range(0, len(points), _BLOCK)])
-        monomials = np.ones(points.shape[:-1] + self.exponents.shape[:1])
-        for v, powers, index in self._plan:
-            monomials *= (points[..., v, None] ** powers)[..., index]
-        return monomials @ self.coeffs.T
+        values = np.empty(points.shape[:-1] + self.coeffs.shape[:1])
+        # a constant row comes back as one float, broadcast to every point
+        for r, row in enumerate(self.scalar()(*np.moveaxis(points, -1, 0))):
+            values[..., r] = row
+        return values
 
     def __getitem__(self, rows: slice) -> "MonomialTable":
         """The table of the selected rows over the same monomials; its
         scalar() computes those rows exactly as the whole table's does."""
         table = object.__new__(MonomialTable)
         table.exponents, table.coeffs = self.exponents, self.coeffs[rows]
-        table._plan = self._plan
+        table._function = None
         return table
 
     def scalar(self) -> Callable[..., tuple]:
-        """Every row as one straight-line function of ``arity`` floats,
-        returning a tuple of row values.
+        """Every row as one straight-line function of ``arity`` floats (or
+        arrays of them), returning a tuple of row values.
 
         Each monomial is computed once, as a shorter monomial times one
         variable; each row is the sum of its coefficients, written as
         ``repr`` literals (which round-trip exactly), times its monomials.
         The source holds only fixed identifiers and float literals.  Plain
         float arithmetic pays no numpy call overhead, so this is the form
-        for evaluating one point at a time.
+        for evaluating one point at a time.  The function is compiled on
+        the first call and kept.
         """
+        if self._function is not None:
+            return self._function
         args = [f"v{i}" for i in range(self.exponents.shape[1])]
         names: dict[Exponents, str] = {}
         lines: list[str] = []
@@ -368,12 +352,13 @@ class MonomialTable:
             terms = [f"{float(c)!r} * {monomial(expo)}" if any(expo)
                      else repr(float(c))
                      for c, expo in zip(coeffs, exponents) if c]
-            rows.append(" + ".join(terms) or "0.0")
+            rows.append((" + ".join(terms) or "0.0") + ", ")
         source = "\n".join([f"def table({', '.join(args)}):", *lines,
-                            f"    return ({', '.join(rows)},)"])
+                            f"    return ({''.join(rows)})"])
         namespace: dict = {}
         exec(compile(source, "<MonomialTable.scalar>", "exec"), namespace)
-        return namespace["table"]
+        self._function = namespace["table"]
+        return self._function
 
 
 def x1(arity: int = 2) -> PolySymbol:

@@ -49,16 +49,12 @@ class LinearRep:
     def det(self) -> float:
         return float(np.linalg.det(self.matrix))
 
-    @property
-    def invertible(self) -> bool:
-        return abs(self.det) > 1e-12
-
 
 def landau_gauge_rep(params: NCParams) -> LinearRep:
     """Minimal representation: X1h=X1, X2h=X2+theta P1, P1h=P1+B X2, P2h=P2.
 
-    Defined for every kappa; det = kappa, so the map is non-invertible at
-    kappa = 0 (reported through ``invertible``, not raised).
+    Defined for every kappa; det = kappa, so the map is non-invertible
+    where ``params.is_singular`` holds (reported there, not raised).
     """
     th, B = params.theta, params.B
     M = np.array(

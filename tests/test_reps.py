@@ -22,7 +22,7 @@ from ncqmlab.errors import (
     NegativeKappa,
     ZeroTheta,
 )
-from ncqmlab.params import NCParams, kappa
+from ncqmlab.params import NCParams, is_singular, kappa
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import (
     Branch,
@@ -116,7 +116,7 @@ class TestLandauGaugeRep:
         p = NCParams(theta=0.5, B=2.0)  # kappa = 0
         rep = landau_gauge_rep(p)
         assert rep.det == pytest.approx(0.0, abs=1e-14)
-        assert not rep.invertible
+        assert is_singular(p)
 
 
 class TestSymmetricGaugeRep:
