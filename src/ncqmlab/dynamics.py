@@ -12,10 +12,13 @@ steps at.  About 2 sqrt(n) small products with blocked powers of R(hA)
 carry an n-step orbit in strides of sqrt(n) steps, and one product fills
 in every state; this agrees with one product per step within n * 1e-15
 of the states' size.  Any other flow runs the RK4 stages on plain
-floats, calling the table's straight-line ``scalar()`` function once per
-stage.  Velocities and energy come from that function on the columns of
-all states at once; a state or energy that is not finite means the orbit
-diverged, and is refused.
+floats in one generated loop, with the flow rows' straight-line code
+written out in all four stages; its coefficients are arguments, so each
+flow shape is compiled once per process, and its states have the bits of
+one call of the table's ``scalar()`` function per stage.  Velocities and
+energy come from that function on the columns of all states at once; a
+state or energy that is not finite means the orbit diverged, and is
+refused.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .errors import (ArityMismatch, ConfigError, InsufficientData,
                      SingularStructure, StepTooLarge)
 from .params import NCParams, kappa
-from .polysymbol import MonomialTable, PolySymbol, p1, p2
+from .polysymbol import MonomialTable, PolySymbol, compiled, p1, p2
 from .reps import landau_vector_potential, symmetric_vector_potential
 from .structures import PoissonStructure, StructureKind, symplectic_matrix
 
@@ -131,39 +135,60 @@ def _affine_states(step: np.ndarray, xi0: np.ndarray,
     return states.reshape(-1, 4)[:n_steps + 1]
 
 
+# the state the generated RK4 loop carries, and the point each stage
+# evaluates the flow at
+_STATE = ("a", "b", "c", "d")
+_STAGE = ("v0", "v1", "v2", "v3")
+
+
+def _rk4_loop(table: MonomialTable) -> Callable[..., list]:
+    """loop(a, b, c, d, h, n): the components of the n + 1 states of the
+    RK4 orbit from (a, b, c, d), in one flat list.
+
+    The flow rows' straight-line code is written out in each of the four
+    stages, so a step makes no call and builds no tuple but its state's.
+    A denominator row of exactly 1.0 is neither tested nor divided by, as
+    x / 1.0 == x.  The coefficients are the defaults of the trailing
+    parameters, so each flow shape is compiled once per process.
+    """
+    # the stages read the flow rows only; the energy row is read in bulk
+    lines, rows, coefficients = table[:_ENERGY].straight_line(_STAGE)
+    *numerators, den = rows
+    point = ", ".join(_STAGE)
+    state = ", ".join(_STATE)
+    body = ["half = 0.5 * h", "sixth = h / 6.0", f"out = [{state}]",
+            "for _ in range(n):"]
+    for stage, step in enumerate(("", "half", "half", "h"), start=1):
+        body += [f"    {v} = {x} + {step} * k{stage - 1}{i}" if step
+                 else f"    {v} = {x}"
+                 for i, (v, x) in enumerate(zip(_STAGE, _STATE))]
+        body += [f"    {line}" for line in lines]
+        if den == "1.0":
+            body += [f"    k{stage}{i} = {row}"
+                     for i, row in enumerate(numerators)]
+            continue
+        body += [f"    den = {den}",
+                 "    if den == 0:",
+                 "        raise SingularStructure(",
+                 f"            f'structure singular at point {{({point})}}')"]
+        body += [f"    k{stage}{i} = ({row}) / den"
+                 for i, row in enumerate(numerators)]
+    body += [f"    {x} += sixth * (k1{i} + 2.0 * k2{i} + 2.0 * k3{i} + k4{i})"
+             for i, x in enumerate(_STATE)]
+    body += [f"    out += ({state})", "return out"]
+    parameters = [*_STATE, "h", "n",
+                  *(f"c{k}" for k in range(len(coefficients)))]
+    source = "\n".join([f"def loop({', '.join(parameters)}):",
+                        *(f"    {line}" for line in body)])
+    return compiled(source, "loop", tuple(coefficients),
+                    {"SingularStructure": SingularStructure})
+
+
 def _rk4_states(table: MonomialTable, xi0: np.ndarray, h: float,
                 n_steps: int) -> np.ndarray:
     """The n_steps + 1 states of the fixed-step RK4 orbit from xi0."""
-    states = np.empty((n_steps + 1, 4))
-    states[0] = xi0
-    # the stages read the flow rows only; the energy row is read in bulk
-    rows = table[:_ENERGY].scalar()
-
-    def field(xi: tuple) -> tuple:
-        n1, n2, n3, n4, den = rows(*xi)
-        if den == 0:
-            raise SingularStructure(f"structure singular at point {xi}")
-        return n1 / den, n2 / den, n3 / den, n4 / den
-
-    # the stages on plain floats: a, b, c, d are one state's components
-    half, sixth = 0.5 * h, h / 6.0
-    a, b, c, d = map(float, xi0)
-    out = []
-    for _ in range(n_steps):
-        k1 = field((a, b, c, d))
-        k2 = field((a + half * k1[0], b + half * k1[1],
-                    c + half * k1[2], d + half * k1[3]))
-        k3 = field((a + half * k2[0], b + half * k2[1],
-                    c + half * k2[2], d + half * k2[3]))
-        k4 = field((a + h * k3[0], b + h * k3[1],
-                    c + h * k3[2], d + h * k3[3]))
-        a += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        b += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        c += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        d += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        out.append((a, b, c, d))
-    states[1:] = out
-    return states
+    out = _rk4_loop(table)(*map(float, xi0), float(h), n_steps)
+    return np.array(out).reshape(n_steps + 1, 4)
 
 
 def _require_finite(times: np.ndarray, finite: np.ndarray) -> None:

@@ -9,14 +9,18 @@ phase space); mixed-arity arithmetic is rejected.
 
 ``MonomialTable`` compiles a list of real-valued symbols for numeric work:
 one exponent matrix shared by every row and one real coefficient matrix,
-written out once as a straight-line function (``scalar()``).  That one
-function evaluates a point of floats, or an array of points column by
-column with numpy, so bulk values have the bits of point-by-point ones.
+written out as straight-line code whose coefficients are parameters
+(``straight_line``).  ``scalar()`` makes that code one function, which
+evaluates a point of floats, or an array of points column by column with
+numpy, so bulk values have the bits of point-by-point ones.  The source
+text holds no coefficient value, so ``compiled`` compiles each polynomial
+shape once per process and binds each table's coefficients as defaults.
 """
 
 from __future__ import annotations
 
 import cmath
+from types import FunctionType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -253,6 +257,28 @@ class PolySymbol:
 # temporaries of the straight-line function stay small on long trajectories.
 _BLOCK = 1024
 
+# generated source text -> the function compiled from it, filled by
+# compiled on first use; the text holds no coefficient value, so there is
+# one entry per polynomial shape
+_SHAPES: dict[str, FunctionType] = {}
+
+
+def compiled(source: str, name: str, defaults: tuple,
+             namespace: dict | None = None) -> FunctionType:
+    """The function ``name`` that ``source`` defines, with ``defaults``
+    bound to its last parameters.
+
+    Each source text is compiled once per process, in a copy of
+    ``namespace``; a text seen before is rebound to the new defaults.
+    """
+    function = _SHAPES.get(source)
+    if function is None:
+        scope = dict(namespace or {})
+        exec(compile(source, f"<compiled {name}>", "exec"), scope)
+        function = _SHAPES[source] = scope[name]
+    return FunctionType(function.__code__, function.__globals__, name,
+                        defaults)
+
 
 class MonomialTable:
     """Real symbols of one arity compiled for numeric evaluation.
@@ -264,7 +290,7 @@ class MonomialTable:
     ``.real()`` first where only the real part is wanted.
 
     One point or many, every evaluation runs the straight-line function of
-    ``scalar()``, compiled once per table: on floats, or on the coordinate
+    ``scalar()``, made once per table: on floats, or on the coordinate
     columns of an array of points with numpy's elementwise arithmetic, which
     rounds each product and sum as float arithmetic does.
     """
@@ -316,23 +342,22 @@ class MonomialTable:
         table._function = None
         return table
 
-    def scalar(self) -> Callable[..., tuple]:
-        """Every row as one straight-line function of ``arity`` floats (or
-        arrays of them), returning a tuple of row values.
+    def straight_line(self, args: Sequence[str]) -> tuple:
+        """(lines, rows, coefficients): the statements that compute the
+        monomials of the variables named ``args``, one expression per row,
+        and the values of the parameters c0, c1, ... they read.
 
         Each monomial is computed once, as a shorter monomial times one
-        variable; each row is the sum of its coefficients, written as
-        ``repr`` literals (which round-trip exactly), times its monomials.
-        The source holds only fixed identifiers and float literals.  Plain
-        float arithmetic pays no numpy call overhead, so this is the form
-        for evaluating one point at a time.  The function is compiled on
-        the first call and kept.
+        variable, and named m0, m1, ...; each row is the sum of its
+        coefficients times its monomials, in monomial order.  A coefficient
+        of exactly 1.0 or -1.0 is written as the bare monomial or its
+        negation, and the constant monomial's as the literal 1.0 or -1.0:
+        both are exact, so the value keeps its bits.  Every other
+        coefficient is a parameter, so the text depends only on the shape.
         """
-        if self._function is not None:
-            return self._function
-        args = [f"v{i}" for i in range(self.exponents.shape[1])]
         names: dict[Exponents, str] = {}
         lines: list[str] = []
+        coefficients: list[float] = []
 
         def monomial(expo: Exponents) -> str:
             if expo not in names:
@@ -341,23 +366,48 @@ class MonomialTable:
                 if any(rest):
                     shorter = monomial(rest)
                     names[expo] = f"m{len(lines)}"
-                    lines.append(f"    {names[expo]} = {shorter} * {args[v]}")
+                    lines.append(f"{names[expo]} = {shorter} * {args[v]}")
                 else:
                     names[expo] = args[v]
             return names[expo]
 
+        def term(c: float, expo: Exponents) -> str:
+            if abs(c) == 1.0:
+                return ("" if c > 0 else "-") + (
+                    monomial(expo) if any(expo) else "1.0")
+            coefficients.append(c)
+            parameter = f"c{len(coefficients) - 1}"
+            return f"{parameter} * {monomial(expo)}" if any(expo) \
+                else parameter
+
         exponents = [tuple(map(int, row)) for row in self.exponents]
-        rows = []
-        for coeffs in self.coeffs:
-            terms = [f"{float(c)!r} * {monomial(expo)}" if any(expo)
-                     else repr(float(c))
-                     for c, expo in zip(coeffs, exponents) if c]
-            rows.append((" + ".join(terms) or "0.0") + ", ")
-        source = "\n".join([f"def table({', '.join(args)}):", *lines,
-                            f"    return ({''.join(rows)})"])
-        namespace: dict = {}
-        exec(compile(source, "<MonomialTable.scalar>", "exec"), namespace)
-        self._function = namespace["table"]
+        # x - y is x + (-y) in IEEE-754, one operation fewer
+        rows = [" + ".join(term(float(c), expo)
+                           for c, expo in zip(coeffs, exponents) if c
+                           ).replace(" + -", " - ") or "0.0"
+                for coeffs in self.coeffs]
+        return lines, rows, coefficients
+
+    def scalar(self) -> Callable[..., tuple]:
+        """Every row as one straight-line function of ``arity`` floats (or
+        arrays of them), returning a tuple of row values.
+
+        The body is ``straight_line``'s, with the coefficients bound as the
+        defaults of its trailing parameters, so the source holds only fixed
+        identifiers and the literals 1.0, -1.0 and 0.0, and ``compiled``
+        compiles each shape once per process.  Plain float arithmetic pays
+        no numpy call overhead, so this is the form for evaluating one
+        point at a time.  The function is made on the first call and kept.
+        """
+        if self._function is None:
+            args = [f"v{i}" for i in range(self.exponents.shape[1])]
+            lines, rows, coefficients = self.straight_line(args)
+            parameters = args + [f"c{k}" for k in range(len(coefficients))]
+            values = "".join(f"{row}, " for row in rows)
+            source = "\n".join([f"def table({', '.join(parameters)}):",
+                                *(f"    {line}" for line in lines),
+                                f"    return ({values})"])
+            self._function = compiled(source, "table", tuple(coefficients))
         return self._function
 
 

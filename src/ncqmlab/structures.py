@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,15 @@ class PoissonStructure:
                     raise ValueError("entries must be antisymmetric as polynomials")
         if self.denominator.is_zero:
             raise SingularStructure("structure denominator is identically zero")
+
+    @cached_property
+    def derivatives(self) -> tuple:
+        """(d_L denominator, d_L entries[I][J] at [L][I][J]) for L = 0..3:
+        the 68 symbols of ``jacobi_residual``, made on first use and kept,
+        as the structure is frozen."""
+        return (tuple(self.denominator.diff(l) for l in range(4)),
+                tuple(tuple(tuple(entry.diff(l) for entry in row)
+                            for row in self.entries) for l in range(4)))
 
     def matrix_at(self, point) -> np.ndarray:
         """Evaluate Omega at a phase-space point; returns a real 4x4 array."""
@@ -154,20 +164,22 @@ def jacobi_residual(s: PoissonStructure, point) -> np.ndarray:
 
     Evaluated at the given phase-space point via exact quotient-rule
     differentiation of entries/denominator; the zero tensor iff the Jacobi
-    identity holds there.
+    identity holds there.  The derivatives are the structure's
+    ``derivatives``, made once per structure and evaluated per point.
     """
     point = tuple(float(v) for v in point)
     den = complex(s.denominator.eval(point))
     if den == 0:
         raise SingularStructure(f"structure singular at point {point}")
-    dden = [complex(s.denominator.diff(l).eval(point)) for l in range(4)]
+    d_den, d_entries = s.derivatives
+    dden = [complex(d.eval(point)) for d in d_den]
     E = np.zeros((4, 4), dtype=complex)
     dE = np.zeros((4, 4, 4), dtype=complex)  # dE[L, I, J] = d_L entries[I][J]
     for i in range(4):
         for j in range(4):
             E[i, j] = s.entries[i][j].eval(point)
             for l in range(4):
-                dE[l, i, j] = s.entries[i][j].diff(l).eval(point)
+                dE[l, i, j] = d_entries[l][i][j].eval(point)
     omega = E / den
     # d_L (E/den) = (d_L E) / den - E * d_L den / den^2
     domega = np.array(

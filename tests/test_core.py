@@ -162,6 +162,76 @@ def test_jacobi_contraction_matches_loop(theta, coeffs, point):
         assert np.max(np.abs(got - want)) <= tol
 
 
+def jacobi_per_call_diff(s: PoissonStructure, point) -> np.ndarray:
+    """jacobi_residual as it was before the structure kept its
+    derivatives: every derivative symbol made again at each point.  The
+    oracle of the kept derivatives, which must give the same bits."""
+    point = tuple(float(v) for v in point)
+    den = complex(s.denominator.eval(point))
+    if den == 0:
+        raise SingularStructure(f"structure singular at point {point}")
+    dden = [complex(s.denominator.diff(l).eval(point)) for l in range(4)]
+    E = np.zeros((4, 4), dtype=complex)
+    dE = np.zeros((4, 4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            E[i, j] = s.entries[i][j].eval(point)
+            for l in range(4):
+                dE[l, i, j] = s.entries[i][j].diff(l).eval(point)
+    omega = E / den
+    domega = np.array(
+        [dE[l] / den - E * dden[l] / den**2 for l in range(4)])
+    T = np.einsum("il,ljk->ijk", omega, domega)
+    return (T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)).real
+
+
+@given(theta=unit, coeffs=st.lists(unit, min_size=6, max_size=6),
+       points=st.lists(st.lists(unit, min_size=4, max_size=4), min_size=1,
+                       max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_kept_derivatives_give_the_per_call_bits(theta, coeffs, points):
+    X1, X2 = x1(2), x2(2)
+    monomials = (1.0, X1, X2, X1 * X1, X1 * X2, X2 * X2)
+    B_field = sum((c * m for c, m in zip(coeffs, monomials)),
+                  PolySymbol.zero(2))
+    for kind in ("standard", "exotic"):
+        try:
+            s = symplectic_matrix_field(theta, B_field, kind)
+        except SingularStructure:
+            continue
+        for point in points:
+            try:
+                want = jacobi_per_call_diff(s, point)
+            except SingularStructure:
+                with pytest.raises(SingularStructure):
+                    jacobi_residual(s, point)
+            else:
+                assert jacobi_residual(s, point).tobytes() == want.tobytes()
+
+
+def test_derivatives_are_made_once_per_structure(monkeypatch):
+    # one point or ten, each structure differentiates its 16 entries and
+    # its denominator in 4 variables once: 68 diff calls
+    calls = []
+    diff = PolySymbol.diff
+
+    def counting_diff(self, index):
+        calls.append(1)
+        return diff(self, index)
+
+    monkeypatch.setattr(PolySymbol, "diff", counting_diff)
+    points = np.random.default_rng(3).uniform(-0.5, 0.5, (10, 4))
+    counts = []
+    for n_points in (1, 10):
+        s = symplectic_matrix_field(0.3, 1.0 + 0.5 * x1(2) - x2(2) ** 2,
+                                    "exotic")
+        calls.clear()
+        for point in points[:n_points]:
+            jacobi_residual(s, point)
+        counts.append(len(calls))
+    assert counts == [68, 68]
+
+
 def test_structure_entries_must_be_antisymmetric():
     one = PolySymbol.constant(4, 1.0)
     zero = PolySymbol.zero(4)

@@ -15,6 +15,10 @@ Oracles
 * ``oracle_integrate`` is the per-stage ``PolySymbol.eval`` RK4 loop the
   compiled steppers replace.  The step-matrix route for affine flows and
   the compiled-table route for every other flow must agree with it.
+* ``stage_call_states`` calls the flow table's ``scalar()`` function once
+  per RK4 stage.  The generated loop that ``integrate`` runs on every
+  other flow inlines those stages, so its states must equal the oracle's
+  bit for bit, and it must refuse the same stage point.
 * ``step_loop_states`` steps an affine orbit one product ``xi = R @ xi``
   at a time, where ``integrate`` uses blocked powers of R.  Affine orbits,
   their velocities and energies must agree with it within n_steps * 1e-15
@@ -44,10 +48,13 @@ from ncqmlab.params import NCParams
 from ncqmlab.polysymbol import MonomialTable, PolySymbol, p1, p2, x1, x2
 from ncqmlab.structures import (PoissonStructure, StructureKind,
                                 symplectic_matrix, symplectic_matrix_field)
-from ncqmlab import dynamics
+from ncqmlab import dynamics, polysymbol
 from ncqmlab.dynamics import (
+    _DEN,
     _ENERGY,
+    _affine_step,
     _flow_table,
+    _rk4_states,
     Gauge,
     Trajectory,
     dominant_frequency,
@@ -379,7 +386,8 @@ class TestCompiledSteppers:
     ], ids=["quadratic", "quartic"])
     def test_symbols_are_not_evaluated_per_step(self, H, monkeypatch):
         # the flow is compiled once per call: symbol evaluations must not
-        # grow with the number of steps
+        # grow with the number of steps, and once a shape is compiled,
+        # four times the steps compile nothing more
         calls = []
         evaluate = PolySymbol.eval
 
@@ -388,14 +396,17 @@ class TestCompiledSteppers:
             return evaluate(self, pt)
 
         monkeypatch.setattr(PolySymbol, "eval", counting_eval)
+        monkeypatch.setattr(polysymbol, "_SHAPES", {})
         s = symplectic_matrix(NCParams(theta=0.2, B=0.5),
                               StructureKind.STANDARD)
-        counts = []
-        for T in (0.1, 0.2):
+        counts, compiles = [], []
+        for T in (0.1, 0.2, 0.4):
             calls.clear()
             integrate(s, H, (0.5, 0.0, 0.0, 0.3), T=T, h=1e-3)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+            compiles.append(len(polysymbol._SHAPES))
+        assert counts[0] == counts[1] == counts[2]
+        assert 0 < compiles[0] == compiles[2]
 
     def test_affine_products_grow_as_the_root_of_the_steps(self,
                                                            monkeypatch):
@@ -430,6 +441,131 @@ class TestCompiledSteppers:
                                            (1.0, 0.0, 0.0, 0.0), 50 * h, h)
         lag = -omega * omega_h ** 4 / 120.0
         assert abs((traj.omega_step - traj.omega) / lag - 1.0) <= 0.01
+
+
+def stage_call_states(table, xi0, h, n_steps):
+    """RK4 on plain floats with one call of the flow rows' ``scalar()``
+    function per stage: the stepper the generated loop replaces, and its
+    bitwise oracle."""
+    states = np.empty((n_steps + 1, 4))
+    states[0] = xi0
+    rows = table[:_ENERGY].scalar()
+
+    def field(xi: tuple) -> tuple:
+        n1, n2, n3, n4, den = rows(*xi)
+        if den == 0:
+            raise SingularStructure(f"structure singular at point {xi}")
+        return n1 / den, n2 / den, n3 / den, n4 / den
+
+    half, sixth = 0.5 * h, h / 6.0
+    a, b, c, d = map(float, xi0)
+    out = []
+    for _ in range(n_steps):
+        k1 = field((a, b, c, d))
+        k2 = field((a + half * k1[0], b + half * k1[1],
+                    c + half * k1[2], d + half * k1[3]))
+        k3 = field((a + half * k2[0], b + half * k2[1],
+                    c + half * k2[2], d + half * k2[3]))
+        k4 = field((a + h * k3[0], b + h * k3[1],
+                    c + h * k3[2], d + h * k3[3]))
+        a += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        b += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        c += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        d += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        out.append((a, b, c, d))
+    states[1:] = out
+    return states
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that a NaN need only meet a NaN: its sign
+    bit is not part of the arithmetic's contract."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# coefficients that include the exactly written 0, 1.0 and -1.0
+exact_or_drawn = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                           st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def general_flows(draw):
+    """(structure, H): H of degree <= 4 and a standard or exotic
+    structure, with a constant field or a field B(x) of degree <= 2."""
+    H = PolySymbol(4, draw(st.dictionaries(st.sampled_from(EXPONENTS),
+                                           exact_or_drawn, max_size=10)))
+    B = PolySymbol(2, draw(st.dictionaries(
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+        exact_or_drawn, max_size=4)))
+    kind = draw(st.sampled_from([StructureKind.STANDARD,
+                                 StructureKind.EXOTIC]))
+    theta = draw(exact_or_drawn)
+    if kind is StructureKind.EXOTIC and (1.0 - theta * B).is_zero:
+        theta = 0.0
+    return symplectic_matrix_field(theta, B, kind), H
+
+
+class TestGeneratedLoopIsBitwise:
+    """The generated RK4 loop against the per-stage-call stepper."""
+
+    # orbits may overflow: the bulk rows of a diverged orbit warn
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(general_flows(), st.tuples(*[st.floats(-1.5, 1.5)] * 4),
+           st.sampled_from([1e-2, 0.1, 0.25]), st.integers(1, 40))
+    def test_states_equal_the_stage_call_oracle(self, flow, xi0, h,
+                                                n_steps):
+        s, H = flow
+        table = _flow_table(s, H)
+        xi0 = np.array(xi0)
+        outcomes = []
+        for stepper in (_rk4_states, stage_call_states):
+            try:
+                outcomes.append(stepper(table, xi0, h, n_steps))
+            except SingularStructure as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert_same_bits(got, want)
+        if _affine_step(table, h) is not None:
+            return
+        # integrate runs the same loop on every flow that is not affine
+        try:
+            traj = integrate(s, H, xi0, n_steps * h, h,
+                             max_energy_drift=None)
+        except StepTooLarge:
+            assert not (np.isfinite(want).all()
+                        and np.isfinite(table(want)[:, _ENERGY]).all())
+        except SingularStructure:
+            assert not table(want)[:, _DEN].all()
+        else:
+            assert traj.states.tobytes() == want.tobytes()
+
+    def test_orbits_of_one_shape_compile_once(self, monkeypatch):
+        # two quartic traps that differ only in coefficient values share
+        # one loop and one bulk table: the second call compiles nothing,
+        # and each orbit is its own coefficients' orbit
+        monkeypatch.setattr(polysymbol, "_SHAPES", {})
+        r2 = x1(4) ** 2 + x2(4) ** 2
+        orbits = []
+        for theta, B, lam in ((0.2, 0.5, 0.3), (0.3, 1.1, 0.7)):
+            s = symplectic_matrix(NCParams(theta=theta, B=B),
+                                  StructureKind.STANDARD)
+            H = 0.5 * (p1() ** 2 + p2() ** 2) + 0.5 * r2 + lam * r2 * r2
+            traj = integrate(s, H, (0.5, 0.1, 0.0, 0.3), T=0.2, h=1e-3)
+            want = stage_call_states(_flow_table(s, H), traj.states[0],
+                                     1e-3, 200)
+            assert traj.states.tobytes() == want.tobytes()
+            orbits.append(traj.states)
+            if len(orbits) == 1:
+                shapes = dict(polysymbol._SHAPES)
+        assert polysymbol._SHAPES == shapes
+        assert sum(source.startswith("def loop") for source in shapes) == 1
+        assert not np.array_equal(orbits[0], orbits[1])
 
 
 def step_loop_states(step, xi0, n_steps):

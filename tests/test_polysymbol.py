@@ -1,7 +1,8 @@
 """Exact sparse-polynomial arithmetic underlying every symbolic check,
 and the bulk evaluation of compiled tables: bit for bit the straight-line
 ``scalar()`` function at each point, and within rounding of the former
-per-variable power evaluation."""
+per-variable power evaluation.  Each table shape is compiled once, and
+each table evaluates with its own coefficients."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncqmlab import polysymbol
 from ncqmlab.errors import ArityMismatch
 from ncqmlab.polysymbol import (_BLOCK, MonomialTable, PolySymbol, p1, p2,
                                 x1, x2)
@@ -221,3 +223,35 @@ class TestBulkEvaluationIsBitwise:
                 assert np.isfinite(table(points)).all()
                 assert_rows_are_scalar(table, points)
                 assert_rows_are_scalar(table, points[0])
+
+
+# --- one compile per shape ------------------------------------------------
+
+class TestOneCompilePerShape:
+    def test_tables_differing_in_coefficients_compile_once(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(polysymbol, "_SHAPES", {})
+        # dyadic values: every sum and product here is exact
+        point = (0.5, -1.5, 2.0, 0.25)
+        for scale in (0.75, 3.0, -7.25):
+            row = scale * x1(4) ** 2 * p2() - 2.0 * scale * x2(4) + scale
+            values = MonomialTable([row, PolySymbol.constant(4, 1.0)]
+                                   ).scalar()(*point)
+            assert values == (row.eval(point).real, 1.0)
+        assert len(polysymbol._SHAPES) == 1
+
+    @pytest.mark.parametrize("c", [1.0, -1.0, math.nextafter(1.0, 2.0),
+                                   math.nextafter(-1.0, -2.0)])
+    def test_unit_coefficients_keep_their_own_values(self, c, monkeypatch):
+        # exactly +-1.0 is written as the bare monomial, its neighbours as
+        # a parameter: either way each table computes its own c * x, and
+        # neither table's defaults reach the other's
+        monkeypatch.setattr(polysymbol, "_SHAPES", {})
+        xs = [0.3, -1.7, 1e300, -0.0, math.nextafter(2.0, 3.0)]
+        for coeff in (c, 2.0):
+            table = MonomialTable([coeff * x1(2) + coeff * x2(2) ** 2,
+                                   PolySymbol.constant(2, coeff)])
+            for x in xs:
+                assert table.scalar()(x, 0.5) == (coeff * x + coeff * 0.25,
+                                                  coeff)
+        assert len(polysymbol._SHAPES) == (2 if abs(c) == 1.0 else 1)
