@@ -26,7 +26,6 @@ from .errors import (
     NCQMError,
     NegativeKappa,
     NonHermitian,
-    SingularDensity,
     SingularStructure,
     StepTooLarge,
     ThetaNonPositive,
@@ -42,7 +41,7 @@ __all__ = [
     "PolySymbol", "x1", "x2", "p1", "p2",
     "NCQMError", "ConfigError", "DomainError",
     "SingularStructure", "NegativeKappa", "ZeroTheta", "ThetaNonPositive",
-    "SingularDensity", "CurlMismatch", "NonHermitian", "StepTooLarge",
+    "CurlMismatch", "NonHermitian", "StepTooLarge",
     "InsufficientData", "UnresolvedSpectrum",
     "ArityMismatch",
     "InternalMismatch",

@@ -153,12 +153,18 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through path.tmp and a rename; on failure the
+    temporary file is removed, if it was made, and NCQMError raised."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass    # never made, already gone, or not a file of ours
         raise NCQMError(f"failed writing {path}: {exc}") from exc
 
 

@@ -1,6 +1,6 @@
 """Classical dynamics: fixed-step RK4 integration of xi' = Omega(xi) grad H,
-the deformed equation-of-motion residual, minimally coupled trajectories in
-the two standard gauges, and sub-grid frequency extraction.
+minimally coupled trajectories in the two standard gauges, and sub-grid
+frequency extraction.
 
 ``integrate`` compiles the flow numerators sum_j entries_ij d_jH, the
 structure denominator and H once into a ``MonomialTable``.  An affine flow
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (ArityMismatch, ConfigError, InsufficientData,
                      SingularStructure, StepTooLarge)
-from .params import NCParams, kappa
+from .params import NCParams
 from .polysymbol import MonomialTable, PolySymbol, compiled, p1, p2
 from .reps import landau_vector_potential, symmetric_vector_potential
 from .structures import PoissonStructure, StructureKind, symplectic_matrix
@@ -246,48 +246,6 @@ def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
             )
     return Trajectory(times, states, velocities, h, energy,
                       omega_step=omega_step)
-
-
-@dataclass(frozen=True)
-class EOMResidual:
-    """Deformed Newton-law residual series along a trajectory interior."""
-
-    times: np.ndarray     # (n-2,)
-    series: np.ndarray    # (n-2, 2)
-    max_abs: float
-
-
-def eom_residual(traj: Trajectory, params: NCParams,
-                 V: PolySymbol) -> EOMResidual:
-    """Finite-difference check of the deformed equation of motion
-
-        m x''_i + kappa d_iV - B eps_ij x'_j - m theta eps_ij d/dt(d_jV) = 0
-
-    with kappa = 1 - theta B, for trajectories of H = p^2/2m + V under the
-    standard structure.  eps_12 = +1.
-    """
-    if V.arity == 2:
-        V = V.embed(4, (0, 1))
-    if V.arity != 4:
-        raise ArityMismatch("potential must be arity 2 or 4")
-    m, theta, B = params.m, params.theta, params.B
-    h = traj.h
-    x = traj.states[:, :2]
-    xdot = (x[2:] - x[:-2]) / (2.0 * h)
-    xddot = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
-
-    gradV = MonomialTable([V.diff(i).real() for i in range(2)])(traj.states)
-    dt_gradV = (gradV[2:] - gradV[:-2]) / (2.0 * h)
-
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    series = (
-        m * xddot
-        + kappa(params) * gradV[1:-1]
-        - B * xdot @ eps.T
-        - m * theta * dt_gradV @ eps.T
-    )
-    return EOMResidual(traj.times[1:-1], series,
-                       float(np.max(np.abs(series))))
 
 
 def gauge_potential(gauge: Gauge, curlyB: float) -> tuple:

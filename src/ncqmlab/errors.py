@@ -38,19 +38,8 @@ class ThetaNonPositive(DomainError):
     """Ladder-based ordering prescriptions require theta > 0."""
 
 
-class SingularDensity(DomainError):
-    """Density of states diverges at kappa = 0."""
-
-
 class CurlMismatch(DomainError):
-    """Momentum-gauge potential has the wrong curl.
-
-    Carries the residual polynomial (curl(Atilde) - theta) in ``residual``.
-    """
-
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Vector-potential components are not arity-2 polynomials in (x1, x2)."""
 
 
 class NonHermitian(DomainError):

@@ -2,8 +2,8 @@
 
 Basis states |n1, n2> with per-mode occupation up to ``n_max`` are indexed
 as n1*(n_max+1) + n2.  Truncation makes commutators exact only away from
-the cutoff; checks restrict to the interior block, which excludes states
-within ``INTERIOR_MARGIN * degree`` shells of the cutoff.
+the cutoff: the interior block (``FockSpace.interior_mask``) excludes states
+within ``INTERIOR_MARGIN * degree`` shells of it.
 
 The optional basis length ``scale`` sets X = scale (a + a^dag)/sqrt(2),
 P = (a - a^dag)/(i sqrt(2) scale); canonical commutators are unchanged
@@ -36,15 +36,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    NonHermitian,
-    SingularDensity,
-    ThetaNonPositive,
-    UnresolvedSpectrum,
-)
-from .params import NCParams, is_singular, kappa
+from .errors import NonHermitian, ThetaNonPositive, UnresolvedSpectrum
 from .polysymbol import PolySymbol
-from .reps import LinearRep, MomentumGaugeRep, VectorPotentialRep
+from .reps import LinearRep, VectorPotentialRep
 
 HERMITICITY_TOL = 1e-12
 # Shells per polynomial degree that interior_mask keeps clear of the cutoff.
@@ -195,27 +189,6 @@ class FockOperator:
     def dagger(self) -> "FockOperator":
         return FockOperator(self.stored.conj().T, self.space, self.degree)
 
-    def commutator(self, other: "FockOperator") -> "FockOperator":
-        return self @ other - other @ self
-
-    def restrict(self, degree: int | None = None):
-        """Interior-block submatrix for the given polynomial degree, in
-        CSR."""
-        mask = self.space.interior_mask(self.degree if degree is None else degree)
-        return self.stored[np.ix_(mask, mask)]
-
-    def interior_residual(self, target: np.ndarray | complex,
-                          degree: int | None = None) -> float:
-        """Max |self - target| on the interior block; scalar target means
-        target * identity."""
-        block = self.restrict(degree)
-        if np.isscalar(target):
-            ref = target * _identity_like(block)
-        else:
-            mask = self.space.interior_mask(self.degree if degree is None else degree)
-            ref = np.asarray(target)[np.ix_(mask, mask)]
-        return float(abs(block - ref).max())
-
 
 def _identity_like(matrix):
     """The identity of a square matrix's size, CSR when it is sparse."""
@@ -330,7 +303,8 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
     """Realize a representation as CSR matrices on the truncated space.
 
     A LinearRep's row i combines the canonical operators of as_tuple(),
-    both in the xi order of the structures module."""
+    both in the xi order of the structures module; a VectorPotentialRep
+    shifts the canonical momenta by e A(X); anything else is a TypeError."""
     ops = build_canonical_ops(space)
     if isinstance(rep, LinearRep):
         canon = [op.stored for op in ops.as_tuple()]
@@ -341,10 +315,6 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
                 mat = mat + rep.matrix[i, j] * canon[j]
             rows.append(FockOperator(mat, space, degree=1))
         return RealizedOps(*rows)
-    if isinstance(rep, MomentumGaugeRep):
-        shift1 = poly_of_commuting(rep.Atilde[0], ops.P1, ops.P2)
-        shift2 = poly_of_commuting(rep.Atilde[1], ops.P1, ops.P2)
-        return RealizedOps(ops.X1 - shift1, ops.X2 - shift2, ops.P1, ops.P2)
     if isinstance(rep, VectorPotentialRep):
         e = rep.params.e
         a1 = poly_of_commuting(rep.A[0], ops.X1, ops.X2)
@@ -402,14 +372,6 @@ def quantize_matrix_pair(V: PolySymbol, m1, m2,
         terms = [(coeff, ((0, ea), (1, eabar)))
                  for (ea, eabar), coeff in symbol.terms.items()]
     return _power_sum(terms, (amat, amat.conj().T))
-
-
-def quantize_poly(V: PolySymbol, X1: FockOperator, X2: FockOperator,
-                  prescription: Prescription | str = Prescription.WEYL,
-                  theta: float | None = None) -> FockOperator:
-    """Quantize a real arity-2 polynomial V(x1, x2) on rep operators."""
-    total = quantize_matrix_pair(V, X1.stored, X2.stored, prescription, theta)
-    return FockOperator(total, X1.space, degree=max(1, V.degree))
 
 
 def kinetic_hamiltonian(ops: RealizedOps, m: float = 1.0) -> FockOperator:
@@ -634,12 +596,6 @@ def eigenvector_columns(solve: BlockEigh, positions) -> sp.csr_array:
                         shape=(dim, len(positions))).tocsr()
 
 
-def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
-    """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
-    solve = G.solve()
-    return spectral_sum(solve, np.exp(1.0j * solve.eigenvalues)).toarray()
-
-
 @dataclass(frozen=True)
 class Cluster:
     mean: float
@@ -746,7 +702,7 @@ def suggested_scale(rep) -> float:
     squeeze turns slow geometric convergence into (near-)exact block
     structure.  Symmetric-family linear reps balance at sqrt|c/d|; a
     vector-potential rep with constant field curlyB balances at
-    sqrt(2/|e curlyB|); other reps default to 1.
+    sqrt(2/|e curlyB|); any other rep or field defaults to 1.
     """
     if isinstance(rep, LinearRep) and rep.c is not None and rep.d not in (None, 0.0):
         return math.sqrt(abs(rep.c / rep.d))
@@ -758,23 +714,3 @@ def suggested_scale(rep) -> float:
             if coupling > 0:
                 return math.sqrt(2.0 / coupling)
     return 1.0
-
-
-@dataclass(frozen=True)
-class LandauClosedForms:
-    energies: np.ndarray
-    omega_B: float
-    density_of_states: float
-
-
-def landau_closed_forms(params: NCParams, k: int = 5) -> LandauClosedForms:
-    """E_n = omega_B (n + 1/2), omega_B, and rho = |B/(1-B theta)|/2pi.
-
-    The density diverges where is_singular holds (SingularDensity).
-    """
-    n = np.arange(k)
-    energies = params.omega_B * (n + 0.5)
-    if is_singular(params):
-        raise SingularDensity("density of states diverges at kappa = 0")
-    rho = abs(params.B / kappa(params)) / (2.0 * math.pi)
-    return LandauClosedForms(energies, params.omega_B, rho)

@@ -95,11 +95,6 @@ class ProjectorSet:
     space: FockSpace
     ops: RealizedOps
 
-    @property
-    def cumulative(self) -> FockOperator:
-        """Pi_N, the sum of the projectors, made on each access."""
-        return sum(self.projectors[1:], self.projectors[0])
-
     def interior_g_cut(self, N: int | None = None) -> int:
         """Half of n_max - 1 - N, the largest guiding index of level N (of
         the top level by default) and so the smallest among levels 0..N:

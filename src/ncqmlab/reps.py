@@ -5,10 +5,9 @@ combinations of the canonical ones, both in the phase-space order
 xi = (x1, x2, p1, p2) of the structures module: row i of ``matrix`` is
 xi_hat_i over canonical xi.  Its commutator table is M Omega M^T with the
 canonical Omega of that module, and its target is the constant table of the
-standard structure there.  Momentum-gauge and vector-potential
-representations substitute polynomials of the commuting momenta /
-coordinates instead and are realized at the matrix level by the Fock
-module.
+standard structure there.  A vector-potential representation substitutes
+polynomials of the commuting coordinates instead.  ``fock.realize_rep``
+realizes both kinds at the matrix level.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class LinearRep:
     params: NCParams
     c: float | None = None
     d: float | None = None
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
 
 
 def landau_gauge_rep(params: NCParams) -> LinearRep:
@@ -112,99 +107,6 @@ def commutator_table(rep: LinearRep) -> np.ndarray:
 def table_residual(rep: LinearRep) -> float:
     """Max entrywise deviation of the realized table from the target."""
     return float(np.max(np.abs(commutator_table(rep) - target_table(rep.params))))
-
-
-@dataclass(frozen=True)
-class DecoupleResult:
-    K_rows: np.ndarray          # 2x4, K1h and K2h over canonical xi
-    KK_commutator: float        # coefficient of i in [K1h, K2h]
-    XK_commutators: np.ndarray  # 2x2 residuals [Xih, Kjh], identically 0
-
-
-def decouple(params: NCParams, rep: LinearRep | None = None) -> DecoupleResult:
-    """Split off K_j = P_jh - (1/theta) eps_{jk} X_kh.
-
-    [K1h, K2h] = -i kappa/theta and [Xih, Kjh] = 0; at kappa = 0 the K's
-    are central.
-    """
-    if params.theta == 0:
-        raise ZeroTheta("decoupling requires theta != 0")
-    if rep is None:
-        rep = landau_gauge_rep(params)
-    th = params.theta
-    x1h, x2h, p1h, p2h = rep.matrix
-    k1 = p1h - x2h / th
-    k2 = p2h + x1h / th
-    omega = canonical_omega()
-    kk = float(k1 @ omega @ k2)
-    xk = np.array(
-        [
-            [x1h @ omega @ k1, x1h @ omega @ k2],
-            [x2h @ omega @ k1, x2h @ omega @ k2],
-        ]
-    )
-    return DecoupleResult(np.vstack([k1, k2]), kk, xk)
-
-
-@dataclass(frozen=True)
-class MomentumGaugeRep:
-    """X_jh = X_j - Atilde_j(P), P_jh = P_j with curl(Atilde) = theta.
-
-    ``Atilde`` components are arity-2 polynomials in (p1, p2); the curl
-    condition d(Atilde_1)/dp2 - d(Atilde_2)/dp1 = theta holds exactly.
-    """
-
-    Atilde: tuple[PolySymbol, PolySymbol]
-    theta: float
-
-
-def momentum_gauge_rep(Atilde, theta: float) -> MomentumGaugeRep:
-    """Validate the curl condition and build the representation record."""
-    A1, A2 = Atilde
-    if A1.arity != 2 or A2.arity != 2:
-        raise CurlMismatch("Atilde components must be arity-2 polynomials in (p1, p2)")
-    residual = A1.diff(1) - A2.diff(0) - PolySymbol.constant(2, theta)
-    if not residual.allclose(PolySymbol.zero(2)):
-        raise CurlMismatch(
-            f"curl(Atilde) - theta is nonzero: {residual!r}", residual=residual
-        )
-    return MomentumGaugeRep((A1, A2), theta)
-
-
-def symmetric_momentum_gauge(theta: float) -> MomentumGaugeRep:
-    """Atilde = (theta p2 / 2, -theta p1 / 2)."""
-    p1v = PolySymbol.variable(2, 0)
-    p2v = PolySymbol.variable(2, 1)
-    return momentum_gauge_rep((0.5 * theta * p2v, -0.5 * theta * p1v), theta)
-
-
-def landau_momentum_gauge(theta: float) -> MomentumGaugeRep:
-    """Atilde = (theta p2, 0)."""
-    p2v = PolySymbol.variable(2, 1)
-    zero = PolySymbol.zero(2)
-    return momentum_gauge_rep((theta * p2v, zero), theta)
-
-
-def gauge_function(rep_from: MomentumGaugeRep, rep_to: MomentumGaugeRep) -> PolySymbol:
-    """Polynomial alpha(p) with Atilde_to = Atilde_from + grad alpha.
-
-    Exists because both potentials carry the same curl; verified exactly.
-    """
-    d1 = rep_to.Atilde[0] - rep_from.Atilde[0]
-    d2 = rep_to.Atilde[1] - rep_from.Atilde[1]
-    # line integral from the origin: alpha(p) = int_0^{p1} d1(t, p2) dt
-    #                                         + int_0^{p2} d2(0, t) dt
-    alpha = PolySymbol.zero(2)
-    for (e1, e2), coeff in d1.terms.items():
-        alpha = alpha + PolySymbol(2, {(e1 + 1, e2): coeff / (e1 + 1)})
-    for (e1, e2), coeff in d2.terms.items():
-        if e1 == 0:
-            alpha = alpha + PolySymbol(2, {(0, e2 + 1): coeff / (e2 + 1)})
-    if not (alpha.diff(0) - d1).allclose(PolySymbol.zero(2)) or not (
-        alpha.diff(1) - d2
-    ).allclose(PolySymbol.zero(2)):
-        raise CurlMismatch("gauge potentials do not differ by a gradient")
-    return alpha
 
 
 @dataclass(frozen=True)

