@@ -8,27 +8,36 @@ in the base commit and in the change; CHANGED_FILES lists the paths of
 ``git diff --name-only base...HEAD``, one a line.  A scenario whose digest
 block differs between the two (or that exists in one only) must have a
 changed path under tests/golden/<scenario>/, so every output move is a
-stated re-record.  Exits 1, naming the scenarios, when one has none.
+stated re-record.  Exits 1, naming the scenarios, when one has none, and
+2, naming the file, when a digest has a line before its first header.
 """
 
 import sys
 from pathlib import Path
 
 
-def blocks(text: str) -> dict:
-    """Scenario name -> the digest lines under its ``== name`` header."""
+def blocks(path: Path) -> dict:
+    """Scenario name -> the digest lines under its ``== name`` header, for
+    the digest file at path; ValueError for a line before the first one."""
     out: dict = {}
-    for line in text.splitlines():
+    lines = None
+    for line in path.read_text().splitlines():
         if line.startswith("== "):
             lines = out[line[3:]] = []
+        elif lines is None:
+            raise ValueError(f"{path}: line {line!r} comes before the "
+                             "first '== <scenario>' header")
         else:
             lines.append(line)
     return out
 
 
 def main(base_digest: str, head_digest: str, changed_files: str) -> int:
-    base = blocks(Path(base_digest).read_text())
-    head = blocks(Path(head_digest).read_text())
+    try:
+        base, head = blocks(Path(base_digest)), blocks(Path(head_digest))
+    except ValueError as exc:
+        print(f"not a scenario digest: {exc}", file=sys.stderr)
+        return 2
     changed = Path(changed_files).read_text().splitlines()
     moved = sorted(name for name in base.keys() | head.keys()
                    if base.get(name) != head.get(name))

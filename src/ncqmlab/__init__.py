@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .errors import (
     ArityMismatch,
     ConfigError,
-    CurlMismatch,
     DomainError,
     InsufficientData,
     InternalMismatch,
@@ -30,7 +29,6 @@ from .errors import (
     StepTooLarge,
     ThetaNonPositive,
     UnresolvedSpectrum,
-    ZeroTheta,
 )
 from .params import NCParams, is_singular, kappa
 from .polysymbol import PolySymbol, p1, p2, x1, x2
@@ -40,8 +38,8 @@ __all__ = [
     "NCParams", "kappa", "is_singular",
     "PolySymbol", "x1", "x2", "p1", "p2",
     "NCQMError", "ConfigError", "DomainError",
-    "SingularStructure", "NegativeKappa", "ZeroTheta", "ThetaNonPositive",
-    "CurlMismatch", "NonHermitian", "StepTooLarge",
+    "SingularStructure", "NegativeKappa", "ThetaNonPositive",
+    "NonHermitian", "StepTooLarge",
     "InsufficientData", "UnresolvedSpectrum",
     "ArityMismatch",
     "InternalMismatch",

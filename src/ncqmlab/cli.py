@@ -74,13 +74,21 @@ _LIST_FLAGS = tuple("--" + key.name.replace("_", "-") for key in KEYS
 _NUMBER_NAMES = ("zero", "one", "two", "three", "four")
 
 
+def _real(value) -> float:
+    """float(value), refusing the JSON booleans that float() reads as 1
+    and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _validate_key(key: dataclasses.Field, value, errors: list):
     """The value of one key coerced to its type, appending any problem to
     ``errors`` (the default stands in for a value that cannot be read)."""
     name, meta, kind = key.name, key.metadata, type(key.default)
     if kind is float:
         try:
-            value = float(value)
+            value = _real(value)
         except (TypeError, ValueError):
             errors.append(f"{name} must be a number; got {value!r}")
             return 0.0
@@ -91,7 +99,7 @@ def _validate_key(key: dataclasses.Field, value, errors: list):
         minimum = meta.get("minimum")
         if not isinstance(value, int) or isinstance(value, bool):
             try:
-                whole = int(float(value))
+                whole = int(_real(value))
             except (TypeError, ValueError, OverflowError):
                 whole = None
             if whole is None or whole != float(value):
@@ -103,7 +111,7 @@ def _validate_key(key: dataclasses.Field, value, errors: list):
         return value
     if kind is tuple:
         try:
-            items = tuple(float(v) for v in value)
+            items = tuple(_real(v) for v in value)
         except (TypeError, ValueError):
             errors.append(f"{name} must be a list of numbers; got {value!r}")
             items = key.default

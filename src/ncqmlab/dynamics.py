@@ -200,15 +200,20 @@ def _require_finite(times: np.ndarray, finite: np.ndarray) -> None:
             f"t = {times[np.argmin(finite)]:.6g}; reduce h")
 
 
-def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
-              max_energy_drift: float | None = 1e-6) -> Trajectory:
+# the bound on |H(t) - H(0)|, scaled by max(1, |H(0)|), past which an orbit
+# is refused; integrate reads it when called
+MAX_ENERGY_DRIFT = 1e-6
+
+
+def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float,
+              h: float) -> Trajectory:
     """Explicit fixed-step RK4 on xi' = Omega(xi) grad H(xi), with the flow
     compiled once per call (see the module docstring).
 
-    ``max_energy_drift`` guards the result: if |H(t) - H(0)| ever exceeds
-    the bound (scaled by max(1, |H(0)|)), the step was too coarse for this
-    problem and StepTooLarge is raised.  Pass None to disable.  A state or
-    energy that is not finite raises StepTooLarge whatever the bound.
+    ``MAX_ENERGY_DRIFT`` guards the result: if |H(t) - H(0)| ever exceeds
+    it (scaled by max(1, |H(0)|)), the step was too coarse for this
+    problem and StepTooLarge is raised.  A state or energy that is not
+    finite raises StepTooLarge whatever the bound.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -236,14 +241,13 @@ def integrate(s: PoissonStructure, H: PolySymbol, xi0, T: float, h: float,
         raise SingularStructure("structure singular on the trajectory")
     velocities = values[:, :2] / values[:, _DEN, None]
     energy = values[:, _ENERGY]
-    if max_energy_drift is not None:
-        drift = np.max(np.abs(energy - energy[0]))
-        scale = max(1.0, abs(energy[0]))
-        if drift > max_energy_drift * scale:
-            raise StepTooLarge(
-                f"energy drift {drift:.3e} exceeds bound "
-                f"{max_energy_drift * scale:.3e}; reduce h"
-            )
+    drift = np.max(np.abs(energy - energy[0]))
+    scale = max(1.0, abs(energy[0]))
+    if drift > MAX_ENERGY_DRIFT * scale:
+        raise StepTooLarge(
+            f"energy drift {drift:.3e} exceeds bound "
+            f"{MAX_ENERGY_DRIFT * scale:.3e}; reduce h"
+        )
     return Trajectory(times, states, velocities, h, energy,
                       omega_step=omega_step)
 

@@ -30,16 +30,8 @@ class NegativeKappa(DomainError):
     """Representation coefficients undefined for kappa < 0."""
 
 
-class ZeroTheta(DomainError):
-    """Operation requires theta != 0."""
-
-
 class ThetaNonPositive(DomainError):
     """Ladder-based ordering prescriptions require theta > 0."""
-
-
-class CurlMismatch(DomainError):
-    """Vector-potential components are not arity-2 polynomials in (x1, x2)."""
 
 
 class NonHermitian(DomainError):

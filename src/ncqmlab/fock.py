@@ -281,12 +281,12 @@ def _power_sum(terms, mats):
     return total
 
 
-def poly_of_commuting(poly: PolySymbol, A: FockOperator, B: FockOperator,
-                      hermitian: bool = True) -> FockOperator:
+def poly_of_commuting(poly: PolySymbol, A: FockOperator,
+                      B: FockOperator) -> FockOperator:
     """Evaluate an arity-2 polynomial on two commuting operators.
 
     With real coefficients and commuting Hermitian arguments the result
-    is Hermitian.
+    is Hermitian; any other result is refused with NonHermitian.
     """
     if poly.arity != 2:
         raise ValueError("expected an arity-2 polynomial")
@@ -294,7 +294,7 @@ def poly_of_commuting(poly: PolySymbol, A: FockOperator, B: FockOperator,
              for (e1, e2), coeff in poly.terms.items()]
     total = _power_sum(terms, (A.stored, B.stored))
     op = FockOperator(total, A.space, degree=max(poly.degree, 1))
-    if hermitian and not op.hermitian_flag:
+    if not op.hermitian_flag:
         raise NonHermitian("polynomial of commuting operators came out non-Hermitian")
     return op
 

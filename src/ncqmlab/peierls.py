@@ -293,10 +293,9 @@ def boundary_weights(H: FockOperator) -> np.ndarray:
     return weights
 
 
-def effective_potential_spectrum(V: PolySymbol, lam: float,
-                                 params: NCParams, k: int,
-                                 prescription=Prescription.ANTINORMAL,
-                                 dim: int | None = None) -> np.ndarray:
+def effective_potential_spectrum(
+        V: PolySymbol, lam: float, params: NCParams, k: int,
+        prescription=Prescription.ANTINORMAL) -> np.ndarray:
     """Eigenvalues of lam * V(X1^t, X2^t) on the one-mode lowest-level
     system with [X1^t, X2^t] = -i/(eB).
 
@@ -305,8 +304,9 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
     therefore the default.  Weyl and normal orderings are available for
     comparison; they differ at relative order 1/B.
 
-    Ladder truncation corrupts the top shells (anti-normal products even
-    leave a spurious zero mode in the last basis state), so the lowest k
+    The ladder has dim = max(4k, 2k + 2 max(1, deg V) + 16) states.  Its
+    truncation corrupts the top shells (anti-normal products even leave a
+    spurious zero mode in the last basis state), so the lowest k
     eigenvalues are read off by lowest_unpolluted, with the top quarter
     of the ladder as the boundary.  The solve is a dense eigh on purpose:
     at a few dozen states, block_eigh's block search costs more than it.
@@ -315,8 +315,7 @@ def effective_potential_spectrum(V: PolySymbol, lam: float,
         raise ValueError("V must be an arity-2 polynomial")
     prescription = Prescription(prescription)
     s = 1.0 / (params.e * params.B)   # signed
-    if dim is None:
-        dim = max(4 * k, 2 * k + 2 * max(1, V.degree) + 16)
+    dim = max(4 * k, 2 * k + 2 * max(1, V.degree) + 16)
     c_op = np.diag(np.sqrt(np.arange(1, dim)), 1)
     root = np.sqrt(abs(s) / 2.0)
     U1 = root * (c_op + c_op.conj().T)
@@ -400,7 +399,7 @@ def landau_basis_hamiltonian(coeffs, lam: float, params: NCParams,
 
 
 def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
-                     n_max: int = 30,
+                     n_max: int,
                      prescription=Prescription.ANTINORMAL) -> PeierlsResult:
     """Peierls approximation against the exact truncated-space spectrum.
 

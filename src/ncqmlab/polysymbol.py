@@ -202,12 +202,13 @@ class PolySymbol:
             return 0.0
         return max(abs(c) for c in self.terms.values())
 
-    def allclose(self, other, tol: float = 1e-12) -> bool:
-        """Coefficient-wise comparison, tolerance scaled by coefficient norm."""
+    def allclose(self, other) -> bool:
+        """Coefficient-wise comparison within 1e-12, scaled by the larger
+        coefficient norm (at least 1)."""
         other = self._coerce(other)
         diff = self - other
         scale = max(1.0, self.max_abs_coeff(), other.max_abs_coeff())
-        return diff.max_abs_coeff() <= tol * scale
+        return diff.max_abs_coeff() <= 1e-12 * scale
 
     def embed(self, arity: int, positions: Iterable[int]) -> "PolySymbol":
         """Reinterpret variables at the given positions of a wider arity.

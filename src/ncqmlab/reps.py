@@ -14,19 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import CurlMismatch, NegativeKappa, ZeroTheta
+from .errors import ArityMismatch, NegativeKappa
 from .params import NCParams, kappa
 from .polysymbol import PolySymbol, x1, x2
 from .structures import StructureKind, canonical_omega, symplectic_matrix
-
-
-class Branch(str, Enum):
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 def target_table(params: NCParams) -> np.ndarray:
@@ -63,34 +57,25 @@ def landau_gauge_rep(params: NCParams) -> LinearRep:
     return LinearRep(M, params)
 
 
-def symmetric_gauge_rep(
-    params: NCParams, a: float = 1.0, branch: Branch | str = Branch.PLUS
-) -> LinearRep:
-    """Two-parameter family with c = (1 +- sqrt(kappa))/(2a), d = (a/theta)(1 -+ sqrt(kappa)).
+def symmetric_gauge_rep(params: NCParams) -> LinearRep:
+    """X1h = X1 - (theta/2) P2, X2h = X2 + (theta/2) P1, P1h = c P1 + d X2,
+    P2h = c P2 - d X1 with c = (1 + sqrt(kappa))/2 and
+    d = (1 - sqrt(kappa))/theta.
 
     Written without cancellation through r = 1 + sqrt(kappa) and
-    1 - kappa = theta B: (c, d) = (r/(2a), aB/r) on the plus branch, which
-    holds at theta = 0 too, and (theta B/(2a r), a r/theta) on the minus
-    branch.  Both need kappa >= 0 and give the same table and det = kappa.
+    1 - kappa = theta B: (c, d) = (r/2, B/r), which holds at theta = 0 too.
+    Needs kappa >= 0; det = kappa.
     """
-    if a == 0:
-        raise ValueError("scale a must be nonzero")
-    branch = Branch(branch)
     th, B = params.theta, params.B
     k = kappa(params)
     if k < 0:
         raise NegativeKappa(f"kappa = {k} < 0: coefficients would be complex")
     r = 1.0 + math.sqrt(k)
-    if branch is Branch.PLUS:
-        c, d = r / (2.0 * a), a * B / r
-    elif th == 0:
-        raise ZeroTheta("the minus branch requires theta != 0")
-    else:
-        c, d = th * B / (2.0 * a * r), a * r / th
+    c, d = r / 2.0, B / r
     M = np.array(
         [
-            [a, 0.0, 0.0, -th / (2.0 * a)],
-            [0.0, a, th / (2.0 * a), 0.0],
+            [1.0, 0.0, 0.0, -th / 2.0],
+            [0.0, 1.0, th / 2.0, 0.0],
             [0.0, d, c, 0.0],
             [-d, 0.0, 0.0, c],
         ]
@@ -128,7 +113,8 @@ class VectorPotentialRep:
 def vector_potential_rep(A, params: NCParams) -> VectorPotentialRep:
     A1, A2 = A
     if A1.arity != 2 or A2.arity != 2:
-        raise CurlMismatch("A components must be arity-2 polynomials in (x1, x2)")
+        raise ArityMismatch(
+            "A components must be arity-2 polynomials in (x1, x2)")
     return VectorPotentialRep((A1, A2), params)
 
 

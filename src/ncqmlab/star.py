@@ -199,7 +199,7 @@ def sw_first_order(A: GaugePotential, lam: PolySymbol, psi: PolySymbol,
     }
 
 
-def sw_constant_field(curlyB: float, params: NCParams, k: int = 5):
+def sw_constant_field(curlyB: float, params: NCParams, k: int):
     """All-orders constant-field Seiberg-Witten map and its lowest k levels.
 
     B_check = B/(1 - e theta B) realized by the symmetric gauge with

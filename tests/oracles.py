@@ -2,10 +2,11 @@
 
 Each relates an answer of the package to another description of the same
 particle (a momentum-space gauge, a Weyl-ordered differential operator, a
-finite-difference Newton law, a closed form) or reads an operator in a way
-no command needs.  They are in the order of the library modules they
-read, keep the arithmetic they had there, and neither validate their input
-nor return a record.
+finite-difference Newton law, a closed form, the whole symmetric-gauge
+family), reads an operator in a way no command needs, or compares at a
+tolerance the library does not use.  They are in the order of the library
+modules they read, keep the arithmetic they had there, and neither
+validate their input nor return a record.
 """
 
 import math
@@ -19,8 +20,14 @@ from ncqmlab.fock import (FockOperator, Prescription, RealizedOps,
                           quantize_matrix_pair, realize_rep, spectral_sum)
 from ncqmlab.params import kappa
 from ncqmlab.polysymbol import MonomialTable, PolySymbol, x1, x2
-from ncqmlab.reps import landau_gauge_rep
+from ncqmlab.reps import LinearRep, landau_gauge_rep
 from ncqmlab.structures import canonical_omega
+
+
+def allclose(f: PolySymbol, g: PolySymbol, tol: float) -> bool:
+    """PolySymbol.allclose at tolerance tol instead of 1e-12."""
+    scale = max(1.0, f.max_abs_coeff(), g.max_abs_coeff())
+    return (f - g).max_abs_coeff() <= tol * scale
 
 
 def commutator(a: FockOperator, b: FockOperator) -> FockOperator:
@@ -64,6 +71,30 @@ def landau_closed_forms(params, k: int = 5) -> tuple:
     """(E_n = omega_B (n + 1/2) for n < k, omega_B, rho = |B/kappa| / 2pi)."""
     rho = abs(params.B / kappa(params)) / (2.0 * math.pi)
     return params.omega_B * (np.arange(k) + 0.5), params.omega_B, rho
+
+
+def symmetric_gauge_family(params, a: float = 1.0,
+                           branch: str = "plus") -> LinearRep:
+    """The symmetric-gauge reps X1h = a X1 - (theta/2a) P2, X2h = a X2 +
+    (theta/2a) P1, P1h = c P1 + d X2, P2h = c P2 - d X1, with c = (1 +-
+    sqrt(kappa))/(2a) and d = (a/theta)(1 -+ sqrt(kappa)) on the plus and
+    minus branch; reps.symmetric_gauge_rep is a = 1 on the plus branch.
+
+    Written without cancellation through r = 1 + sqrt(kappa) and
+    1 - kappa = theta B: (c, d) = (r/(2a), aB/r) on the plus branch, and
+    (theta B/(2a r), a r/theta) on the minus branch, which needs theta != 0.
+    Both need kappa >= 0 and give the same table and det = kappa."""
+    th, B = params.theta, params.B
+    r = 1.0 + math.sqrt(kappa(params))
+    if branch == "plus":
+        c, d = r / (2.0 * a), a * B / r
+    else:
+        c, d = th * B / (2.0 * a * r), a * r / th
+    M = np.array([[a, 0.0, 0.0, -th / (2.0 * a)],
+                  [0.0, a, th / (2.0 * a), 0.0],
+                  [0.0, d, c, 0.0],
+                  [-d, 0.0, 0.0, c]])
+    return LinearRep(M, params, c=c, d=d)
 
 
 def det(rep) -> float:

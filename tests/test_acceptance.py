@@ -36,7 +36,6 @@ from ncqmlab.peierls import (
 )
 from ncqmlab.polysymbol import PolySymbol, x1, x2
 from ncqmlab.reps import (
-    Branch,
     commutator_table,
     landau_gauge_rep,
     symmetric_gauge_rep,
@@ -56,7 +55,8 @@ from ncqmlab.star import (
 )
 from ncqmlab.structures import jacobi_residual, symplectic_matrix_field
 from oracles import (det, gauge_function, landau_momentum_gauge, realize,
-                     symmetric_momentum_gauge, unitary_from_hermitian)
+                     symmetric_gauge_family, symmetric_momentum_gauge,
+                     unitary_from_hermitian)
 
 
 @contextmanager
@@ -93,8 +93,8 @@ def test_c01_algebra_tables():
             # |theta * B| < 1 here, so kappa > 0 and both square-root
             # branches of the symmetric-gauge family exist
             for a in (0.5, 1.0, 2.0):
-                for branch in (Branch.PLUS, Branch.MINUS):
-                    rep = symmetric_gauge_rep(params, a=a, branch=branch)
+                for branch in ("plus", "minus"):
+                    rep = symmetric_gauge_family(params, a=a, branch=branch)
                     table = commutator_table(rep)
                     assert np.max(np.abs(table - target)) <= 1e-12
                     assert abs(det(rep) - kappa(params)) <= 1e-12
@@ -289,7 +289,7 @@ def test_c09_peierls_strong_field():
         relative = []
         for B in (10.0, 50.0, 250.0):
             params = NCParams(theta=0.0, B=B)
-            res = peierls_spectrum(V, lam, params, 3)
+            res = peierls_spectrum(V, lam, params, 3, n_max=30)
             dev = res.deviations()[0]
             relative.append(abs(dev) / res.epsilon_n[0])
             # exact two-frequency oscillator oracle for the lowest branch
@@ -310,10 +310,8 @@ def test_c10_representation_independence():
                     + 0.5 * (ops.X1 @ ops.X1 + ops.X2 @ ops.X2))
 
         reps = {
-            "symmetric_a1": symmetric_gauge_rep(params, a=1.0,
-                                                branch=Branch.PLUS),
-            "symmetric_a13": symmetric_gauge_rep(params, a=1.3,
-                                                 branch=Branch.PLUS),
+            "symmetric_a1": symmetric_gauge_rep(params),
+            "symmetric_a13": symmetric_gauge_family(params, a=1.3),
             "momentum_symmetric": symmetric_momentum_gauge(theta),
             "momentum_landau": landau_momentum_gauge(theta),
         }

@@ -95,6 +95,20 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match="n_max must be an integer"):
                 validate_config({"command": "spectrum", "n_max": value})
 
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys):
+        # float() and int() read true and false as 1 and 0
+        with pytest.raises(ConfigError,
+                           match=r"xi0 must be a list of numbers; got \[True"):
+            validate_config({"command": "trajectory",
+                             "xi0": [True, 0.0, 0.0, 0.0]})
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"k": True, "theta": False}))
+        assert main(["star", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: theta must be a number; got False" in err
+        assert "k must be an integer; got True" in err
+
     def test_whole_float_accepted_as_integer(self):
         config = validate_config({"command": "spectrum", "n_max": 12.0})
         assert config.n_max == 12

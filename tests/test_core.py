@@ -16,7 +16,7 @@ from ncqmlab.structures import (
     symplectic_matrix,
     symplectic_matrix_field,
 )
-from oracles import poisson_bracket
+from oracles import allclose, poisson_bracket
 
 finite = st.floats(-5, 5, allow_nan=False)
 
@@ -90,7 +90,7 @@ def test_poisson_bracket_antisymmetry_and_leibniz():
     assert poisson_bracket(f, g, s).allclose(-poisson_bracket(g, f, s))
     lhs = poisson_bracket(f, g * h, s)
     rhs = poisson_bracket(f, g, s) * h + g * poisson_bracket(f, h, s)
-    assert lhs.allclose(rhs, tol=1e-10)
+    assert allclose(lhs, rhs, 1e-10)
 
 
 def test_jacobi_zero_for_constant_structures():

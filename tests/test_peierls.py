@@ -637,11 +637,13 @@ class TestEffectivePotentialSpectrum:
         np.testing.assert_allclose(ev, [0.2, 0.4, 0.6], rtol=0, atol=1e-12)
 
     def test_squeezing_potential_starves_the_filter(self):
-        # x1^2 spreads every eigenvector across the ladder; at dim=10
-        # fewer than 8 survive the boundary screen.
-        with pytest.raises(UnresolvedSpectrum, match="dim = 10") as err:
-            effective_potential_spectrum(X1SYM * X1SYM, 0.1, self.PARAMS,
-                                         8, dim=10)
+        # x1^2 spreads every eigenvector across the ladder; at the
+        # derived dim = max(4k, 2k + 2 deg V + 16) = 36 for k = 8 none
+        # survives the boundary screen.
+        with pytest.raises(UnresolvedSpectrum,
+                           match="every eigenvector is boundary-polluted "
+                                 "at dim = 36") as err:
+            effective_potential_spectrum(X1SYM * X1SYM, 0.1, self.PARAMS, 8)
         assert isinstance(err.value, DomainError)
 
     def test_rejects_wrong_arity_potential(self):
@@ -717,7 +719,8 @@ class TestPeierlsSpectrum:
 
     def test_noncommutative_plane_rejected(self):
         with pytest.raises(DomainError):
-            peierls_spectrum(R2, 0.1, NCParams(theta=0.2, B=10.0), 2)
+            peierls_spectrum(R2, 0.1, NCParams(theta=0.2, B=10.0), 2,
+                             n_max=30)
 
     @pytest.mark.parametrize("V", [X1SYM * X1SYM,
                                    R2 + X1SYM * X1SYM * X2SYM * X2SYM,

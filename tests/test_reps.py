@@ -8,6 +8,9 @@ Oracles
   4x4 linear map acting on canonical xi = (X1, X2, P1, P2)).
 * Decoupled generators K_i = P_hat_i -/+ X_hat_j / theta must commute with
   the X_hat pair and satisfy [K1, K2] = -i*kappa/theta.
+* The library's symmetric-gauge rep is the a = 1, plus-branch member of
+  the oracles module's two-branch family, bit for bit; every member is
+  faithful.
 * Momentum-gauge potentials A_tilde(p) of the oracles module carry
   curl(A_tilde) = theta; gauge changes are generated by a scalar function
   alpha with A_to = A_from + grad(alpha).
@@ -17,11 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncqmlab.errors import NegativeKappa, ZeroTheta
+from ncqmlab.errors import ArityMismatch, NegativeKappa
 from ncqmlab.params import NCParams, is_singular, kappa
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import (
-    Branch,
     commutator_table,
     landau_gauge_rep,
     symmetric_gauge_rep,
@@ -30,7 +32,8 @@ from ncqmlab.reps import (
     target_table,
     vector_potential_rep,
 )
-from oracles import (decouple, det, gauge_function, landau_momentum_gauge,
+from oracles import (allclose, decouple, det, gauge_function,
+                     landau_momentum_gauge, symmetric_gauge_family,
                      symmetric_momentum_gauge)
 
 # [x_i, p_j] = i delta_ij in xi = (x1, x2, p1, p2) order
@@ -113,11 +116,21 @@ class TestLandauGaugeRep:
 
 
 class TestSymmetricGaugeRep:
+    @pytest.mark.parametrize("p", [NCParams(theta=0.3, B=2.0),
+                                   NCParams(theta=0.0, B=-1.5),
+                                   NCParams(theta=-1e-9, B=2.0),
+                                   NCParams(theta=0.5, B=2.0)])
+    def test_library_rep_is_the_unit_plus_member(self, p):
+        rep = symmetric_gauge_rep(p)
+        member = symmetric_gauge_family(p)
+        assert np.array_equal(rep.matrix, member.matrix)
+        assert (rep.c, rep.d) == (member.c, member.d)
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_table_and_determinant(self, a, branch):
         p = NCParams(theta=0.3, B=2.0)
-        rep = symmetric_gauge_rep(p, a=a, branch=branch)
+        rep = symmetric_gauge_family(p, a=a, branch=branch)
         assert table_residual(rep) <= 1e-12
         assert det(rep) == pytest.approx(kappa(p), abs=1e-12)
 
@@ -126,35 +139,29 @@ class TestSymmetricGaugeRep:
         p = NCParams(theta=0.3, B=2.0)
         root = np.sqrt(kappa(p))
         a = 1.25
-        rep = symmetric_gauge_rep(p, a=a, branch=Branch.PLUS)
+        rep = symmetric_gauge_family(p, a=a, branch="plus")
         assert rep.c == pytest.approx((1 + root) / (2 * a), rel=1e-14)
         assert rep.d == pytest.approx((a / 0.3) * (1 - root), rel=1e-14)
-        repint = symmetric_gauge_rep(p, a=a, branch=Branch.MINUS)
+        repint = symmetric_gauge_family(p, a=a, branch="minus")
         assert repint.c == pytest.approx((1 - root) / (2 * a), rel=1e-14)
         assert repint.d == pytest.approx((a / 0.3) * (1 + root), rel=1e-14)
 
     def test_branches_are_distinct_but_both_faithful(self):
         p = NCParams(theta=0.4, B=1.0)
-        plus = symmetric_gauge_rep(p, branch=Branch.PLUS)
-        minus = symmetric_gauge_rep(p, branch=Branch.MINUS)
+        plus = symmetric_gauge_family(p, branch="plus")
+        minus = symmetric_gauge_family(p, branch="minus")
         assert not np.allclose(plus.matrix, minus.matrix)
         for rep in (plus, minus):
             np.testing.assert_allclose(
                 commutator_table(rep), target_table(p), atol=1e-12
             )
 
-    def test_zero_theta_rejected(self):
-        # d = a r / theta of the minus branch has no theta = 0 limit
-        with pytest.raises(ZeroTheta):
-            symmetric_gauge_rep(NCParams(theta=0.0, B=1.0),
-                                branch=Branch.MINUS)
-
     @pytest.mark.parametrize("a", [0.5, 1.0])
     def test_plus_branch_at_zero_theta_is_the_symmetric_potential(self, a):
         # c = 1/a, d = a B / 2: on the canonical pair (a X_j, P_j / a) the
         # rep is X_j, P_j - A_j(X) with A = (-B x2/2, B x1/2)
         p = NCParams(theta=0.0, B=-1.5)
-        rep = symmetric_gauge_rep(p, a=a)
+        rep = symmetric_gauge_family(p, a=a)
         assert (rep.c, rep.d) == (1.0 / a, a * p.B / 2.0)
         assert table_residual(rep) == 0.0
         assert det(rep) == pytest.approx(1.0, rel=1e-15)
@@ -179,10 +186,6 @@ class TestSymmetricGaugeRep:
         rep = symmetric_gauge_rep(p)
         assert det(rep) == pytest.approx(0.0, abs=1e-14)
         assert table_residual(rep) <= 1e-12
-
-    def test_nonpositive_a_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_gauge_rep(NCParams(theta=0.3, B=1.0), a=0.0)
 
 
 class TestDecouple:
@@ -244,7 +247,7 @@ class TestMomentumGauges:
         alpha = gauge_function(src, dst)
         for j in range(2):
             diff = dst[j] - src[j]
-            assert diff.allclose(alpha.diff(j), tol=1e-13)
+            assert allclose(diff, alpha.diff(j), 1e-13)
 
     def test_gauge_function_between_custom_gauges(self):
         theta = 0.5
@@ -255,7 +258,7 @@ class TestMomentumGauges:
         alpha = gauge_function(src, dst)
         for j in range(2):
             diff = dst[j] - src[j]
-            assert diff.allclose(alpha.diff(j), tol=1e-13)
+            assert allclose(diff, alpha.diff(j), 1e-13)
 
 
 class TestVectorPotentialRep:
@@ -273,6 +276,11 @@ class TestVectorPotentialRep:
         rep = vector_potential_rep(A, NCParams(theta=0.0, B=1.0))
         expected = PolySymbol.constant(2, 1.0) + x1 * 2.0
         assert rep.field.allclose(expected)
+
+    def test_components_of_another_arity_rejected(self):
+        A = (PolySymbol.zero(2), PolySymbol.variable(4, 0))
+        with pytest.raises(ArityMismatch, match="arity-2"):
+            vector_potential_rep(A, NCParams(theta=0.0, B=1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,8 +305,8 @@ def test_symmetric_rep_table_always_matches(theta, B, a):
     p = NCParams(theta=theta, B=B)
     if kappa(p) < 0.0:
         with pytest.raises(NegativeKappa):
-            symmetric_gauge_rep(p, a=a)
+            symmetric_gauge_rep(p)
         return
-    rep = symmetric_gauge_rep(p, a=a)
+    rep = symmetric_gauge_family(p, a=a)
     assert table_residual(rep) <= 1e-11
     assert abs(det(rep) - kappa(p)) <= 1e-11

@@ -48,7 +48,7 @@ from ncqmlab.peierls import adapted_space, boundary_weights, \
     truncated_commutators
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import LinearRep, vector_potential_rep
-from oracles import realize, restrict
+from oracles import quantize_poly, realize, restrict
 
 RTOL = 1e-12
 
@@ -279,8 +279,8 @@ def test_quantize_matrix_pair(V, prescription, theta, B, n_max):
 @given(representations(), spaces(), polynomials(max_degree=2))
 def test_block_eigh_on_csr_matches_dense_input(rep, space, trap):
     ops = realize(rep, space)
-    H = kinetic_hamiltonian(ops) + 0.1 * poly_of_commuting(
-        trap, ops.X1, ops.X2, hermitian=False)
+    # the realized X1, X2 need not commute, so the trap is Weyl-ordered
+    H = kinetic_hamiltonian(ops) + 0.1 * quantize_poly(trap, ops.X1, ops.X2)
     H = 0.5 * (H + H.dagger())
     for vectors in (False, True):
         sparse = block_eigh(H.stored, vectors)
@@ -311,8 +311,7 @@ def assert_same_bits(a, b) -> None:
 def test_memoized_solve_is_bitwise_a_fresh_block_eigh(rep, space, trap,
                                                       vectors_first):
     ops = realize(rep, space)
-    H = kinetic_hamiltonian(ops) + 0.1 * poly_of_commuting(
-        trap, ops.X1, ops.X2, hermitian=False)
+    H = kinetic_hamiltonian(ops) + 0.1 * quantize_poly(trap, ops.X1, ops.X2)
     H = 0.5 * (H + H.dagger())
     for vectors in ((True, False) if vectors_first else (False, True)):
         memo = H.solve(vectors)
