@@ -27,7 +27,6 @@ from .errors import (
     NonHermitian,
     SingularStructure,
     StepTooLarge,
-    ThetaNonPositive,
     UnresolvedSpectrum,
 )
 from .params import NCParams, is_singular, kappa
@@ -38,7 +37,7 @@ __all__ = [
     "NCParams", "kappa", "is_singular",
     "PolySymbol", "x1", "x2", "p1", "p2",
     "NCQMError", "ConfigError", "DomainError",
-    "SingularStructure", "NegativeKappa", "ThetaNonPositive",
+    "SingularStructure", "NegativeKappa",
     "NonHermitian", "StepTooLarge",
     "InsufficientData", "UnresolvedSpectrum",
     "ArityMismatch",

@@ -30,10 +30,6 @@ class NegativeKappa(DomainError):
     """Representation coefficients undefined for kappa < 0."""
 
 
-class ThetaNonPositive(DomainError):
-    """Ladder-based ordering prescriptions require theta > 0."""
-
-
 class NonHermitian(DomainError):
     """Operation requires a (validated) Hermitian operator."""
 

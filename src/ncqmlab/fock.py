@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NonHermitian, ThetaNonPositive, UnresolvedSpectrum
+from .errors import NonHermitian, UnresolvedSpectrum
 from .polysymbol import PolySymbol
 from .reps import LinearRep, VectorPotentialRep
 
@@ -53,12 +52,6 @@ LEVEL_MERGE_RTOL = 1e-4
 CLUSTER_REL_GAP = 10.0
 CLUSTER_ATOL = 1e-9
 CLUSTER_RTOL = 1e-9
-
-
-class Prescription(str, Enum):
-    WEYL = "weyl"
-    NORMAL = "normal"
-    ANTINORMAL = "antinormal"
 
 
 @dataclass(frozen=True)
@@ -191,10 +184,8 @@ class FockOperator:
 
 
 def _identity_like(matrix):
-    """The identity of a square matrix's size, CSR when it is sparse."""
-    if sp.issparse(matrix):
-        return sp.csr_array(sp.identity(matrix.shape[0], dtype=complex))
-    return np.eye(matrix.shape[0], dtype=complex)
+    """The CSR identity of a square matrix's size."""
+    return sp.csr_array(sp.identity(matrix.shape[0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -258,7 +249,7 @@ def _power_sum(terms, mats):
 
     The one power-list kernel of this module: the powers of each matrix
     are formed once, up to the highest exponent any word asks of it.
-    CSR matrices give a CSR sum, dense ones a dense sum.
+    The matrices and their sum are CSR.
     """
     eye = _identity_like(mats[0])
     top = [0] * len(mats)
@@ -295,7 +286,9 @@ def poly_of_commuting(poly: PolySymbol, A: FockOperator,
     total = _power_sum(terms, (A.stored, B.stored))
     op = FockOperator(total, A.space, degree=max(poly.degree, 1))
     if not op.hermitian_flag:
-        raise NonHermitian("polynomial of commuting operators came out non-Hermitian")
+        raise NonHermitian(
+            "polynomial came out non-Hermitian: poly_of_commuting needs real "
+            "coefficients and Hermitian operators that commute")
     return op
 
 
@@ -321,57 +314,6 @@ def realize_rep(rep, space: FockSpace) -> RealizedOps:
         a2 = poly_of_commuting(rep.A[1], ops.X1, ops.X2)
         return RealizedOps(ops.X1, ops.X2, ops.P1 - e * a1, ops.P2 - e * a2)
     raise TypeError(f"unsupported representation type {type(rep).__name__}")
-
-
-def quantize_matrix_pair(V: PolySymbol, m1, m2,
-                         prescription: Prescription | str = Prescription.WEYL,
-                         theta: float | None = None):
-    """Quantize a real arity-2 polynomial on a pair of matrices (CSR or
-    dense; the result is the same kind) with central commutator
-    [m1, m2] = i*theta.
-
-    Weyl symmetrizes every monomial by McCoy's formula
-    X1^e1 X2^e2 -> (1/2^e1) sum_r C(e1, r) X1^r X2^e2 X1^(e1-r), valid
-    because [X1, X2] is central (cross-checked against the permutation
-    average in the tests).  Normal and anti-normal order through the mode
-    a = (m1 + i m2)/sqrt(2 theta) and require theta > 0.
-    """
-    if V.arity != 2:
-        raise ValueError("V must be an arity-2 polynomial")
-    if V.max_abs_coeff() > 0 and not V.allclose(V.conj()):
-        raise ValueError("V must have real coefficients")
-    prescription = Prescription(prescription)
-
-    if prescription is Prescription.WEYL:
-        terms = [(coeff * math.comb(e1, r) / 2.0 ** e1,
-                  ((0, r), (1, e2), (0, e1 - r)))
-                 for (e1, e2), coeff in V.terms.items()
-                 for r in range(e1 + 1)]
-        return _power_sum(terms, (m1, m2))
-
-    if theta is None or theta <= 0:
-        raise ThetaNonPositive(
-            "normal / anti-normal ordering requires theta > 0"
-        )
-    root = math.sqrt(theta / 2.0)
-    # classical change of variables to (a, abar):
-    # x1 = root (a + abar), x2 = i root (abar - a)
-    a_sym = PolySymbol.variable(2, 0)
-    abar_sym = PolySymbol.variable(2, 1)
-    sub_x1 = root * (a_sym + abar_sym)
-    sub_x2 = 1.0j * root * (abar_sym - a_sym)
-    symbol = PolySymbol.zero(2)
-    for (e1, e2), coeff in V.terms.items():
-        symbol = symbol + coeff * (sub_x1 ** e1) * (sub_x2 ** e2)
-
-    amat = (m1 + 1.0j * m2) / math.sqrt(2.0 * theta)
-    if prescription is Prescription.NORMAL:
-        terms = [(coeff, ((1, eabar), (0, ea)))
-                 for (ea, eabar), coeff in symbol.terms.items()]
-    else:
-        terms = [(coeff, ((0, ea), (1, eabar)))
-                 for (ea, eabar), coeff in symbol.terms.items()]
-    return _power_sum(terms, (amat, amat.conj().T))
 
 
 def kinetic_hamiltonian(ops: RealizedOps, m: float = 1.0) -> FockOperator:

@@ -19,14 +19,18 @@ where a radial V conserves the angular momentum l = g - n.  H then splits
 into 2 n_max + 1 small blocks of fixed l instead of the two parity blocks
 of the Cartesian basis, so the solve costs O(n_max^4) rather than
 O(n_max^6) and no dense (n_max+1)^2-square matrix is ever made.  A
-non-radial V is refused.  Both Peierls spectra drop truncation artefacts
-by one rule, lowest_unpolluted.
+non-radial V is refused, and so is a lam V unbounded below.  The full
+spectrum drops truncation artefacts by one rule, lowest_unpolluted.  The
+lowest-level effective spectrum needs no basis at all: a radial V is
+diagonal in the guiding index, and effective_potential_spectrum reads it
+in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +39,10 @@ from .errors import DomainError, UnresolvedSpectrum
 from .fock import (
     FockOperator,
     FockSpace,
-    Prescription,
     RealizedOps,
     eigenvector_columns,
     kinetic_hamiltonian,
     ladder,
-    quantize_matrix_pair,
     realize_rep,
     spectral_sum,
     suggested_scale,
@@ -52,6 +54,18 @@ from .reps import symmetric_gauge_rep
 # The most probability weight an eigenvector may carry on the boundary and
 # still count as physical (see lowest_unpolluted).
 POLLUTION_TOL = 1e-6
+
+
+class Prescription(str, Enum):
+    WEYL = "weyl"
+    NORMAL = "normal"
+    ANTINORMAL = "antinormal"
+
+
+# The ordering parameter sigma of each prescription's s-ordered products
+# (Cahill & Glauber): 0 puts raising operators left, 1 lowering ones.
+ORDERING_SIGMA = {Prescription.NORMAL: 0.0, Prescription.WEYL: 0.5,
+                  Prescription.ANTINORMAL: 1.0}
 
 
 def _require_commutative_landau(params: NCParams) -> None:
@@ -253,7 +267,6 @@ class PeierlsResult:
     epsilon_n: np.ndarray
     full_E_n: np.ndarray
     omega_B: float
-    prescription: Prescription
     error_bound: float      # Weyl bound on the error of each full_E_n
     blocks: int             # blocks of the two-mode eigensolve
 
@@ -262,21 +275,21 @@ class PeierlsResult:
 
 
 def lowest_unpolluted(evals: np.ndarray, weights: np.ndarray, k: int,
-                      size: str, value: int) -> np.ndarray:
+                      n_max: int) -> np.ndarray:
     """The lowest k of ascending eigenvalues whose eigenvectors carry at
     most POLLUTION_TOL of their probability (``weights``) on the boundary.
 
     Products of truncated operators corrupt the states near the cutoff,
     and at strong fields their eigenvalues can dive below the physical
     ground state.  Fewer than k clean ones is an UnresolvedSpectrum that
-    names the truncation ``size`` ("n_max" or "dim") at its ``value``.
+    names the basis's n_max.
     """
     evals = evals[weights <= POLLUTION_TOL]
     if len(evals) < k:
         found = (f"only {len(evals)} of {k} eigenvectors are free of "
                  "boundary pollution" if len(evals) else
                  "every eigenvector is boundary-polluted")
-        raise UnresolvedSpectrum(f"{found} at {size} = {value}; raise {size}")
+        raise UnresolvedSpectrum(f"{found} at n_max = {n_max}; raise n_max")
     return evals[:k]
 
 
@@ -294,44 +307,46 @@ def boundary_weights(H: FockOperator) -> np.ndarray:
 
 
 def effective_potential_spectrum(
-        V: PolySymbol, lam: float, params: NCParams, k: int,
+        coeffs, lam: float, params: NCParams, k: int,
         prescription=Prescription.ANTINORMAL) -> np.ndarray:
-    """Eigenvalues of lam * V(X1^t, X2^t) on the one-mode lowest-level
-    system with [X1^t, X2^t] = -i/(eB).
+    """The lowest k eigenvalues, ascending, of lam V(X1^t, X2^t) for
+    V = sum_K c_K r^(2K) and coeffs = (c_0, c_1, ...), on the one-mode
+    lowest-level system with [X1^t, X2^t] = -i/(eB).
 
-    Anti-normal ordering of the effective mode (lowering operators to the
-    left) reproduces the exact lowest-level compression P_0 V P_0; it is
-    therefore the default.  Weyl and normal orderings are available for
-    comparison; they differ at relative order 1/B.
+    The guiding ladder b gives r^2 the symbol (2/|eB|) bbar b, and a
+    radial V conserves the guiding index g, so its matrix is diagonal in
+    the number states |g> whatever the ordering.  The sigma-ordered power
+    of bbar b expands in normal-ordered ones (Cahill & Glauber),
+        {bbar^K b^K}_sigma = sum_j j! C(K, j)^2 sigma^j b^dag^(K-j) b^(K-j),
+    with sigma = 0 (normal), 1/2 (Weyl) or 1 (anti-normal; see
+    ORDERING_SIGMA), and b^dag^n b^n reads g (g-1) ... (g-n+1) on |g>:
+    1 for n = 0, and 0 once the product runs past zero.  The sign of eB
+    turns the rotation sense only, which a radial V does not see.
 
-    The ladder has dim = max(4k, 2k + 2 max(1, deg V) + 16) states.  Its
-    truncation corrupts the top shells (anti-normal products even leave a
-    spurious zero mode in the last basis state), so the lowest k
-    eigenvalues are read off by lowest_unpolluted, with the top quarter
-    of the ladder as the boundary.  The solve is a dense eigh on purpose:
-    at a few dozen states, block_eigh's block search costs more than it.
+    Anti-normal ordering reproduces the exact lowest-level compression
+    P_0 V P_0; it is therefore the default.  Weyl and normal orderings
+    are available for comparison; they differ at relative order 1/B.
+
+    Nothing is truncated: g runs over 0..G-1 with G = dim - max(1,
+    dim // 4) and dim = max(4k, 2k + 2 max(1, deg V) + 16), the window
+    a dim-state ladder keeps free of its truncation.  The window is a
+    search range, so a V whose lowest values lie at larger g is read at
+    the window's top.
     """
-    if V.arity != 2:
-        raise ValueError("V must be an arity-2 polynomial")
-    prescription = Prescription(prescription)
-    s = 1.0 / (params.e * params.B)   # signed
-    dim = max(4 * k, 2 * k + 2 * max(1, V.degree) + 16)
-    c_op = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    root = np.sqrt(abs(s) / 2.0)
-    U1 = root * (c_op + c_op.conj().T)
-    U2 = 1.0j * root * (c_op - c_op.conj().T)   # [U1, U2] = -i|s|
-    if s > 0:
-        # need [X1, X2] = -i|s|: (X1, X2) = (U1, U2); swap the polynomial
-        # arguments so the quantizer sees the +i|s| pair (U2, U1).
-        poly = PolySymbol(2, {(e2, e1): c for (e1, e2), c in V.terms.items()})
-    else:
-        # [X1, X2] = +i|s|: (X1, X2) = (U2, U1) directly.
-        poly = V
-    Q = quantize_matrix_pair(poly, U2, U1, prescription, theta=abs(s))
-    evals, vecs = np.linalg.eigh(lam * Q)
-    boundary = slice(dim - max(1, dim // 4), dim)
-    weights = np.sum(np.abs(vecs[boundary, :]) ** 2, axis=0)
-    return lowest_unpolluted(evals, weights, k, "dim", dim)
+    sigma = ORDERING_SIGMA[Prescription(prescription)]
+    top = len(coeffs) - 1
+    dim = max(4 * k, 2 * k + 2 * max(1, 2 * top) + 16)
+    g = np.arange(dim - max(1, dim // 4), dtype=float)
+    falling = [np.ones_like(g)]     # falling[n] = g (g-1) ... (g-n+1)
+    for n in range(top):
+        falling.append(falling[-1] * (g - n))
+    scale = 2.0 / abs(params.e * params.B)
+    values = np.full_like(g, coeffs[0])
+    for K in range(1, top + 1):
+        ordered = sum(math.factorial(j) * math.comb(K, j) ** 2 * sigma ** j
+                      * falling[K - j] for j in range(K + 1))
+        values = values + (coeffs[K] * scale ** K) * ordered
+    return np.sort(lam * values)[:k]
 
 
 def radial_potential(coefficients) -> PolySymbol:
@@ -411,14 +426,24 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     otherwise); H then splits into 2 n_max + 1 blocks of fixed angular
     momentum, with a zero dropped-coupling bound.  In the strong-field
     regime full_E_n approaches omega_B/2 + epsilon_n.
+
+    lam V must be bounded below: for lam != 0 the coefficient c_K of the
+    highest power of r^2 in V must have lam c_K > 0 (DomainError
+    otherwise).  A V with no power above the constant always answers.
     """
     _require_commutative_landau(params)
     coeffs = radial_coefficients(V)
-    epsilon = effective_potential_spectrum(V, lam, params, k, prescription)
+    K = max((K for K, c in enumerate(coeffs) if K and c != 0.0), default=0)
+    if K and lam != 0.0 and (lam > 0.0) != (coeffs[K] > 0.0):
+        raise DomainError(
+            f"lam V is unbounded below: lam = {lam!r} and c_{K} = "
+            f"{coeffs[K]!r}, the coefficient of r^{2 * K}, have opposite "
+            f"signs; peierls needs lam c_{K} > 0")
+    epsilon = effective_potential_spectrum(coeffs, lam, params, k,
+                                           prescription)
     H = landau_basis_hamiltonian(coeffs, lam, params, n_max)
     solve = H.solve()
     full = lowest_unpolluted(solve.eigenvalues, boundary_weights(H), k,
-                             "n_max", n_max)
-    return PeierlsResult(epsilon, full, params.omega_B,
-                         Prescription(prescription), solve.error_bound,
+                             n_max)
+    return PeierlsResult(epsilon, full, params.omega_B, solve.error_bound,
                          solve.blocks)

@@ -15,10 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from ncqmlab.errors import ArityMismatch
-from ncqmlab.fock import (FockOperator, Prescription, RealizedOps,
-                          build_canonical_ops, poly_of_commuting,
-                          quantize_matrix_pair, realize_rep, spectral_sum)
+from ncqmlab.fock import (FockOperator, RealizedOps, _power_sum,
+                          build_canonical_ops, poly_of_commuting, realize_rep,
+                          spectral_sum)
 from ncqmlab.params import kappa
+from ncqmlab.peierls import POLLUTION_TOL, Prescription
 from ncqmlab.polysymbol import MonomialTable, PolySymbol, x1, x2
 from ncqmlab.reps import LinearRep, landau_gauge_rep
 from ncqmlab.structures import canonical_omega
@@ -51,6 +52,52 @@ def interior_residual(op: FockOperator, target,
     else:
         target = np.asarray(target)[np.ix_(mask, mask)]
     return float(abs(block - target).max())
+
+
+def quantize_matrix_pair(V: PolySymbol, m1, m2,
+                         prescription: Prescription | str = Prescription.WEYL,
+                         theta: float | None = None):
+    """Quantize a real arity-2 polynomial on a pair of matrices (CSR or
+    dense; the result is the same kind) with central commutator
+    [m1, m2] = i*theta.
+
+    Weyl symmetrizes every monomial by McCoy's formula
+    X1^e1 X2^e2 -> (1/2^e1) sum_r C(e1, r) X1^r X2^e2 X1^(e1-r), valid
+    because [X1, X2] is central (cross-checked against the permutation
+    average in the tests).  Normal and anti-normal order through the mode
+    a = (m1 + i m2)/sqrt(2 theta) and need theta > 0.  The products are
+    made in CSR either way.
+    """
+    dense = not sp.issparse(m1)
+    m1, m2 = sp.csr_array(m1, dtype=complex), sp.csr_array(m2, dtype=complex)
+    prescription = Prescription(prescription)
+    if prescription is Prescription.WEYL:
+        terms = [(coeff * math.comb(e1, r) / 2.0 ** e1,
+                  ((0, r), (1, e2), (0, e1 - r)))
+                 for (e1, e2), coeff in V.terms.items()
+                 for r in range(e1 + 1)]
+        mats = (m1, m2)
+    else:
+        root = math.sqrt(theta / 2.0)
+        # classical change of variables to (a, abar):
+        # x1 = root (a + abar), x2 = i root (abar - a)
+        a_sym = PolySymbol.variable(2, 0)
+        abar_sym = PolySymbol.variable(2, 1)
+        sub_x1 = root * (a_sym + abar_sym)
+        sub_x2 = 1.0j * root * (abar_sym - a_sym)
+        symbol = PolySymbol.zero(2)
+        for (e1, e2), coeff in V.terms.items():
+            symbol = symbol + coeff * (sub_x1 ** e1) * (sub_x2 ** e2)
+        if prescription is Prescription.NORMAL:
+            terms = [(coeff, ((1, eabar), (0, ea)))
+                     for (ea, eabar), coeff in symbol.terms.items()]
+        else:
+            terms = [(coeff, ((0, ea), (1, eabar)))
+                     for (ea, eabar), coeff in symbol.terms.items()]
+        amat = (m1 + 1.0j * m2) / math.sqrt(2.0 * theta)
+        mats = (amat, amat.conj().T)
+    total = _power_sum(terms, mats)
+    return total.toarray() if dense else total
 
 
 def quantize_poly(V: PolySymbol, X1: FockOperator, X2: FockOperator,
@@ -220,3 +267,29 @@ def eom_residual(traj, params, V: PolySymbol) -> np.ndarray:
 def cumulative(ps) -> FockOperator:
     """Pi_N, the sum of a ProjectorSet's projectors."""
     return sum(ps.projectors[1:], ps.projectors[0])
+
+
+def ladder_effective_spectrum(V: PolySymbol, lam: float, params, k: int,
+                              prescription=Prescription.ANTINORMAL):
+    """peierls.effective_potential_spectrum by the matrix route: lam V
+    quantized by quantize_matrix_pair on a dim-state ladder with
+    [X1, X2] = -i/(eB), dim = max(4k, 2k + 2 max(1, deg V) + 16), solved by
+    a dense eigh.  Truncation corrupts the top shells (anti-normal
+    products even leave a spurious zero mode in the last basis state), so
+    only eigenvectors with at most POLLUTION_TOL of their weight on the
+    top quarter of the ladder count: all of those, ascending, of which
+    the library kept the lowest k."""
+    s = 1.0 / (params.e * params.B)   # signed
+    dim = max(4 * k, 2 * k + 2 * max(1, V.degree) + 16)
+    c_op = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    root = np.sqrt(abs(s) / 2.0)
+    U1 = root * (c_op + c_op.conj().T)
+    U2 = 1.0j * root * (c_op - c_op.conj().T)   # [U1, U2] = -i|s|
+    if s > 0:
+        # need [X1, X2] = -i|s|: (X1, X2) = (U1, U2); swap the polynomial
+        # arguments so the quantizer sees the +i|s| pair (U2, U1).
+        V = PolySymbol(2, {(e2, e1): c for (e1, e2), c in V.terms.items()})
+    Q = quantize_matrix_pair(V, U2, U1, prescription, theta=abs(s))
+    evals, vecs = np.linalg.eigh(lam * Q)
+    weights = np.sum(np.abs(vecs[dim - max(1, dim // 4):]) ** 2, axis=0)
+    return evals[weights <= POLLUTION_TOL]

@@ -1,9 +1,10 @@
 """The library keeps only the routes and options something runs.
 
 Every public function and class of ``src/ncqmlab``, and every public
-method of a public class, is referenced (by name, attribute or import)
-from ``src/``, ``scripts/`` or ``perfbench/`` outside its own definition.
-A route only tests call belongs in ``tests/oracles.py``.
+method of a public class, is read (as a name or an attribute) in code of
+``src/``, ``scripts/`` or ``perfbench/`` outside its own definition; an
+import is not a use.  A route only tests call belongs in
+``tests/oracles.py``.
 
 Every parameter with a default of those functions and methods, and of the
 ``__init__`` of a public class, is passed (by keyword or by position) in
@@ -43,19 +44,21 @@ def _definitions(module: str, tree: ast.Module):
 
 
 def _referenced_name(node) -> str | None:
+    """The name a node reads: a Name's id or an Attribute's attr, when
+    the node is read rather than assigned or deleted."""
+    if not isinstance(getattr(node, "ctx", None), ast.Load):
+        return None
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    if isinstance(node, ast.alias):
-        return node.name.rsplit(".", 1)[-1]
     return None
 
 
 def uncalled(library: dict, callers: list) -> list:
     """The qualified names of the public definitions in ``library`` (module
     name -> tree) that no node of the ``callers`` trees references outside
-    the definition itself."""
+    the definition itself; an import is no reference."""
     references: dict = {}
     for tree in callers:
         for node in ast.walk(tree):
@@ -162,8 +165,11 @@ def test_scan_reports_a_route_only_it_calls():
         "    def read(self):\n        return used()\n\n\n"
         "Record().read()\n")
     assert uncalled({"m": module}, [module]) == ["m.dead"]
-    # an import elsewhere is a reference
-    assert not uncalled({"m": module}, [module, ast.parse("import m.dead")])
+    # an import elsewhere, or an assignment to the name, is no reference
+    others = ast.parse("import m.dead\nfrom m import dead\ndead = 1")
+    assert uncalled({"m": module}, [module, others]) == ["m.dead"]
+    # a read of the name is
+    assert not uncalled({"m": module}, [module, ast.parse("m.dead")])
 
 
 def test_every_option_is_set_by_a_program():

@@ -390,6 +390,21 @@ class TestMainExitCodes:
         assert "domain error" in err
         assert where in err and "raise n_max" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["peierls", "--B", "20", "--lam", "-0.1"],
+         "lam = -0.1 and c_1 = 1.0"),
+        (["peierls", "--B", "20", "--potential", "1,-0.5"],
+         "lam = 0.1 and c_2 = -0.5"),
+    ])
+    def test_peierls_refuses_potential_unbounded_below(self, tmp_path,
+                                                        capsys, argv, named):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "domain error: lam V is unbounded below" in err
+        assert named in err
+        assert not list(tmp_path.iterdir())
+
     def test_failed_check_exits_1_after_writing(self, tmp_path, capsys,
                                                 monkeypatch):
         import ncqmlab.reps

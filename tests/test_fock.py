@@ -21,17 +21,15 @@ import pytest
 from ncqmlab.errors import (
     DomainError,
     NonHermitian,
-    ThetaNonPositive,
     UnresolvedSpectrum,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import boundary_weights, lowest_unpolluted
+from ncqmlab.peierls import Prescription, boundary_weights, lowest_unpolluted
 from ncqmlab.polysymbol import PolySymbol, x1, x2
 from ncqmlab.fock import (
     Cluster,
     FockOperator,
     FockSpace,
-    Prescription,
     SpectrumResult,
     build_canonical_ops,
     cluster_eigenvalues,
@@ -39,7 +37,6 @@ from ncqmlab.fock import (
     kinetic_hamiltonian,
     ladder,
     poly_of_commuting,
-    quantize_matrix_pair,
     realize_rep,
     spectrum,
     suggested_scale,
@@ -53,14 +50,15 @@ from ncqmlab.reps import (
     vector_potential_rep,
 )
 from oracles import (commutator, interior_residual, landau_closed_forms,
-                     quantize_poly, realize, symmetric_gauge_family,
-                     symmetric_momentum_gauge, unitary_from_hermitian)
+                     quantize_matrix_pair, quantize_poly, realize,
+                     symmetric_gauge_family, symmetric_momentum_gauge,
+                     unitary_from_hermitian)
 
 
 def unpolluted(H: FockOperator, k: int) -> np.ndarray:
     """H's lowest k eigenvalues through the one pollution rule."""
     return lowest_unpolluted(H.solve().eigenvalues, boundary_weights(H), k,
-                             "n_max", H.space.n_max)
+                             H.space.n_max)
 
 
 def weyl_average_reference(e1: int, e2: int, X1: np.ndarray,
@@ -341,19 +339,6 @@ class TestQuantize:
         assert np.diag(w - nm).real[0] == pytest.approx(theta, abs=1e-12)
         assert np.diag(an - w).real[0] == pytest.approx(theta, abs=1e-12)
 
-    def test_ordered_prescriptions_need_positive_theta(self):
-        U1, U2 = self._central_pair(0.3, 8)
-        r2 = x1() ** 2 + x2() ** 2
-        with pytest.raises(ThetaNonPositive):
-            quantize_matrix_pair(r2, U1, U2, Prescription.NORMAL)
-        with pytest.raises(ThetaNonPositive):
-            quantize_matrix_pair(r2, U1, U2, "antinormal", theta=-0.5)
-
-    def test_complex_coefficients_rejected(self):
-        U1, U2 = self._central_pair(0.3, 8)
-        with pytest.raises(ValueError):
-            quantize_matrix_pair(1.0j * x1(), U1, U2)
-
 
 class TestPolyOfCommuting:
     def test_matches_direct_evaluation(self):
@@ -372,6 +357,15 @@ class TestPolyOfCommuting:
         ops = build_canonical_ops(FockSpace(6))
         with pytest.raises(NonHermitian):
             poly_of_commuting(1.0j * x1(), ops.X1, ops.X2)
+
+    def test_noncommuting_operators_flagged_by_cause(self):
+        # X1 X2 is not Hermitian once [X1, X2] = i theta != 0: the refusal
+        # names both conditions, not only the symptom
+        params = NCParams(theta=0.3, B=1.0)
+        ops = realize_rep(symmetric_gauge_rep(params), FockSpace(6))
+        with pytest.raises(NonHermitian, match="real coefficients and "
+                           "Hermitian operators that commute"):
+            poly_of_commuting(x1() * x2(), ops.X1, ops.X2)
 
     def test_arity_checked(self):
         ops = build_canonical_ops(FockSpace(6))

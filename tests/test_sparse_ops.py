@@ -31,24 +31,22 @@ from ncqmlab import fock
 from ncqmlab.fock import (
     FockOperator,
     FockSpace,
-    Prescription,
     block_eigh,
     build_canonical_ops,
     eigenvector_columns,
     kinetic_hamiltonian,
     ladder,
     poly_of_commuting,
-    quantize_matrix_pair,
     realize_rep,
     spectrum,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import adapted_space, boundary_weights, \
+from ncqmlab.peierls import Prescription, adapted_space, boundary_weights, \
     landau_projectors, lowest_unpolluted, magnetic_rep, projector_sinc, \
     truncated_commutators
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import LinearRep, vector_potential_rep
-from oracles import quantize_poly, realize, restrict
+from oracles import quantize_matrix_pair, quantize_poly, realize, restrict
 
 RTOL = 1e-12
 
@@ -265,7 +263,7 @@ def test_quantize_matrix_pair(V, prescription, theta, B, n_max):
     quantized = quantize_matrix_pair(V, m1, m2, prescription, theta=theta)
     assert_close(quantized, dense_quantize(V, m1.toarray(), m2.toarray(),
                                            prescription, theta))
-    # dense inputs (the one-mode effective system) take the same kernel
+    # dense inputs (the one-mode ladder oracle) take the same kernel
     dense = quantize_matrix_pair(V, m1.toarray(), m2.toarray(),
                                  prescription, theta=theta)
     assert isinstance(dense, np.ndarray)
@@ -471,8 +469,7 @@ def test_spectral_calls_allocate_no_dense_square(large_landau, call):
     assert H.hermitian_flag
     run = {
         "spectrum": lambda: (spectrum(H, 3), lowest_unpolluted(
-            H.solve().eigenvalues, boundary_weights(H), 3, "n_max",
-            space.n_max)),
+            H.solve().eigenvalues, boundary_weights(H), 3, space.n_max)),
         "projector_sinc": lambda: projector_sinc(H, 0, 0.5 * params.omega_B),
         "landau_projectors": lambda: landau_projectors(params, space, 2),
     }[call]
