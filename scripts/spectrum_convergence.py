@@ -26,10 +26,9 @@ from ncqmlab.fock import (
     kinetic_hamiltonian,
     realize_rep,
     spectrum,
-    suggested_scale,
 )
 from ncqmlab.params import NCParams
-from ncqmlab.peierls import magnetic_rep
+from ncqmlab.peierls import adapted_space, magnetic_rep
 
 
 def main(argv=None) -> int:
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
         params = NCParams(theta=theta, B=args.B)
         rep = magnetic_rep(params)
         for n_max in sizes:
-            adapted = FockSpace(n_max, scale=suggested_scale(rep))
+            adapted = adapted_space(params, n_max)
             H = kinetic_hamiltonian(realize_rep(rep, adapted), params.m)
             clusters = dominant_clusters(spectrum(H, 3), 3)
             means = [c.mean for c in clusters]

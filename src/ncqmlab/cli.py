@@ -69,8 +69,7 @@ class ScenarioConfig:
 
 KEYS = tuple(key for key in dataclasses.fields(ScenarioConfig)
              if key.name != "command")
-_LIST_FLAGS = tuple("--" + key.name.replace("_", "-") for key in KEYS
-                    if type(key.default) is tuple)
+_FLAGS = tuple("--" + key.name.replace("_", "-") for key in KEYS)
 _NUMBER_NAMES = ("zero", "one", "two", "three", "four")
 
 
@@ -229,11 +228,11 @@ def _write_manifest(config: ScenarioConfig, extra: dict, path: str) -> str:
 
 def _run_spectrum(config: ScenarioConfig):
     from . import fock
-    from .peierls import magnetic_rep
+    from .peierls import adapted_space, magnetic_rep
 
     params = config.params()
     rep = magnetic_rep(params)
-    space = fock.FockSpace(config.n_max, scale=fock.suggested_scale(rep))
+    space = adapted_space(params, config.n_max)
     ops = fock.realize_rep(rep, space)
     H = fock.kinetic_hamiltonian(ops, params.m)
     result = fock.spectrum(H, config.k)
@@ -451,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of config keys; flags win")
-    for key in KEYS:
+    for key, flag in zip(KEYS, _FLAGS):
         choices = key.metadata.get("choices")
         parser.add_argument(
-            "--" + key.name.replace("_", "-"), default=None,
+            flag, default=None,
             metavar="{%s}" % ",".join(choices) if choices else None,
             help=f"{key.metadata['help']} (default {key.default!r})")
     return parser
@@ -497,11 +496,12 @@ def merge_cli(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def join_list_values(argv) -> list:
-    """argv with ``--xi0 -1,0,0,0`` joined to ``--xi0=-1,0,0,0`` for each
-    list flag: argparse takes a separate ``-1,...`` for an option."""
+    """argv with ``--xi0 -1,0,0,0`` joined to ``--xi0=-1,0,0,0`` and
+    ``--B -1e-7`` to ``--B=-1e-7`` for each config flag: argparse takes a
+    separate ``-1,...`` or ``-1e-7`` for an option."""
     joined = []
     for token in argv:
-        if (joined and joined[-1] in _LIST_FLAGS and token.startswith("-")
+        if (joined and joined[-1] in _FLAGS and token.startswith("-")
                 and not token.startswith("--")):
             joined[-1] += "=" + token
         else:

@@ -48,9 +48,8 @@ BLOCK_COUPLING_TOL = 1e-13
 # Level clusters whose means differ by less than this fraction of the mean
 # are drifted copies of one level (see resolve_levels).
 LEVEL_MERGE_RTOL = 1e-4
-# The gap rule of cluster_eigenvalues (see its docstring).
-CLUSTER_REL_GAP = 10.0
-CLUSTER_ATOL = 1e-9
+# resolve_levels splits ascending eigenvalues at every gap above this
+# fraction of the eigenvalue above the gap.
 CLUSTER_RTOL = 1e-9
 
 
@@ -382,10 +381,10 @@ def block_eigh(matrix, vectors: bool = True) -> BlockEigh:
     basis), so only one block at a time is made dense, from its own
     entries, and handed to eigh.  Eigenvalues come back ascending, as from
     np.linalg.eigh; eigenvectors stay in their blocks, one EigenBlock each
-    (see spectral_sum and eigenvector_columns).  The dropped stored entries
-    between blocks form a Hermitian perturbation E, so by Weyl's
-    inequality every eigenvalue differs from that of the full matrix by
-    at most ||E||_2 <= ||E||_F = ``error_bound``.
+    (see spectral_sum).  The dropped stored entries between blocks form a
+    Hermitian perturbation E, so by Weyl's inequality every eigenvalue
+    differs from that of the full matrix by at most
+    ||E||_2 <= ||E||_F = ``error_bound``.
 
     The blocks and a real gauge come from one pass of _components over a
     doubled graph with two copies (j, 0) and (j, 1) of each state: a
@@ -519,25 +518,6 @@ def spectral_sum(solve: BlockEigh, weights: np.ndarray) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
-def eigenvector_columns(solve: BlockEigh, positions) -> sp.csr_array:
-    """The eigenvectors at the given positions of the ascending eigenvalue
-    list of a block solve (with vectors), as CSR columns, each stored on
-    its own block's states only."""
-    dim = len(solve.eigenvalues)
-    owner = np.empty(dim, dtype=int)     # block of each position
-    local = np.empty(dim, dtype=int)     # its column within that block
-    for i, block in enumerate(solve.eigenvectors):
-        owner[block.positions] = i
-        local[block.positions] = np.arange(len(block.positions))
-    positions = np.asarray(positions, dtype=int)
-    blocks = [solve.eigenvectors[i] for i in owner[positions]]
-    rows = [block.states for block in blocks]
-    data = [block.vectors[:, j] for block, j in zip(blocks, local[positions])]
-    indptr = np.cumsum([0] + [len(r) for r in rows])
-    return sp.csc_array((np.concatenate(data), np.concatenate(rows), indptr),
-                        shape=(dim, len(positions))).tocsr()
-
-
 @dataclass(frozen=True)
 class Cluster:
     mean: float
@@ -553,58 +533,32 @@ class SpectrumResult:
     blocks: int                 # blocks diagonalized
 
 
-def cluster_eigenvalues(evals: np.ndarray) -> list[list[int]]:
-    """Greedy gap clustering of ascending eigenvalues.
-
-    A new cluster starts when the gap to the next value exceeds
-    max(CLUSTER_REL_GAP * current spread, CLUSTER_ATOL + CLUSTER_RTOL *
-    |value|); the floor keeps numerically-degenerate copies together
-    while splitting drifted truncation copies away.
-    """
-    groups: list[list[int]] = []
-    current = [0]
-    for i in range(1, len(evals)):
-        gap = evals[i] - evals[i - 1]
-        spread = evals[current[-1]] - evals[current[0]]
-        floor = CLUSTER_ATOL + CLUSTER_RTOL * abs(evals[i])
-        if gap > max(CLUSTER_REL_GAP * spread, floor):
-            groups.append(current)
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(current)
-    return groups
-
-
-def cluster_of(values: np.ndarray) -> Cluster:
-    """The Cluster record of ascending member eigenvalues."""
-    return Cluster(float(np.mean(values)), len(values),
-                   float(values[-1] - values[0]))
-
-
-def resolve_levels(evals: np.ndarray) -> list[list[int]]:
+def resolve_levels(evals: np.ndarray) -> list[np.ndarray]:
     """The one Landau-level rule: the levels of ascending eigenvalues,
-    each the list of its member indices.
+    each the array of its member indices.
 
-    Only the gap clusters of cluster_eigenvalues that end below the upper
-    third of ``evals`` count (those reaching into it are truncation
-    artifacts).  Degenerate levels are clusters of two or more members;
-    truncation leaves singleton stragglers, which are skipped.  A cluster
-    whose mean is within LEVEL_MERGE_RTOL * |mean| of the previous one is
-    a drifted copy and joins that level.
+    The eigenvalues split into clusters at every gap wider than
+    CLUSTER_RTOL times the eigenvalue above it.  Only the clusters that
+    end below the upper third of ``evals`` count (those reaching into it
+    are truncation artifacts).  Degenerate levels are clusters of two or
+    more members; truncation leaves singleton stragglers, which are
+    skipped.  A cluster whose mean is within LEVEL_MERGE_RTOL * |mean| of
+    the previous one is a drifted copy and joins that level.
     """
+    gaps = np.diff(evals) > CLUSTER_RTOL * np.abs(evals[1:])
+    clusters = np.split(np.arange(len(evals)), np.flatnonzero(gaps) + 1)
     cutoff_index = (2 * len(evals)) // 3
-    levels: list[list[int]] = []
-    for group in cluster_eigenvalues(evals):
-        if group[-1] >= cutoff_index:
+    levels: list[np.ndarray] = []
+    for cluster in clusters:
+        if cluster[-1] >= cutoff_index:
             break
-        if len(group) < 2:
+        if len(cluster) < 2:
             continue
-        mean = np.mean(evals[group])
+        mean = np.mean(evals[cluster])
         if levels and abs(mean - last) < LEVEL_MERGE_RTOL * abs(mean):
-            levels[-1] += group
+            levels[-1] = np.concatenate([levels[-1], cluster])
         else:
-            levels.append(list(group))
+            levels.append(cluster)
         last = mean
     return levels
 
@@ -619,10 +573,11 @@ def spectrum(H: FockOperator, k: int) -> SpectrumResult:
     """
     solve = H.solve(vectors=False)
     evals = solve.eigenvalues
-    return SpectrumResult(evals[:k].copy(),
-                          tuple(cluster_of(evals[m])
-                                for m in resolve_levels(evals)),
-                          solve.error_bound, solve.blocks)
+    levels = tuple(Cluster(float(np.mean(evals[m])), len(m),
+                           float(evals[m[-1]] - evals[m[0]]))
+                   for m in resolve_levels(evals))
+    return SpectrumResult(evals[:k].copy(), levels, solve.error_bound,
+                          solve.blocks)
 
 
 def dominant_clusters(result: SpectrumResult, count: int) -> tuple:

@@ -13,7 +13,8 @@ here — occupation-number cutoffs cannot isolate the physical block because
 circular eigenstates spread binomially across the occupation diagonal.
 
 The projectors and commutator laws work on the Cartesian two-mode basis of
-adapted_space.  peierls_spectrum does not: it writes H = Pi^2/2m + lam V
+adapted_space, the one adapted basis (the spectrum command builds it at
+any theta).  peierls_spectrum does not: it writes H = Pi^2/2m + lam V
 directly on the Landau-level basis |n, g> (level index n, guiding index g),
 where a radial V conserves the angular momentum l = g - n.  H then splits
 into 2 n_max + 1 small blocks of fixed l instead of the two parity blocks
@@ -23,7 +24,9 @@ non-radial V is refused, and so is a lam V unbounded below.  The full
 spectrum drops truncation artefacts by one rule, lowest_unpolluted.  The
 lowest-level effective spectrum needs no basis at all: a radial V is
 diagonal in the guiding index, and effective_potential_spectrum reads it
-in closed form.
+in closed form over every guiding index.  Where those lowest levels lie
+at a guiding index the basis does not hold exactly, peierls_spectrum
+refuses rather than read the top of the box.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ import scipy.sparse as sp
 
 from .errors import DomainError, UnresolvedSpectrum
 from .fock import (
+    INTERIOR_MARGIN,
     FockOperator,
     FockSpace,
     RealizedOps,
-    eigenvector_columns,
     kinetic_hamiltonian,
     ladder,
     realize_rep,
@@ -87,9 +90,9 @@ def magnetic_rep(params: NCParams):
 
 
 def adapted_space(params: NCParams, n_max: int) -> FockSpace:
-    """A FockSpace whose oscillator length matches the Landau problem,
-    making level degeneracy exact at finite truncation."""
-    _require_commutative_landau(params)
+    """A FockSpace whose oscillator length matches the Landau problem of
+    magnetic_rep at any theta, making level degeneracy exact at finite
+    truncation."""
     return FockSpace(n_max, scale=suggested_scale(magnetic_rep(params)))
 
 
@@ -150,11 +153,11 @@ def landau_projectors(params: NCParams, space: FockSpace,
     H = kinetic_hamiltonian(ops, params.m)
     solve = H.solve()
     shell = space.occupations.sum(axis=1)
-    exact = {}      # whole shell s -> its eigenvalue positions, ascending
+    exact = {}      # whole shell s -> its EigenBlock
     for block in solve.eigenvectors:
         s = shell[block.states[0]]
         if len(block.states) == s + 1 and np.all(shell[block.states] == s):
-            exact[s] = block.positions
+            exact[s] = block
     missing = [s for s in range(space.n_max) if s not in exact]
     if missing:
         raise UnresolvedSpectrum(
@@ -162,14 +165,21 @@ def landau_projectors(params: NCParams, space: FockSpace,
             "one coupling block of the Landau Hamiltonian, so its levels "
             "cannot be read off; build the space with adapted_space"
         )
-    levels = [[exact[s][n] for s in range(n, space.n_max)]
-              for n in range(N + 1)]
-    bases = tuple(eigenvector_columns(solve, members) for members in levels)
+    bases, energies = [], []
+    for n in range(N + 1):
+        # level n: column n of each shell s >= n, on that shell's states
+        blocks = [exact[s] for s in range(n, space.n_max)]
+        bases.append(sp.csc_array(
+            (np.concatenate([block.vectors[:, n] for block in blocks]),
+             np.concatenate([block.states for block in blocks]),
+             np.cumsum([0] + [len(block.states) for block in blocks])),
+            shape=(space.dim, len(blocks))).tocsr())
+        energies.append(float(np.mean(
+            solve.eigenvalues[[block.positions[n] for block in blocks]])))
     projectors = tuple(FockOperator(W @ W.conj().T, space, degree=H.degree)
                        for W in bases)
-    energies = tuple(float(np.mean(solve.eigenvalues[members]))
-                     for members in levels)
-    return ProjectorSet(projectors, energies, N, bases, space, ops)
+    return ProjectorSet(projectors, tuple(energies), N, tuple(bases), space,
+                        ops)
 
 
 def sinc_profile(h, n: int):
@@ -306,12 +316,28 @@ def boundary_weights(H: FockOperator) -> np.ndarray:
     return weights
 
 
+def _guiding_energy(coeffs, lam: float, params: NCParams, sigma: float,
+                    falling: list):
+    """lam epsilon of effective_potential_spectrum, a linear combination
+    of the falling products g (g-1) ... (g-n+1), n = 0..len(coeffs) - 1,
+    given as ``falling``: their values at the guiding indices of an
+    array g, or their power-series coefficients in g."""
+    scale = 2.0 / abs(params.e * params.B)
+    values = coeffs[0] * falling[0]
+    for K in range(1, len(coeffs)):
+        ordered = sum(math.factorial(j) * math.comb(K, j) ** 2 * sigma ** j
+                      * falling[K - j] for j in range(K + 1))
+        values = values + (coeffs[K] * scale ** K) * ordered
+    return lam * values
+
+
 def effective_potential_spectrum(
         coeffs, lam: float, params: NCParams, k: int,
-        prescription=Prescription.ANTINORMAL) -> np.ndarray:
+        prescription=Prescription.ANTINORMAL) -> tuple:
     """The lowest k eigenvalues, ascending, of lam V(X1^t, X2^t) for
     V = sum_K c_K r^(2K) and coeffs = (c_0, c_1, ...), on the one-mode
-    lowest-level system with [X1^t, X2^t] = -i/(eB).
+    lowest-level system with [X1^t, X2^t] = -i/(eB), returned as
+    (g, epsilon): each eigenvalue and the guiding index g of its state.
 
     The guiding ladder b gives r^2 the symbol (2/|eB|) bbar b, and a
     radial V conserves the guiding index g, so its matrix is diagonal in
@@ -327,26 +353,34 @@ def effective_potential_spectrum(
     P_0 V P_0; it is therefore the default.  Weyl and normal orderings
     are available for comparison; they differ at relative order 1/B.
 
-    Nothing is truncated: g runs over 0..G-1 with G = dim - max(1,
-    dim // 4) and dim = max(4k, 2k + 2 max(1, deg V) + 16), the window
-    a dim-state ladder keeps free of its truncation.  The window is a
-    search range, so a V whose lowest values lie at larger g is read at
-    the window's top.
+    Nothing is truncated: the eigenvalues are the polynomial epsilon(g)
+    at g = 0, 1, 2, ...  Between g = 0 and the real critical points of
+    epsilon (the roots of its derivative, from its exact coefficients)
+    it is monotone, so each of the k lowest values lies within k integers
+    of g = 0 or of a critical point, with only lower values in between.
+    Those candidates are the only g evaluated.
     """
     sigma = ORDERING_SIGMA[Prescription(prescription)]
     top = len(coeffs) - 1
-    dim = max(4 * k, 2 * k + 2 * max(1, 2 * top) + 16)
-    g = np.arange(dim - max(1, dim // 4), dtype=float)
-    falling = [np.ones_like(g)]     # falling[n] = g (g-1) ... (g-n+1)
+    # the falling products as coefficients in g, highest power first:
+    # g (g-1) ... (g-n+1) is the monic polynomial with roots 0..n-1
+    expanded = [np.append(np.zeros(top - n), np.poly(np.arange(n)))
+                for n in range(top + 1)]
+    slope = np.polyder(_guiding_energy(coeffs, lam, params, sigma, expanded))
+    # a leading coefficient too small for the companion matrix of np.roots
+    # (the ratios slope[1:] / slope[0] overflow) puts its critical points
+    # past every float g: drop it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while not np.all(np.isfinite(slope[1:] / slope[:1])):
+            slope = slope[1:]
+    centers = np.floor(np.append(np.roots(slope).real, 0.0))
+    g = np.unique(np.maximum(centers[:, None] + np.arange(-k, k + 2), 0.0))
+    falling = [np.ones_like(g)]
     for n in range(top):
         falling.append(falling[-1] * (g - n))
-    scale = 2.0 / abs(params.e * params.B)
-    values = np.full_like(g, coeffs[0])
-    for K in range(1, top + 1):
-        ordered = sum(math.factorial(j) * math.comb(K, j) ** 2 * sigma ** j
-                      * falling[K - j] for j in range(K + 1))
-        values = values + (coeffs[K] * scale ** K) * ordered
-    return np.sort(lam * values)[:k]
+    values = _guiding_energy(coeffs, lam, params, sigma, falling)
+    lowest = np.argsort(values, kind="stable")[:k]
+    return g[lowest], values[lowest]
 
 
 def radial_potential(coefficients) -> PolySymbol:
@@ -430,6 +464,10 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
     lam V must be bounded below: for lam != 0 the coefficient c_K of the
     highest power of r^2 in V must have lam c_K > 0 (DomainError
     otherwise).  A V with no power above the constant always answers.
+    The full route reads the lowest levels only where the basis keeps
+    them exact: a guiding index of epsilon_n outside
+    H.space.interior_mask(H.degree) is an UnresolvedSpectrum that names
+    the n_max it needs.
     """
     _require_commutative_landau(params)
     coeffs = radial_coefficients(V)
@@ -439,9 +477,15 @@ def peierls_spectrum(V: PolySymbol, lam: float, params: NCParams, k: int,
             f"lam V is unbounded below: lam = {lam!r} and c_{K} = "
             f"{coeffs[K]!r}, the coefficient of r^{2 * K}, have opposite "
             f"signs; peierls needs lam c_{K} > 0")
-    epsilon = effective_potential_spectrum(coeffs, lam, params, k,
-                                           prescription)
+    g, epsilon = effective_potential_spectrum(coeffs, lam, params, k,
+                                              prescription)
     H = landau_basis_hamiltonian(coeffs, lam, params, n_max)
+    needed = int(g.max()) + INTERIOR_MARGIN * max(H.degree, 1)
+    if needed > n_max:
+        raise UnresolvedSpectrum(
+            f"the lowest levels of lam V (k = {k}) reach guiding index "
+            f"g = {int(g.max())}, outside the interior of n_max = {n_max}; "
+            f"raise n_max to at least {needed}")
     solve = H.solve()
     full = lowest_unpolluted(solve.eigenvalues, boundary_weights(H), k,
                              n_max)

@@ -15,9 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ncqmlab.errors import ArityMismatch
-from ncqmlab.fock import (FockOperator, RealizedOps, _power_sum,
-                          build_canonical_ops, poly_of_commuting, realize_rep,
-                          spectral_sum)
+from ncqmlab.fock import (CLUSTER_RTOL, LEVEL_MERGE_RTOL, FockOperator,
+                          RealizedOps, _power_sum, build_canonical_ops,
+                          poly_of_commuting, realize_rep, spectral_sum)
 from ncqmlab.params import kappa
 from ncqmlab.peierls import POLLUTION_TOL, Prescription
 from ncqmlab.polysymbol import MonomialTable, PolySymbol, x1, x2
@@ -112,6 +112,53 @@ def unitary_from_hermitian(G: FockOperator) -> np.ndarray:
     """exp(iG) for Hermitian G, built spectrally (exactly unitary)."""
     solve = G.solve()
     return spectral_sum(solve, np.exp(1.0j * solve.eigenvalues)).toarray()
+
+
+def eigenvector_columns(solve, positions) -> sp.csr_array:
+    """The eigenvectors at the given positions of the ascending eigenvalue
+    list of a block solve (with vectors), as CSR columns, each stored on
+    its own block's states only."""
+    dim = len(solve.eigenvalues)
+    owner = np.empty(dim, dtype=int)     # block of each position
+    local = np.empty(dim, dtype=int)     # its column within that block
+    for i, block in enumerate(solve.eigenvectors):
+        owner[block.positions] = i
+        local[block.positions] = np.arange(len(block.positions))
+    positions = np.asarray(positions, dtype=int)
+    blocks = [solve.eigenvectors[i] for i in owner[positions]]
+    rows = [block.states for block in blocks]
+    data = [block.vectors[:, j] for block, j in zip(blocks, local[positions])]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return sp.csc_array((np.concatenate(data), np.concatenate(rows), indptr),
+                        shape=(dim, len(positions))).tocsr()
+
+
+def loop_levels(evals: np.ndarray) -> list:
+    """fock.resolve_levels written as a loop over the eigenvalues: a new
+    cluster starts where a gap exceeds CLUSTER_RTOL * |E|, E the value
+    above it; the upper-third cut, the singleton skip and the drifted-copy
+    merge follow as in resolve_levels."""
+    clusters, current = [], [0]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[i - 1] > CLUSTER_RTOL * abs(evals[i]):
+            clusters.append(current)
+            current = [i]
+        else:
+            current.append(i)
+    clusters.append(current)
+    levels = []
+    for cluster in clusters:
+        if cluster[-1] >= (2 * len(evals)) // 3:
+            break
+        if len(cluster) < 2:
+            continue
+        mean = np.mean(evals[cluster])
+        if levels and abs(mean - last) < LEVEL_MERGE_RTOL * abs(mean):
+            levels[-1] += cluster
+        else:
+            levels.append(cluster)
+        last = mean
+    return levels
 
 
 def landau_closed_forms(params, k: int = 5) -> tuple:

@@ -35,7 +35,6 @@ from ncqmlab.fock import (
     BLOCK_COUPLING_TOL,
     FockSpace,
     block_eigh,
-    eigenvector_columns,
     kinetic_hamiltonian,
     poly_of_commuting,
     realize_rep,
@@ -56,6 +55,7 @@ from ncqmlab.reps import (
     symmetric_vector_potential,
     vector_potential_rep,
 )
+from oracles import eigenvector_columns
 
 EIGENVALUE_RTOL = 1e-12
 PROJECTOR_ATOL = 1e-10

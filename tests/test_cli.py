@@ -303,6 +303,20 @@ class TestMergeCli:
         assert getattr(spaced, flag[2:])[0] == float(value.split(",")[0])
         assert spaced.theta == -1.0
 
+    @pytest.mark.parametrize("flag, value", [("--theta", "-2e-1"),
+                                             ("--B", "-1e-7"),
+                                             ("--B", "-1.5")])
+    def test_negative_number_flag_reads_as_the_equals_form(self, tmp_path,
+                                                           flag, value):
+        # argparse takes -2e-1 for an option unless it is joined to its flag
+        def written(argv, out):
+            assert main(["spectrum", *argv, "--n-max", "8", "--k", "2",
+                         "--out", str(out)]) == 0
+            return (out / "spectrum.csv").read_bytes()
+
+        assert written([flag, value], tmp_path / "spaced") == \
+            written([f"{flag}={value}"], tmp_path / "joined")
+
     def test_bad_list_flag(self):
         args = build_parser().parse_args(["trajectory", "--xi0", "1,a,0,0"])
         with pytest.raises(ConfigError, match="comma-separated number list"):
@@ -389,6 +403,19 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "domain error" in err
         assert where in err and "raise n_max" in err
+
+    @pytest.mark.parametrize("k", ["1", "5"])
+    def test_peierls_refuses_levels_outside_the_basis(self, tmp_path,
+                                                      capsys, k):
+        # lam V dips to its lowest near g = 498, far past the interior of
+        # the default n_max = 30 basis, whatever k asks for
+        code = main(["peierls", "--B", "20", "--potential=-1,0.01",
+                     "--k", k, "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"domain error: the lowest levels of lam V (k = {k})" in err
+        assert "outside the interior of n_max = 30" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, named", [
         (["peierls", "--B", "20", "--lam", "-0.1"],

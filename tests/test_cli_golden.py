@@ -72,6 +72,9 @@ _RUNS = (
     Scenario("spectrum-small-theta", ("spectrum", "--theta", "1e-12",
                                       "--B", "1", "--n-max", "10",
                                       "--k", "3")),
+    # a weak field: each gap omega_B = 1e-6 is wide against the 1e-9
+    # relative gap rule, though narrow in absolute terms
+    Scenario("spectrum-weak-field", ("spectrum", "--B", "1e-6", "--k", "3")),
     Scenario("star", ("star", "--theta", "0.2", "--B", "1", "--k", "3")),
     Scenario("star-charge", ("star", "--theta", "0.3", "--B", "1.5",
                              "--e", "2", "--m", "0.5", "--k", "4")),

@@ -17,6 +17,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncqmlab.errors import (
     DomainError,
@@ -32,12 +33,12 @@ from ncqmlab.fock import (
     FockSpace,
     SpectrumResult,
     build_canonical_ops,
-    cluster_eigenvalues,
     dominant_clusters,
     kinetic_hamiltonian,
     ladder,
     poly_of_commuting,
     realize_rep,
+    resolve_levels,
     spectrum,
     suggested_scale,
 )
@@ -50,7 +51,7 @@ from ncqmlab.reps import (
     vector_potential_rep,
 )
 from oracles import (commutator, interior_residual, landau_closed_forms,
-                     quantize_matrix_pair, quantize_poly, realize,
+                     loop_levels, quantize_matrix_pair, quantize_poly, realize,
                      symmetric_gauge_family, symmetric_momentum_gauge,
                      unitary_from_hermitian)
 
@@ -374,10 +375,47 @@ class TestPolyOfCommuting:
 
 
 class TestSpectrumMachinery:
-    def test_cluster_eigenvalues_groups_degenerate_copies(self):
-        evals = np.array([0.5, 0.5 + 1e-13, 0.5 + 2e-13, 1.5, 1.5 + 1e-13, 3.0])
-        groups = cluster_eigenvalues(evals)
-        assert [len(g) for g in groups] == [3, 2, 1]
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_resolve_levels_groups_degenerate_copies(self, scale):
+        # copies within 1e-9 relative join; the straggler at 0.9 and the
+        # clusters reaching into the upper third (from 3.0 on) are no
+        # levels.  The rule is relative only, so a weak field's levels
+        # (scale 1e-9) group as a strong field's do.
+        evals = scale * np.array([0.5, 0.5 + 1e-13, 0.5 + 2e-13, 0.9, 1.5,
+                                  1.5 + 1e-13, 3.0, 4.0, 5.0, 6.0])
+        levels = resolve_levels(evals)
+        assert [list(level) for level in levels] == [[0, 1, 2], [4, 5]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted=st.lists(st.tuples(st.integers(1, 6),
+                                      st.floats(-12.0, -7.0),
+                                      st.sampled_from([0.0, 1e-5])),
+                            min_size=1, max_size=12),
+           exponent=st.floats(-9.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_resolve_levels_is_the_loop_rule(self, planted, exponent, seed):
+        # levels (n + 1/2) 10^exponent, each m copies spread by 10^jitter
+        # relative (below, at and above the 1e-9 gap rule), some with a
+        # drifted twin 1e-5 above; the vectorized gaps are the loop's
+        rng = np.random.default_rng(seed)
+        evals = np.sort(np.concatenate([
+            10.0 ** exponent * (n + 0.5) * (1.0 + shift
+                                            + 10.0 ** jitter * rng.random(m))
+            for n, (m, jitter, drift) in enumerate(planted)
+            for shift in {0.0, drift}]))
+        assert [list(level) for level in resolve_levels(evals)] == \
+            loop_levels(evals)
+
+    @pytest.mark.parametrize("B, scaled", [(1.545, False), (1.6, False),
+                                           (1e-6, False), (1.3, True),
+                                           (1e-6, True)])
+    def test_resolve_levels_is_the_loop_rule_on_spectra(self, B, scaled):
+        params = NCParams(theta=0.0, B=B)
+        rep = symmetric_gauge_rep(params)
+        space = FockSpace(20, scale=suggested_scale(rep) if scaled else 1.0)
+        H = kinetic_hamiltonian(realize_rep(rep, space), params.m)
+        evals = H.solve(vectors=False).eigenvalues
+        assert [list(level) for level in resolve_levels(evals)] == \
+            loop_levels(evals)
 
     def test_spectrum_and_dominant_clusters(self):
         # synthetic diagonal operator with Landau-like degeneracy pattern:

@@ -18,7 +18,8 @@ Oracles
   2|s|*lam*n; for V = r^4 anti-normal gives 4 s^2 lam (n+1)(n+2).  The
   general closed form is checked against the matrix route it replaced
   (oracles.ladder_effective_spectrum: V quantized on a truncated ladder,
-  a dense eigh and a boundary filter).
+  a dense eigh and a boundary filter), and its search over the guiding
+  index against a scan of every g up to Cauchy's bound.
 * The full spectrum of Pi^2/2m + lam c1 r^2 is the Fock-Darwin spectrum,
   two decoupled oscillators of frequencies Omega +- omega_B/2 with
   Omega = sqrt(omega_B^2/4 + 2 lam c1/m); its lowest branch runs
@@ -34,10 +35,12 @@ Oracles
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial import Polynomial
 from hypothesis import example, given, settings, strategies as st
 
 from ncqmlab.errors import (
@@ -52,7 +55,6 @@ from ncqmlab.fock import (
     block_eigh,
     build_canonical_ops,
     dominant_clusters,
-    eigenvector_columns,
     kinetic_hamiltonian,
     poly_of_commuting,
     realize_rep,
@@ -63,6 +65,8 @@ from ncqmlab.fock import (
 )
 from ncqmlab.params import NCParams
 from ncqmlab.peierls import (
+    ORDERING_SIGMA,
+    _guiding_energy,
     Prescription,
     adapted_space,
     boundary_weights,
@@ -79,7 +83,8 @@ from ncqmlab.peierls import (
 )
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.star import bbar_of_B, star_landau_spectrum, sw_constant_field
-from oracles import cumulative, ladder_effective_spectrum
+from oracles import (cumulative, eigenvector_columns,
+                     ladder_effective_spectrum)
 
 X1SYM = PolySymbol.variable(2, 0)
 X2SYM = PolySymbol.variable(2, 1)
@@ -101,7 +106,7 @@ class TestPreconditions:
             landau_projectors(NCParams(theta=0.3, B=1.0), FockSpace(8), 1)
 
     def test_adapted_space_rejects_zero_field(self):
-        with pytest.raises(DomainError, match="no levels to truncate"):
+        with pytest.raises(DomainError, match="no Landau structure"):
             adapted_space(NCParams(theta=0.0, B=0.0), 10)
 
     @pytest.mark.parametrize("params", [
@@ -115,9 +120,17 @@ class TestPreconditions:
         with pytest.raises(DomainError, match="no Landau structure"):
             magnetic_rep(params)
 
-    def test_adapted_space_propagates_domain_check(self):
-        with pytest.raises(DomainError):
-            adapted_space(NCParams(theta=0.1, B=1.0), 10)
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.3])
+    def test_adapted_space_at_any_theta(self, theta):
+        # the basis length of the rep that spectrum realizes, on which
+        # every shell below the cutoff holds one state of each level
+        params = NCParams(theta=theta, B=1.5)
+        rep = magnetic_rep(params)
+        space = adapted_space(params, 10)
+        assert space.scale == suggested_scale(rep)
+        H = kinetic_hamiltonian(realize_rep(rep, space), params.m)
+        levels = dominant_clusters(spectrum(H, 3), 3)
+        assert [c.multiplicity for c in levels] == [10, 9, 8]
 
     def test_negative_level_count_rejected(self, landau_setup):
         params, space, _ = landau_setup
@@ -576,14 +589,14 @@ class TestEffectivePotentialSpectrum:
 
     def test_antinormal_matches_exact_lowest_level_compression(self):
         # s = 1 here, so eps_n = 2*lam*(n+1).
-        ev = effective_potential_spectrum(self.R2, 0.1, self.PARAMS, 4)
+        _, ev = effective_potential_spectrum(self.R2, 0.1, self.PARAMS, 4)
         np.testing.assert_allclose(ev, 0.2 * np.arange(1, 5),
                                    rtol=0, atol=1e-12)
 
     def test_weyl_and_normal_orderings_differ_by_half_step(self):
-        weyl = effective_potential_spectrum(
+        _, weyl = effective_potential_spectrum(
             self.R2, 0.1, self.PARAMS, 3, Prescription.WEYL)
-        normal = effective_potential_spectrum(
+        _, normal = effective_potential_spectrum(
             self.R2, 0.1, self.PARAMS, 3, Prescription.NORMAL)
         np.testing.assert_allclose(weyl, 0.2 * (np.arange(3) + 0.5),
                                    rtol=0, atol=1e-12)
@@ -593,26 +606,35 @@ class TestEffectivePotentialSpectrum:
         assert normal[0] == 0.0
 
     def test_prescription_accepts_string(self):
-        ev = effective_potential_spectrum(self.R2, 0.1, self.PARAMS, 3,
-                                          "weyl")
+        _, ev = effective_potential_spectrum(self.R2, 0.1, self.PARAMS, 3,
+                                             "weyl")
         np.testing.assert_allclose(ev, [0.1, 0.3, 0.5], rtol=0, atol=1e-12)
 
     def test_zero_strength_gives_zero_spectrum(self):
-        ev = effective_potential_spectrum(self.R2, 0.0, self.PARAMS, 3)
+        _, ev = effective_potential_spectrum(self.R2, 0.0, self.PARAMS, 3)
         np.testing.assert_array_equal(ev, np.zeros(3))
 
     def test_negative_field_uses_magnitude_of_cell_area(self):
         params = NCParams(theta=0.0, B=-2.0)   # |s| = 1/2
-        ev = effective_potential_spectrum(self.R2, 0.1, params, 3)
+        _, ev = effective_potential_spectrum(self.R2, 0.1, params, 3)
         np.testing.assert_allclose(ev, 0.1 * np.arange(1, 4),
                                    rtol=0, atol=1e-12)
 
     def test_quartic_antinormal_closed_form(self):
-        ev = effective_potential_spectrum([0.0, 0.0, 1.0], 1.0, self.PARAMS,
-                                          3)
+        _, ev = effective_potential_spectrum([0.0, 0.0, 1.0], 1.0,
+                                             self.PARAMS, 3)
         n = np.arange(3)
         np.testing.assert_allclose(ev, 4.0 * (n + 1) * (n + 2),
                                    rtol=1e-12, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_lowest_values_of_a_dipping_trap_whatever_k(self, k):
+        # lam V = 0.1 (-r^2 + 0.01 r^4) at B = 20 dips to its lowest near
+        # g = 498; a k-sized window of g read its top instead
+        g, ev = effective_potential_spectrum(
+            [0.0, -1.0, 0.01], 0.1, NCParams(theta=0.0, B=20.0), k)
+        assert ev[0] == -2.4950000000000006
+        assert np.all(np.abs(g - 498.5) <= k) and np.all(np.diff(ev) >= 0)
 
     def test_rejects_wrong_arity_potential(self):
         # the effective system is reached through peierls_spectrum, which
@@ -639,14 +661,62 @@ def test_closed_form_matches_ladder_oracle(c0, lower, leading, B, sign, e,
                                            lam, k, prescription):
     coeffs = [c0, *lower, leading]
     params = NCParams(theta=0.0, B=sign * B, e=e)
-    ev = effective_potential_spectrum(coeffs, lam, params, k, prescription)
+    g, ev = effective_potential_spectrum(coeffs, lam, params, k,
+                                         prescription)
     V = coeffs[0] + radial_potential(coeffs[1:])
     kept = ladder_effective_spectrum(V, lam, params, k, prescription)
-    assert len(ev) == k <= len(kept)
+    # the ladder keeps the states g < len(kept); of the lowest k, those it
+    # holds are its own lowest (a trap that dips further out has the rest
+    # past it: see test_candidates_match_a_scan_of_every_g)
+    inside = g < len(kept)
+    assert len(ev) == k
     # eigh rounds to the scale of the whole ladder, not of the lowest k
     np.testing.assert_allclose(
-        ev, kept[:k], rtol=0,
+        ev[inside], kept[:np.count_nonzero(inside)], rtol=0,
         atol=CLOSED_FORM_RTOL * np.max(np.abs(kept)))
+
+
+def falling_products(g, top: int) -> list:
+    """g (g-1) ... (g-n+1) for n = 0..top, for an array or a Polynomial g."""
+    falling = [g ** 0]
+    for n in range(top):
+        falling.append(falling[-1] * (g - n))
+    return falling
+
+
+def cauchy_limit(coeffs, params, sigma) -> float:
+    """A g above every real critical point of epsilon: Cauchy's bound on
+    the roots of its derivative, with the falling products expanded by
+    numpy.polynomial."""
+    falling = falling_products(Polynomial([0.0, 1.0]), len(coeffs) - 1)
+    slope = _guiding_energy(coeffs, 1.0, params, sigma, falling).deriv().coef
+    return 1.0 + np.max(np.abs(slope[:-1] / slope[-1]), initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c0=st.floats(-1.0, 1.0),
+       lower=st.lists(st.floats(-1.0, 1.0), max_size=2),
+       leading=st.floats(0.01, 1.0), B=st.floats(2.0, 60.0),
+       sign=st.sampled_from([1.0, -1.0]), e=st.sampled_from([0.5, 1.0, 2.0]),
+       lam=st.floats(0.01, 2.0), lam_sign=st.sampled_from([1.0, -1.0]),
+       k=st.integers(1, 8), prescription=st.sampled_from(list(Prescription)))
+@example(c0=0.0, lower=[-1.0], leading=0.01, B=20.0, sign=1.0, e=1.0,
+         lam=0.1, lam_sign=1.0, k=5, prescription=Prescription.ANTINORMAL)
+def test_candidates_match_a_scan_of_every_g(c0, lower, leading, B, sign, e,
+                                            lam, lam_sign, k, prescription):
+    # lam c_K > 0: the signs of lam and of the leading coefficient agree
+    coeffs = [c0, *lower, lam_sign * leading]
+    params = NCParams(theta=0.0, B=sign * B, e=e)
+    lam = lam_sign * lam
+    g, ev = effective_potential_spectrum(coeffs, lam, params, k,
+                                         prescription)
+    sigma = ORDERING_SIGMA[Prescription(prescription)]
+    every = np.arange(math.ceil(cauchy_limit(coeffs, params, sigma)) + k + 2,
+                      dtype=float)
+    scanned = _guiding_energy(coeffs, lam, params, sigma,
+                              falling_products(every, len(coeffs) - 1))
+    np.testing.assert_array_equal(ev, np.sort(scanned)[:k])
+    np.testing.assert_array_equal(scanned[g.astype(int)], ev)
 
 
 class TestPeierlsSpectrum:
@@ -713,6 +783,20 @@ class TestPeierlsSpectrum:
         with pytest.raises(UnresolvedSpectrum, match="only 1 of 2"):
             peierls_spectrum(R2, 0.05, params, 2, n_max=8)
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_levels_outside_the_interior_are_unresolved(self, k):
+        # lam V dips to its lowest near g = 498; the box's top shells would
+        # answer for it, and exit 0 with wrong values
+        V = -R2 + 0.01 * R2 * R2
+        with pytest.raises(UnresolvedSpectrum,
+                           match="outside the interior of n_max = 30") as err:
+            peierls_spectrum(V, 0.1, NCParams(theta=0.0, B=20.0), k,
+                             n_max=30)
+        g = int(str(err.value).split("g = ")[1].split(",")[0])
+        assert abs(g - 498.5) <= k
+        # a quartic H has degree 4, so the interior ends 8 shells inside
+        assert f"raise n_max to at least {g + 8}" in str(err.value)
+
     def test_noncommutative_plane_rejected(self):
         with pytest.raises(DomainError):
             peierls_spectrum(R2, 0.1, NCParams(theta=0.2, B=10.0), 2,
@@ -732,8 +816,8 @@ class TestPeierlsSpectrum:
         (-R2 + 0.5 * R2 * R2 - 0.25 * R2 * R2 * R2, 0.1, "c_3 = -0.25"),
     ])
     def test_potential_unbounded_below_rejected(self, V, lam, named):
-        # the effective spectrum would read the top of its search window
-        # and the full spectrum the top of the box: neither is a ground
+        # the effective spectrum would have no lowest value and the full
+        # spectrum would read the top of the box: neither is a ground
         with pytest.raises(DomainError, match="unbounded below") as err:
             peierls_spectrum(V, lam, NCParams(theta=0.0, B=20.0), 3,
                              n_max=12)
@@ -806,6 +890,10 @@ ORACLE_N_MAX = 30
        c2=st.floats(0.0, 0.5), n_max=st.integers(18, 28))
 @example(B=5.0, sign=1.0, e=0.5, m=1.0, lam=0.125, c1=1.0, c2=0.5,
          n_max=18)
+# a subnormal quartic term: the critical point of its effective spectrum
+# lies past every float g
+@example(B=5.0, sign=1.0, e=0.5, m=1.0, lam=0.125, c1=1.0,
+         c2=2.225073858507203e-309, n_max=18)
 def test_landau_basis_matches_cartesian_oracle(B, sign, e, m, lam, c1, c2,
                                                n_max):
     params = NCParams(theta=0.0, B=sign * B, e=e, m=m)

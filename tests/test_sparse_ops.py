@@ -33,7 +33,6 @@ from ncqmlab.fock import (
     FockSpace,
     block_eigh,
     build_canonical_ops,
-    eigenvector_columns,
     kinetic_hamiltonian,
     ladder,
     poly_of_commuting,
@@ -46,7 +45,8 @@ from ncqmlab.peierls import Prescription, adapted_space, boundary_weights, \
     truncated_commutators
 from ncqmlab.polysymbol import PolySymbol
 from ncqmlab.reps import LinearRep, vector_potential_rep
-from oracles import quantize_matrix_pair, quantize_poly, realize, restrict
+from oracles import eigenvector_columns, quantize_matrix_pair, quantize_poly, \
+    realize, restrict
 
 RTOL = 1e-12
 
